@@ -103,6 +103,12 @@ impl SimpleContext {
     pub fn contextless(num_actions: usize) -> Self {
         SimpleContext::new(Vec::new(), num_actions)
     }
+
+    /// The explicit per-action feature vectors, or `None` for a context
+    /// built without them ([`SimpleContext::new`]).
+    pub fn per_action_features(&self) -> Option<&[Vec<f64>]> {
+        (!self.per_action.is_empty()).then_some(self.per_action.as_slice())
+    }
 }
 
 impl Context for SimpleContext {

@@ -25,7 +25,8 @@
 //!
 //! For logs written by the live serve loop (rather than scavenged from an
 //! existing system), [`segment`] provides the crash-safe on-disk format:
-//! checksummed, length-prefixed frames in rotating segments, recovered by
+//! checksummed, length-prefixed frames in rotating segments (payloads in
+//! the binary layout of [`codec`]), recovered by
 //! replaying the longest valid prefix and quarantining — counting, never
 //! silently skipping — damaged tails. The control-plane state that
 //! interprets those logs (incumbent policy, RNG positions, ledger counters)
@@ -36,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
+pub mod codec;
 pub mod lifecycle;
 pub mod nginx;
 pub mod pipeline;

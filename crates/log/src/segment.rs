@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! frame   := len: u32 LE | crc32(payload): u32 LE | payload
-//! payload := one JSON-serialized LogRecord (no trailing newline)
+//! payload := one LogRecord in the binary layout of crate::codec
 //! segment := frame*          (rotated by record count / byte size)
 //! ```
 //!
@@ -27,6 +27,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::codec;
 use crate::record::LogRecord;
 
 /// Frame header size: 4-byte length + 4-byte CRC32.
@@ -38,12 +39,12 @@ pub const MAX_FRAME_LEN: usize = 1 << 24;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320), computed in-crate:
-// the build environment vendors no checksum crate, and eight lines of table
-// generation beat a silent dependency.
+// the build environment vendors no checksum crate. Slice-by-8: eight
+// 256-entry tables, generated at compile time, fold eight bytes per step.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -56,33 +57,80 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    // tables[s][i] is the CRC of byte i followed by s zero bytes.
+    let mut i = 0;
+    while i < 256 {
+        let mut s = 1;
+        while s < 8 {
+            let prev = tables[s - 1][i];
+            tables[s][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            s += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE) of a byte slice.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    crc32_update(0, bytes)
+}
+
+/// Extends a finished CRC32 over more bytes:
+/// `crc32_update(crc32(a), b) == crc32(a ++ b)`, so a checksum can span
+/// non-contiguous buffers without copying them together.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !crc;
+    let mut blocks = bytes.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
     }
-    c ^ 0xFFFF_FFFF
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
 }
 
 /// Serializes one record into a complete frame (header + payload).
 pub fn encode_frame(record: &LogRecord) -> io::Result<Vec<u8>> {
-    let payload = serde_json::to_string(record)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-        .into_bytes();
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    encode_frame_into(record, &mut frame)?;
     Ok(frame)
+}
+
+/// Encodes one record's complete frame into `frame`, replacing its
+/// contents: the payload is encoded in place behind a header patched
+/// afterwards. Fails when the payload exceeds [`MAX_FRAME_LEN`], since
+/// recovery would reject such a frame.
+fn encode_frame_into(record: &LogRecord, frame: &mut Vec<u8>) -> io::Result<()> {
+    frame.clear();
+    frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    codec::encode_record(record, frame);
+    let len = frame.len() - FRAME_HEADER_LEN;
+    if len > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("record payload of {len} bytes exceeds the {MAX_FRAME_LEN} byte frame limit"),
+        ));
+    }
+    let crc = crc32(&frame[FRAME_HEADER_LEN..]);
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    frame[4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -265,6 +313,8 @@ pub struct SegmentedLogWriter<S> {
     bytes_in_segment: usize,
     first_ts_in_segment: Option<u64>,
     observer: Option<Arc<dyn SealObserver>>,
+    /// Reused frame buffer: steady-state writes allocate nothing.
+    frame: Vec<u8>,
 }
 
 impl<S: fmt::Debug> fmt::Debug for SegmentedLogWriter<S> {
@@ -299,6 +349,7 @@ impl<S: SegmentSink> SegmentedLogWriter<S> {
             bytes_in_segment: 0,
             first_ts_in_segment: None,
             observer: None,
+            frame: Vec::new(),
         }
     }
 
@@ -328,12 +379,12 @@ impl<S: SegmentSink> SegmentedLogWriter<S> {
         {
             self.rotate()?;
         }
-        let frame = encode_frame(record)?;
-        self.sink.append(self.segment, &frame)?;
+        encode_frame_into(record, &mut self.frame)?;
+        self.sink.append(self.segment, &self.frame)?;
         self.records_in_segment += record.record_count();
-        self.bytes_in_segment += frame.len();
+        self.bytes_in_segment += self.frame.len();
         self.first_ts_in_segment.get_or_insert(ts);
-        Ok(frame.len())
+        Ok(self.frame.len())
     }
 
     /// Appends raw bytes to the current segment without frame accounting.
@@ -444,9 +495,8 @@ fn count_tail(tail: &[u8]) -> usize {
         let payload = &tail[start + FRAME_HEADER_LEN..start + len];
         let crc = u32::from_le_bytes(tail[start + 4..start + 8].try_into().unwrap());
         let parsed = (crc32(payload) == crc)
-            .then(|| std::str::from_utf8(payload).ok())
-            .flatten()
-            .and_then(|text| serde_json::from_str::<LogRecord>(text).ok());
+            .then(|| codec::decode_record(payload))
+            .flatten();
         count += parsed.map_or(1, |r| r.record_count());
         walked += len;
     }
@@ -456,7 +506,7 @@ fn count_tail(tail: &[u8]) -> usize {
 /// Replays the longest valid prefix of one segment.
 ///
 /// A frame is valid when its length header fits the remaining bytes, its
-/// payload matches its CRC32, and the payload parses as a [`LogRecord`].
+/// payload matches its CRC32, and the payload decodes as a [`LogRecord`].
 /// Recovery stops at the first invalid frame; everything after it is
 /// quarantined and counted via [`count_tail`].
 ///
@@ -483,8 +533,7 @@ pub fn recover_segment(bytes: &[u8]) -> (Vec<LogRecord>, SegmentRecovery) {
             if crc32(payload) != crc {
                 return None;
             }
-            let text = std::str::from_utf8(payload).ok()?;
-            let record: LogRecord = serde_json::from_str(text).ok()?;
+            let record = codec::decode_record(payload)?;
             Some((record, FRAME_HEADER_LEN + len))
         })();
         match frame_ok {
@@ -492,7 +541,7 @@ pub fn recover_segment(bytes: &[u8]) -> (Vec<LogRecord>, SegmentRecovery) {
                 match record {
                     LogRecord::Batch(batch) => {
                         stats.recovered += batch.decisions.len();
-                        records.extend(batch.flatten().map(LogRecord::Decision));
+                        records.extend(batch.into_decisions().map(LogRecord::Decision));
                     }
                     other => {
                         stats.recovered += 1;
@@ -562,6 +611,25 @@ mod tests {
         // IEEE 802.3 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slice_by_8_matches_the_bytewise_definition_at_every_length_and_split() {
+        let bytewise = |bytes: &[u8]| {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            !c
+        };
+        let data: Vec<u8> = (0..67u32).map(|i| (i * 151 + 7) as u8).collect();
+        for n in 0..data.len() {
+            assert_eq!(crc32(&data[..n]), bytewise(&data[..n]), "length {n}");
+            for split in 0..=n {
+                let (a, b) = data[..n].split_at(split);
+                assert_eq!(crc32_update(crc32(a), b), crc32(&data[..n]));
+            }
+        }
     }
 
     #[test]

@@ -34,6 +34,10 @@ use crate::admission::QueueBudget;
 use crate::metrics::ServeMetrics;
 use crate::ring::LogRings;
 
+/// A push wakes a parked writer once the queue holds this fraction
+/// (1 / `BELL_FRACTION`) of its capacity.
+const BELL_FRACTION: u64 = 8;
+
 /// What to do when the log queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backpressure {
@@ -156,6 +160,8 @@ impl Drop for ProducerToken {
 pub struct DecisionLogger {
     rings: Arc<LogRings>,
     budget: Arc<QueueBudget>,
+    /// Queued records at which a push wakes a parked writer.
+    bell_at: u64,
     backpressure: Backpressure,
     metrics: Arc<ServeMetrics>,
     _token: Arc<ProducerToken>,
@@ -175,6 +181,7 @@ impl DecisionLogger {
             rings: Arc::clone(&rings),
         });
         DecisionLogger {
+            bell_at: (budget.capacity() / BELL_FRACTION).max(1),
             rings,
             budget,
             backpressure,
@@ -196,19 +203,26 @@ impl DecisionLogger {
         let n = record.record_count() as u64;
         self.metrics.record_enqueued_n(n);
         match self.backpressure {
-            Backpressure::Block => {
-                self.budget.acquire_blocking(n);
-                self.rings.push(record);
-                true
-            }
+            Backpressure::Block => self.budget.acquire_blocking(n),
             Backpressure::DropNewest => {
                 if !self.budget.try_acquire(n) {
                     self.metrics.record_dropped_n(n);
                     return false;
                 }
-                self.rings.push(record);
-                true
             }
+        }
+        self.push(record);
+        true
+    }
+
+    /// Pushes an admitted frame and wakes a parked writer once the queue
+    /// holds at least 1 / [`BELL_FRACTION`] of its capacity. Below that
+    /// mark the writer wakes on its own liveness timeout, so a fast writer
+    /// drains in bursts instead of costing every producer a futex wake.
+    fn push(&self, record: LogRecord) {
+        self.rings.push(record);
+        if self.budget.in_use() >= self.bell_at {
+            self.rings.ring_bell();
         }
     }
 
@@ -240,7 +254,7 @@ impl DecisionLogger {
     pub(crate) fn send_reserved(&self, record: LogRecord) -> bool {
         let n = record.record_count() as u64;
         self.metrics.record_enqueued_n(n);
-        self.rings.push(record);
+        self.push(record);
         true
     }
 

@@ -294,6 +294,9 @@ impl LogRings {
     /// frame's record-weighted budget reservation — that is what bounds the
     /// ring (a full ring here means the budget was bypassed, and the push
     /// waits for the writer rather than corrupt the stream).
+    ///
+    /// A push does not wake a parked writer; the caller decides when the
+    /// backlog is worth a [`ring_bell`](Self::ring_bell).
     pub(crate) fn push(&self, record: LogRecord) {
         let ring = &self.rings[self.route(&record)];
         let mut producer = ring.lock_producer();
@@ -302,8 +305,6 @@ impl LogRings {
         }
         let ticket = self.next_ticket.fetch_add(1, Ordering::AcqRel);
         producer.push(Ticketed { ticket, record });
-        drop(producer);
-        self.ring_bell();
     }
 
     /// Marks one logical producer gone; the last one wakes the writer so it
@@ -316,7 +317,9 @@ impl LogRings {
         }
     }
 
-    fn ring_bell(&self) {
+    /// Wakes the writer if it is parked; a no-op (one atomic swap) when it
+    /// is already running.
+    pub(crate) fn ring_bell(&self) {
         if self.sleeping.swap(false, Ordering::AcqRel) {
             let _guard = self.doorbell.lock().unwrap_or_else(|e| e.into_inner());
             self.bell.notify_all();
@@ -348,8 +351,9 @@ impl LogRings {
                 return None;
             }
             // Park. The recheck between setting `sleeping` and waiting
-            // closes the race with a producer that pushed in between; the
-            // timeout is a belt-and-braces liveness floor.
+            // closes the race with a producer that pushed in between. The
+            // timeout is the liveness floor, and the normal wake-up for a
+            // backlog below the producers' bell mark.
             self.sleeping.store(true, Ordering::SeqCst);
             if self.next_ticket.load(Ordering::SeqCst) > expected
                 || self.producers.load(Ordering::SeqCst) == 0

@@ -9,12 +9,12 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic  0x48 0x57 ("HW")
-//! 2       1     version (currently 1)
+//! 2       1     version (currently 2: binary bodies)
 //! 3       1     kind: 0 = request, 1 = response, 2 = ops
 //! 4       8     seq — caller correlation id, echoed in the response
 //! 12      4     len — payload length in bytes
 //! 16      4     crc32 over bytes 2..16 and the payload
-//! 20      len   payload (JSON-encoded message body)
+//! 20      len   payload (message body; see below)
 //! ```
 //!
 //! The CRC covers everything after the magic except itself — including
@@ -29,14 +29,20 @@
 //! `seq` lives in the header rather than the payload because the TCP
 //! transport's shard-affine workers may complete one connection's requests
 //! out of order; the client matches responses to requests by echoed `seq`.
+//!
+//! Request and response bodies use the binary layout of
+//! [`harvest_log::codec`], the same primitives the log segments use
+//! ([`crate::proto`] has the message layouts). Ops-plane bodies stay JSON:
+//! they carry text scrapes, not records.
 
 pub use harvest_log::segment::crc32;
+use harvest_log::segment::crc32_update;
 
 /// The two magic bytes opening every frame.
 pub const WIRE_MAGIC: [u8; 2] = [0x48, 0x57]; // "HW"
 
 /// The protocol version this build speaks.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Fixed header size in bytes.
 pub const WIRE_HEADER_LEN: usize = 20;
@@ -123,7 +129,7 @@ pub enum Decoded {
         kind: FrameKind,
         /// The caller's correlation id.
         seq: u64,
-        /// The message body bytes (JSON).
+        /// The message body bytes.
         payload: Vec<u8>,
         /// Total bytes consumed from the buffer (header + payload).
         consumed: usize,
@@ -132,31 +138,40 @@ pub enum Decoded {
 
 /// Encodes one frame: header, CRC, payload.
 pub fn encode_frame(kind: FrameKind, seq: u64, payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_WIRE_PAYLOAD,
-        "payload of {} bytes exceeds the {} byte wire maximum",
-        payload.len(),
-        MAX_WIRE_PAYLOAD
-    );
-    let mut frame = Vec::with_capacity(WIRE_HEADER_LEN + payload.len());
+    encode_frame_with(kind, seq, |out| out.extend_from_slice(payload))
+}
+
+/// Encodes one frame whose payload `body` appends straight into the frame
+/// buffer; the length and CRC are patched in afterwards, so the body is
+/// never staged in a buffer of its own.
+pub(crate) fn encode_frame_with(
+    kind: FrameKind,
+    seq: u64,
+    body: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    // Room for a 32-feature decide without regrowing.
+    let mut frame = Vec::with_capacity(512);
     frame.extend_from_slice(&WIRE_MAGIC);
     frame.push(WIRE_VERSION);
     frame.push(kind.to_byte());
     frame.extend_from_slice(&seq.to_le_bytes());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let crc = crc_over(&frame[2..16], payload);
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&[0; 8]); // len and crc, patched below
+    body(&mut frame);
+    let len = frame.len() - WIRE_HEADER_LEN;
+    assert!(
+        len <= MAX_WIRE_PAYLOAD,
+        "payload of {len} bytes exceeds the {MAX_WIRE_PAYLOAD} byte wire maximum"
+    );
+    frame[12..16].copy_from_slice(&(len as u32).to_le_bytes());
+    let crc = crc_over(&frame[2..16], &frame[WIRE_HEADER_LEN..]);
+    frame[16..20].copy_from_slice(&crc.to_le_bytes());
     frame
 }
 
 /// The frame CRC: bytes 2..16 of the header (version, kind, seq, len)
 /// followed by the payload. One pass, no intermediate buffer.
 fn crc_over(header_mid: &[u8], payload: &[u8]) -> u32 {
-    let mut bytes = Vec::with_capacity(header_mid.len() + payload.len());
-    bytes.extend_from_slice(header_mid);
-    bytes.extend_from_slice(payload);
-    crc32(&bytes)
+    crc32_update(crc32(header_mid), payload)
 }
 
 /// Classifies the bytes at the front of `buf`.

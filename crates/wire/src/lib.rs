@@ -4,8 +4,8 @@
 //! The serve crate closes the harvest → train → promote loop in-process;
 //! this crate puts a socket in front of it without surrendering any of the
 //! workspace's guarantees. Requests cross a compact length-prefixed binary
-//! frame (magic ‖ version ‖ kind ‖ seq ‖ len ‖ crc32 ‖ JSON body — see
-//! [`frame`]) and pass a production admission pipeline before touching a
+//! frame (magic ‖ version ‖ kind ‖ seq ‖ len ‖ crc32 ‖ binary body — see
+//! [`frame`] and [`proto`]) and pass a production admission pipeline before touching a
 //! shard:
 //!
 //! ```text

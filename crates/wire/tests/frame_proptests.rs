@@ -20,8 +20,21 @@ use harvest_wire::{
 };
 
 fn arb_context() -> impl Strategy<Value = SimpleContext> {
-    (proptest::collection::vec(-100.0f64..100.0, 0..5), 1usize..6)
-        .prop_map(|(features, k)| SimpleContext::new(features, k))
+    (
+        proptest::collection::vec(-100.0f64..100.0, 0..5),
+        1usize..6,
+        proptest::option::of(proptest::collection::vec(-1.0f64..1.0, 0..3)),
+    )
+        .prop_map(|(features, k, action_row)| match action_row {
+            // Per-action features: k rows of one shared dimension.
+            Some(row) => SimpleContext::with_action_features(
+                features,
+                (0..k)
+                    .map(|a| row.iter().map(|x| x + a as f64).collect())
+                    .collect(),
+            ),
+            None => SimpleContext::new(features, k),
+        })
 }
 
 fn arb_request() -> impl Strategy<Value = Request> {

@@ -244,20 +244,78 @@ proptest! {
 // corruption, quarantining (counting, never silently skipping) the rest.
 // ---------------------------------------------------------------------------
 
-use harvest::logs::record::{LogRecord, OutcomeRecord};
+use harvest::logs::record::{BatchDecision, BatchRecord, LogRecord, OutcomeRecord};
 use harvest::logs::segment::{
     encode_frame, recover_segment, MemorySegments, SegmentConfig, SegmentedLogWriter,
 };
 
-/// Strategy: one outcome record with finite, JSON-representable fields.
+/// Strategy: one decision, with optional propensity, reward and per-action
+/// features — every shape the binary codec's flags select.
+fn segment_decision() -> impl Strategy<Value = BatchDecision> {
+    (
+        any::<u64>(),
+        0u64..u64::MAX / 2,
+        proptest::collection::vec(-1e9f64..1e9, 0..6),
+        1usize..6,
+        proptest::option::of(0.0f64..=1.0),
+        proptest::option::of(-1e9f64..1e9),
+        proptest::option::of(proptest::collection::vec(-1.0f64..1.0, 0..3)),
+    )
+        .prop_map(
+            |(id, t, shared, k, propensity, reward, row)| BatchDecision {
+                request_id: id,
+                timestamp_ns: t,
+                shared_features: shared,
+                action_features: row.map(|r| vec![r; k]),
+                num_actions: k,
+                action: (id % k as u64) as usize,
+                propensity,
+                reward,
+            },
+        )
+}
+
+/// Strategy: one record of any kind — decision, outcome, or batch — with
+/// arbitrary finite fields, so the codec's every tag and flag is covered.
 fn segment_record() -> impl Strategy<Value = LogRecord> {
-    (any::<u64>(), 0u64..u64::MAX / 2, -1e9f64..1e9).prop_map(|(id, t, r)| {
-        LogRecord::Outcome(OutcomeRecord {
-            request_id: id,
-            timestamp_ns: t,
-            reward: r,
+    prop_oneof![
+        (any::<u64>(), 0u64..u64::MAX / 2, -1e9f64..1e9).prop_map(|(id, t, r)| {
+            LogRecord::Outcome(OutcomeRecord {
+                request_id: id,
+                timestamp_ns: t,
+                reward: r,
+            })
+        }),
+        segment_decision().prop_map(|d| LogRecord::Decision(d.into_decision("serve"))),
+        proptest::collection::vec(segment_decision(), 0..4).prop_map(|decisions| {
+            LogRecord::Batch(BatchRecord {
+                component: "batch".to_string(),
+                decisions,
+            })
+        }),
+    ]
+}
+
+/// What recovery yields for `records`: batches flatten into decisions.
+fn recovered_view(records: &[LogRecord]) -> Vec<LogRecord> {
+    records
+        .iter()
+        .flat_map(|r| match r {
+            LogRecord::Batch(b) => b.flatten().map(LogRecord::Decision).collect::<Vec<_>>(),
+            other => vec![other.clone()],
         })
-    })
+        .collect()
+}
+
+/// One segment of `records`, plus the byte offset each frame starts at.
+fn framed(records: &[LogRecord]) -> (Vec<u8>, Vec<usize>) {
+    let mut bytes = Vec::new();
+    let mut start_of = Vec::new();
+    for r in records {
+        start_of.push(bytes.len());
+        bytes.extend_from_slice(&encode_frame(r).unwrap());
+    }
+    (bytes, start_of)
 }
 
 proptest! {
@@ -278,8 +336,9 @@ proptest! {
         }
         writer.flush().unwrap();
         let (recovered, stats) = store.recover();
-        prop_assert_eq!(&recovered, &records);
-        prop_assert_eq!(stats.recovered, records.len());
+        let expected = recovered_view(&records);
+        prop_assert_eq!(&recovered, &expected);
+        prop_assert_eq!(stats.recovered, expected.len());
         prop_assert_eq!(stats.quarantined_records, 0);
         prop_assert_eq!(stats.corrupt_segments, 0);
     }
@@ -292,28 +351,31 @@ proptest! {
         records in proptest::collection::vec(segment_record(), 1..30),
         cut_frac in 0.0f64..=1.0,
     ) {
-        let frames: Vec<Vec<u8>> = records.iter().map(|r| encode_frame(r).unwrap()).collect();
-        let mut bytes = Vec::new();
-        let mut offsets = vec![0usize]; // cumulative frame-end offsets
-        for f in &frames {
-            bytes.extend_from_slice(f);
-            offsets.push(bytes.len());
-        }
+        let (bytes, start_of) = framed(&records);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         let truncated = &bytes[..cut.min(bytes.len())];
 
-        let complete = offsets.iter().filter(|&&o| o > 0 && o <= truncated.len()).count();
+        // Frames wholly inside the prefix.
+        let complete = start_of
+            .iter()
+            .skip(1)
+            .chain(std::iter::once(&bytes.len()))
+            .filter(|&&end| end <= truncated.len())
+            .count();
         let (recovered, stats) = recover_segment(truncated);
-        prop_assert_eq!(&recovered, &records[..complete]);
-        prop_assert_eq!(stats.recovered, complete);
-        let partial_bytes = truncated.len() - offsets[complete];
+        let expected = recovered_view(&records[..complete]);
+        prop_assert_eq!(&recovered, &expected);
+        prop_assert_eq!(stats.recovered, expected.len());
+        let valid_end = start_of.get(complete).copied().unwrap_or(bytes.len());
+        let partial_bytes = truncated.len() - valid_end;
         prop_assert_eq!(stats.quarantined_records, usize::from(partial_bytes > 0));
         prop_assert_eq!(stats.quarantined_bytes, partial_bytes);
     }
 
     // Payload corruption (one XORed byte): recovery stops at the damaged
-    // frame and quarantines it plus everything after it — counted frame by
-    // frame, since the later frames are still structurally walkable.
+    // frame and quarantines it plus everything after it — the damaged
+    // frame as one record, every later frame (still structurally walkable
+    // and intact) with its full record count.
     #[test]
     fn payload_corruption_quarantines_the_damaged_suffix(
         records in proptest::collection::vec(segment_record(), 1..30),
@@ -321,23 +383,42 @@ proptest! {
         byte_frac in 0.0f64..1.0,
         xor in 1u8..=255,
     ) {
-        let frames: Vec<Vec<u8>> = records.iter().map(|r| encode_frame(r).unwrap()).collect();
-        let target = ((frames.len() as f64) * frame_frac) as usize % frames.len();
-        let mut bytes = Vec::new();
-        let mut start_of = Vec::new();
-        for f in &frames {
-            start_of.push(bytes.len());
-            bytes.extend_from_slice(f);
-        }
+        let (mut bytes, start_of) = framed(&records);
+        let target = ((records.len() as f64) * frame_frac) as usize % records.len();
         // Corrupt strictly inside the payload (past the 8-byte header).
-        let payload_len = frames[target].len() - 8;
+        let frame_end = start_of.get(target + 1).copied().unwrap_or(bytes.len());
+        let payload_len = frame_end - start_of[target] - 8;
         let hit = start_of[target] + 8 + ((payload_len as f64 * byte_frac) as usize).min(payload_len - 1);
         bytes[hit] ^= xor;
 
         let (recovered, stats) = recover_segment(&bytes);
-        prop_assert_eq!(&recovered, &records[..target]);
-        prop_assert_eq!(stats.recovered, target);
-        prop_assert_eq!(stats.quarantined_records, records.len() - target);
+        let expected = recovered_view(&records[..target]);
+        prop_assert_eq!(&recovered, &expected);
+        prop_assert_eq!(stats.recovered, expected.len());
+        let intact_after: usize = records[target + 1..].iter().map(LogRecord::record_count).sum();
+        prop_assert_eq!(stats.quarantined_records, 1 + intact_after);
+        prop_assert_eq!(stats.quarantined_bytes, bytes.len() - start_of[target]);
+    }
+
+    // Any single flipped byte — length, checksum or payload — is caught:
+    // recovery keeps exactly the frames before the damaged one, never a
+    // record that was not written, and quarantines the rest.
+    #[test]
+    fn any_single_byte_flip_is_detected_and_counted(
+        records in proptest::collection::vec(segment_record(), 1..20),
+        pos_frac in 0.0f64..1.0,
+        xor in 1u8..=255,
+    ) {
+        let (mut bytes, start_of) = framed(&records);
+        let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();
+        bytes[pos] ^= xor;
+        let target = start_of.partition_point(|&s| s <= pos) - 1;
+
+        let (recovered, stats) = recover_segment(&bytes);
+        let expected = recovered_view(&records[..target]);
+        prop_assert_eq!(&recovered, &expected);
+        prop_assert_eq!(stats.recovered, expected.len());
+        prop_assert!(stats.quarantined_records >= 1);
         prop_assert_eq!(stats.quarantined_bytes, bytes.len() - start_of[target]);
     }
 }
