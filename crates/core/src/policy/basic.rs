@@ -102,17 +102,7 @@ impl<S> GreedyPolicy<S> {
 
 impl<C: Context, S: Scorer<C>> Policy<C> for GreedyPolicy<S> {
     fn choose(&self, ctx: &C) -> usize {
-        let k = ctx.num_actions();
-        let mut best = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for a in 0..k {
-            let s = self.scorer.score(ctx, a);
-            if s > best_score {
-                best_score = s;
-                best = a;
-            }
-        }
-        best
+        self.scorer.greedy_action(ctx)
     }
 
     fn name(&self) -> String {

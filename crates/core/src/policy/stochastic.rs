@@ -195,10 +195,10 @@ impl<S> SoftmaxPolicy<S> {
 
 impl<C: Context, S: Scorer<C>> StochasticPolicy<C> for SoftmaxPolicy<S> {
     fn action_probabilities(&self, ctx: &C) -> Vec<f64> {
-        let k = ctx.num_actions();
-        let scores: Vec<f64> = (0..k)
-            .map(|a| self.scorer.score(ctx, a) / self.temperature)
-            .collect();
+        let mut scores = self.scorer.scores(ctx);
+        for s in &mut scores {
+            *s /= self.temperature;
+        }
         // Stabilized softmax.
         let m = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let exps: Vec<f64> = scores.iter().map(|&s| (s - m).exp()).collect();

@@ -4,20 +4,45 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::context::{phi, phi_shared, Context};
+use crate::context::Context;
 
 /// Assigns a score to each action in a context. Higher is better.
 ///
 /// The same trait serves two roles: a *policy driver* (greedy/softmax pick
 /// by score) and a *reward model* (direct-method and doubly-robust
 /// estimators use scores as predicted rewards `r̂(x, a)`).
+///
+/// The all-actions methods default to one [`Scorer::score`] call per
+/// action. An override must return exactly those values, bit for bit: a
+/// scorer may only change how fast every action is scored, never what
+/// any action scores.
 pub trait Scorer<C: Context> {
     /// The score of taking `action` in `ctx`.
     fn score(&self, ctx: &C, action: usize) -> f64;
 
+    /// Writes the score of every action, in action order, into `out`
+    /// (cleared first).
+    fn score_all(&self, ctx: &C, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend((0..ctx.num_actions()).map(|a| self.score(ctx, a)));
+    }
+
     /// Scores for every eligible action.
     fn scores(&self, ctx: &C) -> Vec<f64> {
-        (0..ctx.num_actions()).map(|a| self.score(ctx, a)).collect()
+        let mut out = Vec::with_capacity(ctx.num_actions());
+        self.score_all(ctx, &mut out);
+        out
+    }
+
+    /// The highest-scoring action. The first action wins ties, a NaN
+    /// score never wins, and action 0 is the answer when nothing beats
+    /// `-∞`.
+    fn greedy_action(&self, ctx: &C) -> usize {
+        let mut best = Argmax::new();
+        for a in 0..ctx.num_actions() {
+            best.offer(self.score(ctx, a));
+        }
+        best.action()
     }
 }
 
@@ -25,11 +50,57 @@ impl<C: Context, S: Scorer<C> + ?Sized> Scorer<C> for &S {
     fn score(&self, ctx: &C, action: usize) -> f64 {
         (**self).score(ctx, action)
     }
+
+    fn score_all(&self, ctx: &C, out: &mut Vec<f64>) {
+        (**self).score_all(ctx, out)
+    }
+
+    fn greedy_action(&self, ctx: &C) -> usize {
+        (**self).greedy_action(ctx)
+    }
 }
 
 impl<C: Context> Scorer<C> for Box<dyn Scorer<C> + '_> {
     fn score(&self, ctx: &C, action: usize) -> f64 {
         (**self).score(ctx, action)
+    }
+
+    fn score_all(&self, ctx: &C, out: &mut Vec<f64>) {
+        (**self).score_all(ctx, out)
+    }
+
+    fn greedy_action(&self, ctx: &C) -> usize {
+        (**self).greedy_action(ctx)
+    }
+}
+
+/// The running argmax behind every greedy choice: scores are offered in
+/// action order and only a strictly greater score takes the lead.
+struct Argmax {
+    next: usize,
+    best: usize,
+    best_score: f64,
+}
+
+impl Argmax {
+    fn new() -> Self {
+        Argmax {
+            next: 0,
+            best: 0,
+            best_score: f64::NEG_INFINITY,
+        }
+    }
+
+    fn offer(&mut self, score: f64) {
+        if score > self.best_score {
+            self.best_score = score;
+            self.best = self.next;
+        }
+        self.next += 1;
+    }
+
+    fn action(&self) -> usize {
+        self.best
     }
 }
 
@@ -77,21 +148,165 @@ impl LinearScorer {
         }
     }
 
-    fn dot(w: &[f64], x: &[f64]) -> f64 {
-        debug_assert_eq!(w.len(), x.len(), "weight/feature dimension mismatch");
-        w.iter().zip(x).map(|(a, b)| a * b).sum()
+    /// Feeds the score of every action of `ctx`, in action order, to
+    /// `emit` — the one scoring kernel behind `score_all` and
+    /// `greedy_action`. It allocates nothing.
+    ///
+    /// Every score is the same chained dot as [`LinearScorer::score`]:
+    /// the products `w[i]·φ[i]` added one at a time, in feature order,
+    /// onto [`CHAIN_START`], and cut off at the
+    /// shorter of the weight row and `φ`. The kernel only changes how many
+    /// chains run at once, so its scores match `score` bit for bit:
+    ///
+    /// * `PerAction` walks the shared features once per block of eight
+    ///   actions, then once for a block of four, with the block's chains
+    ///   held side by side in registers, so the adds of different actions
+    ///   overlap instead of waiting on one another. The last few rows,
+    ///   and any row too short to reach the bias, take the one-chain
+    ///   path; actions past the last row score `-∞`.
+    /// * `Pooled` adds the shared features once — the prefix is the same
+    ///   chain for every action — and then finishes each action's chain
+    ///   over its own action features and the bias.
+    fn for_each_score<C: Context>(&self, ctx: &C, mut emit: impl FnMut(f64)) {
+        let k = ctx.num_actions();
+        let shared = ctx.shared_features();
+        match self {
+            LinearScorer::PerAction { weights } => {
+                let rows = &weights[..k.min(weights.len())];
+                let rest = score_blocks::<8>(rows, shared, &mut emit);
+                let rest = score_blocks::<4>(rest, shared, &mut emit);
+                for w in rest {
+                    emit(per_action_dot(w, shared));
+                }
+                for _ in rows.len()..k {
+                    emit(f64::NEG_INFINITY);
+                }
+            }
+            LinearScorer::Pooled { weights } => {
+                let (prefix, w_rest) = pooled_prefix(weights, shared);
+                for a in 0..k {
+                    emit(pooled_tail(prefix, w_rest, ctx.action_features(a)));
+                }
+            }
+        }
+    }
+}
+
+/// The bias feature every `φ` vector ends with.
+const BIAS: f64 = 1.0;
+
+/// The value every dot-product chain starts from. It is the start value of
+/// `f64`'s `Sum`, so a chain of `-0.0` products stays `-0.0` and every score
+/// equals `Iterator::sum` over `w·φ` bit for bit.
+const CHAIN_START: f64 = -0.0;
+
+/// Adds `w[i]·x[i]` onto `acc` one product at a time, stopping at the
+/// shorter slice.
+fn chained_dot(acc: f64, w: &[f64], x: &[f64]) -> f64 {
+    w.iter().zip(x).fold(acc, |acc, (w, x)| acc + w * x)
+}
+
+/// One per-action row against `φ_shared = [shared ‖ 1]`.
+fn per_action_dot(w: &[f64], shared: &[f64]) -> f64 {
+    debug_assert_eq!(
+        w.len(),
+        shared.len() + 1,
+        "weight/feature dimension mismatch"
+    );
+    let acc = chained_dot(CHAIN_START, w, shared);
+    match w.get(shared.len()) {
+        Some(bias) => acc + bias * BIAS,
+        None => acc,
+    }
+}
+
+/// Scores `rows` in whole blocks of `N` against `φ_shared = [shared ‖ 1]`
+/// and returns the rows left over (fewer than `N`). A block with a row too
+/// short to reach the bias falls back to one chain per row.
+fn score_blocks<'w, const N: usize>(
+    rows: &'w [Vec<f64>],
+    shared: &[f64],
+    emit: &mut impl FnMut(f64),
+) -> &'w [Vec<f64>] {
+    let mut blocks = rows.chunks_exact(N);
+    for block in &mut blocks {
+        if block.iter().all(|w| w.len() > shared.len()) {
+            dot_block::<N>(block, shared)
+                .into_iter()
+                .for_each(&mut *emit);
+        } else {
+            block.iter().for_each(|w| emit(per_action_dot(w, shared)));
+        }
+    }
+    blocks.remainder()
+}
+
+/// `N` per-action rows, each longer than `shared`, against
+/// `φ_shared = [shared ‖ 1]`: `N` independent chains in one walk over the
+/// features, each adding in the order [`per_action_dot`] does.
+fn dot_block<const N: usize>(rows: &[Vec<f64>], shared: &[f64]) -> [f64; N] {
+    let d = shared.len();
+    debug_assert!(
+        rows.iter().all(|w| w.len() == d + 1),
+        "weight/feature dimension mismatch"
+    );
+    let rows: [&[f64]; N] = std::array::from_fn(|j| &rows[j][..=d]);
+    let mut acc = [CHAIN_START; N];
+    for (i, &x) in shared.iter().enumerate() {
+        for (acc, w) in acc.iter_mut().zip(&rows) {
+            *acc += w[i] * x;
+        }
+    }
+    std::array::from_fn(|j| acc[j] + rows[j][d] * BIAS)
+}
+
+/// Starts a pooled chain: the shared features' part of the dot, which is
+/// the same for every action, and the weights left for the rest of `φ`.
+fn pooled_prefix<'w>(weights: &'w [f64], shared: &[f64]) -> (f64, &'w [f64]) {
+    let (w_shared, w_rest) = weights.split_at(weights.len().min(shared.len()));
+    (chained_dot(CHAIN_START, w_shared, shared), w_rest)
+}
+
+/// Finishes a pooled chain: `w_rest` (the weights past the shared
+/// features) against `[action_features ‖ 1]`, continuing from `prefix`.
+fn pooled_tail(prefix: f64, w_rest: &[f64], action_features: &[f64]) -> f64 {
+    debug_assert_eq!(
+        w_rest.len(),
+        action_features.len() + 1,
+        "weight/feature dimension mismatch"
+    );
+    let acc = chained_dot(prefix, w_rest, action_features);
+    match w_rest.get(action_features.len()) {
+        Some(bias) => acc + bias * BIAS,
+        None => acc,
     }
 }
 
 impl<C: Context> Scorer<C> for LinearScorer {
     fn score(&self, ctx: &C, action: usize) -> f64 {
+        let shared = ctx.shared_features();
         match self {
             LinearScorer::PerAction { weights } => match weights.get(action) {
-                Some(w) => Self::dot(w, &phi_shared(ctx)),
+                Some(w) => per_action_dot(w, shared),
                 None => f64::NEG_INFINITY,
             },
-            LinearScorer::Pooled { weights } => Self::dot(weights, &phi(ctx, action)),
+            LinearScorer::Pooled { weights } => {
+                let (prefix, w_rest) = pooled_prefix(weights, shared);
+                pooled_tail(prefix, w_rest, ctx.action_features(action))
+            }
         }
+    }
+
+    fn score_all(&self, ctx: &C, out: &mut Vec<f64>) {
+        out.clear();
+        out.reserve(ctx.num_actions());
+        self.for_each_score(ctx, |score| out.push(score));
+    }
+
+    fn greedy_action(&self, ctx: &C) -> usize {
+        let mut best = Argmax::new();
+        self.for_each_score(ctx, |score| best.offer(score));
+        best.action()
     }
 }
 
@@ -150,6 +365,23 @@ mod tests {
         assert_eq!(s.score(&ctx, 0), 7.0);
         assert_eq!(s.score(&ctx, 1), -3.0);
         assert_eq!(s.scores(&ctx), vec![7.0, -3.0]);
+    }
+
+    #[test]
+    fn kernel_keeps_the_sign_of_an_all_negative_zero_chain() {
+        // Every product is -0.0, so only a chain started at -0.0 stays
+        // -0.0.
+        let s = LinearScorer::PerAction {
+            weights: vec![vec![-0.0, -0.0]; 5],
+        };
+        let ctx = SimpleContext::new(vec![0.0], 6);
+        let mut out = Vec::new();
+        s.score_all(&ctx, &mut out);
+        assert!(out[..5].iter().all(|v| v.to_bits() == (-0.0f64).to_bits()));
+        assert_eq!(out[5], f64::NEG_INFINITY);
+        assert_eq!(s.score(&ctx, 4).to_bits(), (-0.0f64).to_bits());
+        // All five tie at zero: the first wins.
+        assert_eq!(s.greedy_action(&ctx), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use harvest_core::context::{phi, phi_dim, phi_shared, SimpleContext};
+use harvest_core::context::{phi, phi_dim, phi_shared, Context, SimpleContext};
 use harvest_core::learner::{ModelingMode, RegressionCbLearner, SampleWeighting};
 use harvest_core::linalg::{axpy, dot, Matrix};
 use harvest_core::policy::{
@@ -10,7 +10,7 @@ use harvest_core::policy::{
 };
 use harvest_core::regression::{LinearModel, RidgeRegression, SgdRegressor};
 use harvest_core::sample::{Dataset, LoggedDecision};
-use harvest_core::scorer::{Scorer, TableScorer};
+use harvest_core::scorer::{LinearScorer, Scorer, TableScorer};
 
 fn ctx_with_features(shared: Vec<f64>, k: usize) -> SimpleContext {
     SimpleContext::new(shared, k)
@@ -234,5 +234,94 @@ proptest! {
             let expected = if x <= s.threshold { s.low_action } else { s.high_action };
             prop_assert_eq!(s.choose(&ctx), expected.min(2));
         }
+    }
+}
+
+/// A weight or feature value: mostly small integers so exact score ties
+/// are common, plus both signed zeros and arbitrary reals.
+fn coefficient() -> Union<f64> {
+    prop_oneof![
+        (-2i32..=2).prop_map(f64::from),
+        Just(0.0),
+        Just(-0.0),
+        -4.0f64..4.0,
+    ]
+}
+
+/// The scores `LinearScorer` produced when every call assembled its `φ`
+/// vector and summed the products with `Iterator::sum`: the reference the
+/// allocation-free kernel must reproduce bit for bit.
+fn reference_scores(scorer: &LinearScorer, ctx: &SimpleContext) -> Vec<f64> {
+    let dot = |w: &[f64], x: Vec<f64>| -> f64 { w.iter().zip(&x).map(|(a, b)| a * b).sum() };
+    (0..ctx.num_actions())
+        .map(|a| match scorer {
+            LinearScorer::PerAction { weights } => weights
+                .get(a)
+                .map_or(f64::NEG_INFINITY, |w| dot(w, phi_shared(ctx))),
+            LinearScorer::Pooled { weights } => dot(weights, phi(ctx, a)),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn scoring_kernel_is_bitwise_the_per_action_score(
+        shared in collection::vec(coefficient(), 0..7),
+        k in 1usize..11,
+        rows in 0usize..12,
+        action_dim in 0usize..3,
+        pooled in any::<bool>(),
+        pool in collection::vec(coefficient(), 64),
+    ) {
+        let mut draw = pool.iter().copied().cycle();
+        let d = shared.len();
+        let (scorer, ctx) = if pooled {
+            let per_action: Vec<Vec<f64>> = (0..k)
+                .map(|_| draw.by_ref().take(action_dim).collect())
+                .collect();
+            let weights = draw.by_ref().take(d + action_dim + 1).collect();
+            (
+                LinearScorer::Pooled { weights },
+                SimpleContext::with_action_features(shared, per_action),
+            )
+        } else {
+            // `rows` below `k` leaves a tail of actions without weights.
+            let weights = (0..rows)
+                .map(|_| draw.by_ref().take(d + 1).collect())
+                .collect();
+            (LinearScorer::PerAction { weights }, SimpleContext::new(shared, k))
+        };
+
+        let want = reference_scores(&scorer, &ctx);
+        let mut got = vec![f64::NAN; 3];
+        scorer.score_all(&ctx, &mut got);
+        prop_assert_eq!(got.len(), k);
+        for a in 0..k {
+            prop_assert_eq!(got[a].to_bits(), want[a].to_bits(), "score_all, action {}", a);
+            prop_assert_eq!(
+                scorer.score(&ctx, a).to_bits(),
+                want[a].to_bits(),
+                "score, action {}",
+                a
+            );
+        }
+        if !pooled && rows < k {
+            prop_assert!(got[rows..].iter().all(|&s| s == f64::NEG_INFINITY));
+        }
+
+        // The greedy choice: the first strictly-greater score in action
+        // order, so exact ties go to the lowest index.
+        let mut want_greedy = 0;
+        for a in 1..k {
+            if want[a] > want[want_greedy] {
+                want_greedy = a;
+            }
+        }
+        let greedy = scorer.greedy_action(&ctx);
+        prop_assert_eq!(greedy, want_greedy);
+        prop_assert!(want[..greedy].iter().all(|&s| s < want[greedy]));
+        prop_assert_eq!(GreedyPolicy::new(&scorer).choose(&ctx), greedy);
     }
 }

@@ -376,16 +376,7 @@ impl CandidatePolicy for GreedyScorerCandidate {
         let k = ctx.num_actions();
         out.clear();
         out.resize(k, self.epsilon / k as f64);
-        let mut best = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for a in 0..k {
-            let s = self.scorer.score(ctx, a);
-            if s > best_score {
-                best_score = s;
-                best = a;
-            }
-        }
-        out[best] += 1.0 - self.epsilon;
+        out[self.scorer.greedy_action(ctx)] += 1.0 - self.epsilon;
     }
 }
 
@@ -684,9 +675,9 @@ impl PortfolioEvaluator {
         let num_actions = ctx.num_actions();
         let propensity = sample.propensity.unwrap_or(1.0 / num_actions as f64);
         let inv_p = 1.0 / propensity;
-        scores.clear();
-        if let Some(model) = &self.model {
-            scores.extend((0..num_actions).map(|a| model.score(ctx, a)));
+        match &self.model {
+            Some(model) => model.score_all(ctx, scores),
+            None => scores.clear(),
         }
         let model_logged = scores.get(sample.action).copied().unwrap_or(0.0);
         for (candidate, state) in self.candidates.iter().zip(states.iter_mut()) {

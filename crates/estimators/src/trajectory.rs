@@ -108,6 +108,7 @@ where
 {
     let mut terms = Vec::with_capacity(episodes.len());
     let mut matched = 0;
+    let mut scores = Vec::new();
     for ep in episodes {
         let mut w_prev = 1.0;
         let mut total = 0.0;
@@ -115,16 +116,13 @@ where
         for s in &ep.steps {
             // Model value of the target policy at this step.
             let probs = target.action_probabilities(&s.context);
-            let v_hat: f64 = probs
-                .iter()
-                .enumerate()
-                .map(|(a, &p)| p * model.score(&s.context, a))
-                .sum();
+            model.score_all(&s.context, &mut scores);
+            let v_hat: f64 = probs.iter().zip(&scores).map(|(p, r)| p * r).sum();
             total += w_prev * v_hat;
             let w = w_prev * target.propensity_of(&s.context, s.action) / s.propensity;
             if w > 0.0 {
                 any = true;
-                total += w * (s.reward - model.score(&s.context, s.action));
+                total += w * (s.reward - scores[s.action]);
             }
             w_prev = w;
             if w_prev == 0.0 {

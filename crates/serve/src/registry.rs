@@ -42,25 +42,15 @@ impl ServePolicy {
     /// The greedy (exploitation) action, or `None` for the uniform
     /// bootstrap, which has no preferred action.
     ///
-    /// Ties break toward the lowest action index — the same rule as
-    /// [`GreedyPolicy`](harvest_core::policy::GreedyPolicy), inlined here
-    /// so the per-decision hot path scores through a borrow instead of
-    /// cloning the scorer's weight matrix.
+    /// Ties break toward the lowest action index — the shared
+    /// [`Scorer::greedy_action`] kernel that
+    /// [`GreedyPolicy`](harvest_core::policy::GreedyPolicy) also uses,
+    /// called through a borrow so the per-decision hot path neither clones
+    /// the weight matrix nor allocates.
     pub fn greedy_action(&self, ctx: &SimpleContext) -> Option<usize> {
         match self {
             ServePolicy::Uniform => None,
-            ServePolicy::Greedy(scorer) => {
-                let mut best = 0;
-                let mut best_score = f64::NEG_INFINITY;
-                for a in 0..ctx.num_actions() {
-                    let s = scorer.score(ctx, a);
-                    if s > best_score {
-                        best_score = s;
-                        best = a;
-                    }
-                }
-                Some(best)
-            }
+            ServePolicy::Greedy(scorer) => Some(scorer.greedy_action(ctx)),
         }
     }
 
@@ -242,6 +232,37 @@ mod tests {
         assert_eq!(cur.name, "round-1");
         let ctx = SimpleContext::contextless(4);
         assert_eq!(cur.policy.greedy_action(&ctx), Some(2));
+    }
+
+    #[test]
+    fn every_greedy_path_agrees_on_one_scorer() {
+        use harvest_core::policy::{GreedyPolicy, Policy};
+        use harvest_estimators::portfolio::CandidatePolicy;
+        use harvest_estimators::GreedyScorerCandidate;
+
+        // Six actions (one full block of four plus a tail), five weight
+        // rows (the sixth action scores -inf), and exact ties for the lead
+        // at x = 1 (actions 1 and 4) and x = -1 (actions 2 and 3).
+        let scorer = LinearScorer::PerAction {
+            weights: vec![
+                vec![0.5, 0.0],
+                vec![1.0, 1.0],
+                vec![-1.0, 0.5],
+                vec![0.0, 1.5],
+                vec![2.0, 0.0],
+            ],
+        };
+        let serving = ServePolicy::Greedy(scorer.clone());
+        let policy = GreedyPolicy::new(scorer.clone());
+        let candidate = GreedyScorerCandidate::new(scorer, 0.3);
+        let mut probs = Vec::new();
+        for (x, want) in [(1.0, 1), (3.0, 4), (-1.0, 2), (0.25, 3)] {
+            let ctx = SimpleContext::new(vec![x], 6);
+            assert_eq!(serving.greedy_action(&ctx), Some(want), "x = {x}");
+            assert_eq!(policy.choose(&ctx), want, "x = {x}");
+            candidate.fill_probabilities(&ctx, &mut probs);
+            assert_eq!(probs, serving.served_probabilities(&ctx, 0.3), "x = {x}");
+        }
     }
 
     #[test]

@@ -586,15 +586,13 @@ impl Trainer {
                 }
             }
             GateEstimator::Dr => {
+                let mut scores = Vec::new();
                 for s in data {
                     let probs = policy.served_probabilities(&s.context, eps);
-                    let baseline: f64 = probs
-                        .iter()
-                        .enumerate()
-                        .map(|(a, &p)| p * model.score(&s.context, a))
-                        .sum();
+                    model.score_all(&s.context, &mut scores);
+                    let baseline: f64 = probs.iter().zip(&scores).map(|(p, r)| p * r).sum();
                     let w = probs[s.action] / s.propensity;
-                    let correction = w * (s.reward - model.score(&s.context, s.action));
+                    let correction = w * (s.reward - scores[s.action]);
                     terms.push(baseline + correction);
                     weights.push(w);
                 }

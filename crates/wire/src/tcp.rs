@@ -119,6 +119,10 @@ impl<S: SegmentSink + Send + 'static> TcpServer<S> {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
+                        // Responses go out one frame per write; without
+                        // this, back-to-back frames on one connection can
+                        // wait behind Nagle plus the peer's delayed ACK.
+                        let _ = stream.set_nodelay(true);
                         let (Ok(writer), Ok(registered)) = (stream.try_clone(), stream.try_clone())
                         else {
                             continue;

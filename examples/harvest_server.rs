@@ -7,10 +7,15 @@
 //!
 //! 1. **Closed loop**: decide → reward, one request in flight, logical
 //!    stamps pacing well inside the rate limit — everything is served.
-//! 2. **Burst**: a pile of decides fired back-to-back at one logical
-//!    instant — the token bucket sheds the overflow with an explicit
-//!    `Shed { rate_limited }` response. No client ever sees a protocol
-//!    error; overload is an answer.
+//!    The clients move through this phase in lockstep rounds: the
+//!    server's logical clock is the maximum stamp it has seen, so a
+//!    client running far ahead would stall the refill of every bucket
+//!    still pacing behind it.
+//! 2. **Burst**: once every client has finished phase 1, a pile of
+//!    decides fired back-to-back at one logical instant — the token
+//!    bucket sheds the overflow with an explicit `Shed { rate_limited }`
+//!    response. No client ever sees a protocol error; overload is an
+//!    answer.
 //!
 //! After shutdown the example reconciles both ledgers and prints one `OK`
 //! line per ledger — CI runs this binary on several seeds and greps for
@@ -27,7 +32,7 @@
 //! cargo run --release --example harvest_server -- 42
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use harvest::prelude::*;
@@ -74,9 +79,11 @@ fn main() {
     let addr = server.local_addr();
     println!("harvest-server: seed {seed}, {CLIENTS} clients against {addr}");
 
+    let rounds = Arc::new(Barrier::new(CLIENTS));
     let mut handles = Vec::new();
     for c in 0..CLIENTS {
-        handles.push(thread::spawn(move || run_client(c, addr)));
+        let rounds = Arc::clone(&rounds);
+        handles.push(thread::spawn(move || run_client(c, addr, &rounds)));
     }
     let mut served = 0u64;
     let mut shed = 0u64;
@@ -98,8 +105,11 @@ fn main() {
     let svc = Arc::try_unwrap(svc)
         .ok()
         .expect("all wire handles released");
-    let metrics = svc.metrics();
+    // Snapshot the log ledger only after shutdown has drained the writer:
+    // records still in the ring count as enqueued but not yet written.
+    let handle = svc.metrics_handle();
     svc.shutdown().expect("clean shutdown");
+    let metrics = handle.snapshot();
 
     let wire_ok = wire.ledger_ok && wire.protocol_errors == 0 && wire.decisions_errored == 0;
     println!(
@@ -130,8 +140,10 @@ fn main() {
 }
 
 /// One client: paced closed-loop traffic, then a same-instant burst that
-/// the rate limiter sheds. Returns (served, shed, rewards acknowledged).
-fn run_client(c: usize, addr: std::net::SocketAddr) -> (u64, u64, u64) {
+/// the rate limiter sheds. `rounds` holds every client to the same paced
+/// round and keeps each burst out until all paced rewards are acknowledged.
+/// Returns (served, shed, rewards acknowledged).
+fn run_client(c: usize, addr: std::net::SocketAddr, rounds: &Barrier) -> (u64, u64, u64) {
     let mut client = harvest::wire::TcpClient::connect(addr).expect("connect");
     let shard = (c % 4) as u32;
     // Per-client logical stamps: spaced 10 ms apart (well inside the 500/s
@@ -142,6 +154,7 @@ fn run_client(c: usize, addr: std::net::SocketAddr) -> (u64, u64, u64) {
     let mut rewarded = 0u64;
 
     for i in 0..CLOSED_LOOP {
+        rounds.wait();
         now_ns += 10_000_000;
         let x = ((c * CLOSED_LOOP + i) % 16) as f64 / 16.0;
         let resp = client
@@ -177,6 +190,7 @@ fn run_client(c: usize, addr: std::net::SocketAddr) -> (u64, u64, u64) {
 
     // The burst: everything stamped at one logical instant, fired without
     // waiting for responses. Only the bucket's burst allowance is served.
+    rounds.wait();
     let burst_ns = now_ns + 10_000_000;
     let mut seqs = Vec::with_capacity(BURST);
     for i in 0..BURST {
