@@ -116,11 +116,11 @@ fn run_trials(
         .min(trials.max(1));
     let mut estimates = vec![0.0f64; trials];
     let chunk = trials.div_ceil(workers);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (w, out) in estimates.chunks_mut(chunk).enumerate() {
             let prefix = &prefix;
             let policy = &policy;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (i, slot) in out.iter_mut().enumerate() {
                     let trial = (w * chunk + i) as u64;
                     let mut rng =
@@ -137,8 +137,7 @@ fn run_trials(
                 }
             });
         }
-    })
-    .expect("trial workers do not panic");
+    });
     estimates
 }
 

@@ -11,26 +11,6 @@
 //! variance shrinks with the residual magnitude — the paper's §5 plan for
 //! taming the variance of long-horizon estimators.
 
-use harvest_core::{Context, Dataset, Policy, Scorer};
-
-use crate::estimate::Estimate;
-
-/// The doubly-robust estimate of `policy` on `data` under reward model
-/// `model`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use OffPolicyEvaluator::evaluate_with_model(.., ModelEstimatorKind::DoublyRobust) \
-            or the portfolio::Estimator trait"
-)]
-pub fn doubly_robust<C, P, M>(data: &Dataset<C>, policy: &P, model: &M) -> Estimate
-where
-    C: Context,
-    P: Policy<C> + ?Sized,
-    M: Scorer<C> + ?Sized,
-{
-    crate::evaluator::eval_dr(data, policy, model)
-}
-
 #[cfg(test)]
 mod tests {
     use crate::direct::direct_method;

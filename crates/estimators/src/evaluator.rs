@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use crate::direct::direct_method;
 use crate::estimate::Estimate;
 
-/// Implementation behind [`crate::ips::ips`] and [`EstimatorKind::Ips`].
+/// Implementation behind [`EstimatorKind::Ips`].
 pub(crate) fn eval_ips<C: Context, P: Policy<C> + ?Sized>(
     data: &Dataset<C>,
     policy: &P,
@@ -17,8 +17,7 @@ pub(crate) fn eval_ips<C: Context, P: Policy<C> + ?Sized>(
     eval_clipped_ips(data, policy, f64::INFINITY)
 }
 
-/// Implementation behind [`crate::ips::clipped_ips`] and
-/// [`EstimatorKind::ClippedIps`].
+/// Implementation behind [`EstimatorKind::ClippedIps`].
 pub(crate) fn eval_clipped_ips<C: Context, P: Policy<C> + ?Sized>(
     data: &Dataset<C>,
     policy: &P,
@@ -39,8 +38,7 @@ pub(crate) fn eval_clipped_ips<C: Context, P: Policy<C> + ?Sized>(
     Estimate::from_terms(&terms, matched)
 }
 
-/// Implementation behind [`crate::snips::snips`] and
-/// [`EstimatorKind::Snips`].
+/// Implementation behind [`EstimatorKind::Snips`].
 pub(crate) fn eval_snips<C: Context, P: Policy<C> + ?Sized>(
     data: &Dataset<C>,
     policy: &P,
@@ -78,8 +76,7 @@ pub(crate) fn eval_snips<C: Context, P: Policy<C> + ?Sized>(
     }
 }
 
-/// Implementation behind [`crate::dr::doubly_robust`] and
-/// [`ModelEstimatorKind::DoublyRobust`].
+/// Implementation behind [`ModelEstimatorKind::DoublyRobust`].
 pub(crate) fn eval_dr<C, P, M>(data: &Dataset<C>, policy: &P, model: &M) -> Estimate
 where
     C: Context,

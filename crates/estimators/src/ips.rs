@@ -8,40 +8,10 @@
 //!
 //! Unbiased whenever every logged propensity is positive and correct. The
 //! cost is variance: each matching sample contributes `r/p`, which blows up
-//! as `p → 0`. [`clipped_ips`] trades a little bias for bounded weights.
+//! as `p → 0`. [`EstimatorKind::ClippedIps`](crate::EstimatorKind::ClippedIps)
+//! trades a little bias for bounded weights.
 
 use harvest_core::{Context, Dataset, Policy};
-
-use crate::estimate::Estimate;
-
-/// The IPS estimate of `policy`'s average reward on `data`.
-#[deprecated(
-    since = "0.10.0",
-    note = "use OffPolicyEvaluator::new(EstimatorKind::Ips).evaluate(..) or the \
-            portfolio::Estimator trait"
-)]
-pub fn ips<C: Context, P: Policy<C> + ?Sized>(data: &Dataset<C>, policy: &P) -> Estimate {
-    crate::evaluator::eval_ips(data, policy)
-}
-
-/// IPS with importance weights clipped at `max_weight`: matching samples
-/// contribute `r · min(1/p, max_weight)`.
-///
-/// Clipping introduces downward bias on high-weight events but caps the
-/// variance contribution of any single sample; standard practice when
-/// propensities are small or estimated.
-#[deprecated(
-    since = "0.10.0",
-    note = "use OffPolicyEvaluator::new(EstimatorKind::ClippedIps(max)).evaluate(..) or the \
-            portfolio::Estimator trait"
-)]
-pub fn clipped_ips<C: Context, P: Policy<C> + ?Sized>(
-    data: &Dataset<C>,
-    policy: &P,
-    max_weight: f64,
-) -> Estimate {
-    crate::evaluator::eval_clipped_ips(data, policy, max_weight)
-}
 
 /// The per-sample IPS terms (useful for bootstrap and variance analysis).
 pub fn ips_terms<C: Context, P: Policy<C> + ?Sized>(data: &Dataset<C>, policy: &P) -> Vec<f64> {

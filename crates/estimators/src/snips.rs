@@ -10,24 +10,6 @@
 //! `[min r, max r]` on matched samples. The price is a small (vanishing)
 //! bias.
 
-use harvest_core::{Context, Dataset, Policy};
-
-use crate::estimate::Estimate;
-
-/// The SNIPS estimate of `policy`'s average reward on `data`.
-///
-/// Returns a zero-value estimate with `matched == 0` if the policy matches
-/// no logged action (the estimator is undefined there; callers should check
-/// `matched`).
-#[deprecated(
-    since = "0.10.0",
-    note = "use OffPolicyEvaluator::new(EstimatorKind::Snips).evaluate(..) or the \
-            portfolio::Estimator trait"
-)]
-pub fn snips<C: Context, P: Policy<C> + ?Sized>(data: &Dataset<C>, policy: &P) -> Estimate {
-    crate::evaluator::eval_snips(data, policy)
-}
-
 #[cfg(test)]
 mod tests {
     use crate::evaluator::{eval_ips, eval_snips};

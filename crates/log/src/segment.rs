@@ -508,7 +508,7 @@ fn count_tail(tail: &[u8]) -> usize {
 /// A frame is valid when its length header fits the remaining bytes, its
 /// payload matches its CRC32, and the payload decodes as a [`LogRecord`].
 /// Recovery stops at the first invalid frame; everything after it is
-/// quarantined and counted via [`count_tail`].
+/// quarantined and counted by its tail scan.
 ///
 /// [`LogRecord::Batch`] frames are flattened into their individual
 /// [`crate::record::DecisionRecord`]s (each counted in `recovered`), so the

@@ -201,7 +201,7 @@ impl Histogram {
 
 /// Serializable digest of a [`Histogram`]: counts, bounds, and the
 /// standard percentile trio, all integers.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct HistogramSummary {
     /// Total samples.
     pub count: u64,

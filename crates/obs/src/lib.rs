@@ -30,11 +30,15 @@
 //!   associative cross-shard merge.
 //! - [`alert`] — deterministic hysteresis watchdogs that evaluate one
 //!   signal per sealed window and raise typed fire/clear events.
+//! - [`counters`] — the [`counter_table!`] macro: each service counter
+//!   declared once, with its storage, recorders, snapshot, checkpoint and
+//!   Prometheus family generated from that one row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alert;
+pub mod counters;
 pub mod hist;
 pub mod prom;
 pub mod series;

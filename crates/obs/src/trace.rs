@@ -264,7 +264,7 @@ impl Tracer {
     /// terminal per written record would contend the shard locks against
     /// the deciding threads on every single record, and the futex churn
     /// dominates the whole tracing overhead. Parked events are applied
-    /// every [`TERMINAL_BATCH`] events (one lock per shard per batch) and
+    /// every 64 events (`TERMINAL_BATCH`, one lock per shard per batch) and
     /// flushed by every audit/export, so a drained pipeline still audits
     /// complete.
     pub fn terminal_deferred(&self, id: u64, t: Terminal) {

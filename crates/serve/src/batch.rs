@@ -7,7 +7,7 @@
 //! amortized: the decision buffer and the degraded mask retain their
 //! capacity between batches, so a steady-state serve loop allocates only
 //! what the log record itself must own — one `Vec` of
-//! [`BatchDecision`](harvest_log::record::BatchDecision) entries per batch
+//! [`BatchDecision`] entries per batch
 //! (the record is moved into the writer queue, so its buffer cannot be
 //! reclaimed), plus the per-decision feature clones every logged decision
 //! has always carried. That replaces the single-call path's per-decision

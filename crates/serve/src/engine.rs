@@ -198,7 +198,7 @@ fn sample_epsilon_greedy(
 }
 
 /// The sharded decision engine. Each shard's mutable state lives in a
-/// shard-affine [`ShardCell`]: the intended one-worker-per-shard deployment
+/// shard-affine cell (`ShardCell`): the intended one-worker-per-shard deployment
 /// acquires it with a single uncontended atomic swap (no mutex, no futex),
 /// and callers that violate affinity fall back to a striped spin path that
 /// keeps `decide(shard, ...)` exactly as correct as the old per-shard
@@ -615,8 +615,8 @@ impl DecisionEngine {
     /// poisoned mutex this fault used to inject (there is no mutex left to
     /// poison). The next acquisition of the shard — the next
     /// [`decide`](DecisionEngine::decide), batch, replay, or snapshot —
-    /// clears the wedge and counts the recovery (`shard_wedges`, aliased
-    /// into the legacy `lock_recoveries` counter); the shard's RNG,
+    /// clears the wedge and counts the recovery in `shard_wedges`, one of
+    /// the breaker's fault rows; the shard's RNG,
     /// sequence counter, and policy cache are untouched, so the decision
     /// stream continues bit-identically. Returns `false` for an unknown
     /// shard.
@@ -788,8 +788,8 @@ mod tests {
                 hurt.decide(0, i, &ctx).unwrap()
             );
         }
-        assert!(hurt.metrics.snapshot().lock_recoveries >= 1);
-        assert_eq!(clean.metrics.snapshot().lock_recoveries, 0);
+        assert!(hurt.metrics.snapshot().shard_wedges >= 1);
+        assert_eq!(clean.metrics.snapshot().shard_wedges, 0);
         drop((clean, hurt));
         wc.finish().unwrap();
         wh.finish().unwrap();

@@ -89,8 +89,9 @@ fn trip_code(last_trip: Option<TripReason>) -> f64 {
 
 /// Renders the full Prometheus text exposition page.
 ///
-/// Families: `harvest_*_total` counters mirroring every
-/// [`MetricsSnapshot`] counter, derived-rate and breaker gauges
+/// Families: one `harvest_*_total` counter per row of the metrics counter
+/// table (so every [`MetricsSnapshot`] counter), derived-rate and breaker
+/// gauges
 /// (`harvest_log_conservation_ok` is 1 when the drained ledger balances),
 /// `harvest_quality_*` gauges (zeros until the first gate round),
 /// `harvest_trace_*` conservation-audit counters, and the
@@ -118,138 +119,7 @@ pub(crate) fn prometheus_page(
 ) -> PromText {
     let s = metrics.snapshot();
     let mut p = PromText::new();
-    p.counter("harvest_decisions_total", "Decisions served.", s.decisions);
-    p.counter(
-        "harvest_explorations_total",
-        "Decisions where the exploration branch fired.",
-        s.explorations,
-    );
-    p.counter(
-        "harvest_log_enqueued_total",
-        "Records offered to the log pipeline.",
-        s.log_enqueued,
-    );
-    p.counter(
-        "harvest_log_written_total",
-        "Records persisted by the writer thread.",
-        s.log_written,
-    );
-    p.counter(
-        "harvest_log_dropped_total",
-        "Records dropped by backpressure, shutdown, or a dead writer.",
-        s.log_dropped,
-    );
-    p.counter(
-        "harvest_log_quarantined_total",
-        "Records lost to damage, counted never skipped.",
-        s.log_quarantined,
-    );
-    p.counter(
-        "harvest_join_hits_total",
-        "Rewards joined within the TTL.",
-        s.join_hits,
-    );
-    p.counter(
-        "harvest_join_duplicates_total",
-        "Rewards refused as duplicates.",
-        s.join_duplicates,
-    );
-    p.counter(
-        "harvest_join_late_total",
-        "Rewards refused as late.",
-        s.join_late,
-    );
-    p.counter(
-        "harvest_join_unknown_total",
-        "Rewards whose decision was never tracked.",
-        s.join_unknown,
-    );
-    p.counter(
-        "harvest_timed_out_decisions_total",
-        "Tracked decisions whose TTL lapsed unrewarded.",
-        s.timed_out_decisions,
-    );
-    p.counter("harvest_swaps_total", "Policy hot-swaps.", s.swaps);
-    p.counter(
-        "harvest_lock_recoveries_total",
-        "Shard-level faults recovered (wedge recoveries included; legacy name).",
-        s.lock_recoveries,
-    );
-    p.counter(
-        "harvest_shard_wedges_total",
-        "Wedged shard cells recovered at acquisition.",
-        s.shard_wedges,
-    );
-    p.counter(
-        "harvest_writer_restarts_total",
-        "Writer-thread restarts by the supervisor.",
-        s.writer_restarts,
-    );
-    p.counter(
-        "harvest_trainer_crashes_total",
-        "Trainer crashes caught mid-fit.",
-        s.trainer_crashes,
-    );
-    p.counter(
-        "harvest_breaker_trips_total",
-        "Circuit-breaker trips.",
-        s.breaker_trips,
-    );
-    p.counter(
-        "harvest_breaker_rearms_total",
-        "Circuit-breaker re-arms.",
-        s.breaker_rearms,
-    );
-    p.counter(
-        "harvest_degraded_decisions_total",
-        "Decisions served by the safe policy.",
-        s.degraded_decisions,
-    );
-    p.counter(
-        "harvest_rewards_lost_total",
-        "Reward deliveries lost in flight.",
-        s.rewards_lost,
-    );
-    p.counter(
-        "harvest_admission_shed_total",
-        "Requests refused at the admission door before reaching a shard.",
-        s.admission_shed,
-    );
-    p.counter(
-        "harvest_watchdog_faults_total",
-        "Watchdog firings fed into the breaker's fault signal.",
-        s.watchdog_faults,
-    );
-    p.counter(
-        "harvest_checkpoints_written_total",
-        "Control-plane checkpoints published.",
-        s.checkpoints_written,
-    );
-    p.counter(
-        "harvest_checkpoints_discarded_total",
-        "Checkpoints rejected at recovery as torn, corrupt, or unparsable.",
-        s.checkpoints_discarded,
-    );
-    p.counter(
-        "harvest_recovered_records_total",
-        "Log records recovered from durable segments at warm restart.",
-        s.recovered_records,
-    );
-    p.counter(
-        "harvest_replayed_joins_total",
-        "Outcomes replayed into the joiner during warm restart.",
-        s.replayed_joins,
-    );
-    p.counter(
-        "harvest_segments_compacted_total",
-        "Sealed segments retired by lifecycle compaction.",
-        s.segments_compacted,
-    );
-    p.counter(
-        "harvest_restarts_total",
-        "Warm restarts (service resumed from checkpoint or cold replay).",
-        s.restart_count,
-    );
+    s.prometheus_counters(&mut p);
     p.gauge(
         "harvest_checkpoint_age_ns",
         "Logical ns between the last decision and the last checkpoint.",
@@ -417,14 +287,6 @@ pub(crate) fn prometheus_page(
             "Traces whose record entered a training round.",
             audit.trained,
         );
-        p.counter(
-            "harvest_trace_evictions_total",
-            "Traces evicted by ring-buffer capacity.",
-            audit.evictions,
-        );
-        // Canonical tracer-health name for the same count; the legacy
-        // `harvest_trace_evictions_total` family above stays for
-        // dashboards already scraping it.
         p.counter(
             "harvest_trace_evicted_total",
             "Traces evicted by ring-buffer FIFO capacity (canonical name).",

@@ -2,7 +2,7 @@
 //! writer.
 //!
 //! The decision path must never do file I/O, so shards push records into
-//! their own single-producer rings ([`crate::ring`]) and the supervised
+//! their own single-producer rings (the private `ring` module) and the supervised
 //! writer thread (see [`supervisor`](crate::supervisor)) drains the rings
 //! in global ticket order into crash-safe log segments
 //! ([`harvest_log::segment`]). The record-weighted [`QueueBudget`] bound

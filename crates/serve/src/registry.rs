@@ -1,6 +1,6 @@
 //! The versioned policy registry: which policy is serving right now.
 //!
-//! The registry owns an epoch/RCU double-buffer ([`crate::rcu::RcuCell`]).
+//! The registry owns an epoch/RCU double-buffer (`rcu::RcuCell`).
 //! Exactly one slot is *active* at any moment; a promotion writes the
 //! candidate into the inactive slot — after waiting out any reader still
 //! pinned to it — and then flips one atomic index. Readers keep a per-shard

@@ -239,20 +239,8 @@ impl HarvestScope {
 
         let snap = metrics.snapshot();
         let mut sample = SeriesSample::new();
-        sample
-            .counter("decisions", snap.decisions)
-            .counter("explorations", snap.explorations)
-            .counter("degraded_decisions", snap.degraded_decisions)
-            .counter("log_written", snap.log_written)
-            .counter("log_dropped", snap.log_dropped)
-            .counter("log_quarantined", snap.log_quarantined)
-            .counter("admission_shed", snap.admission_shed)
-            .counter("join_hits", snap.join_hits)
-            .counter("join_late", snap.join_late)
-            .counter("join_unknown", snap.join_unknown)
-            .counter("timed_out_decisions", snap.timed_out_decisions)
-            .counter("swaps", snap.swaps)
-            .gauge("breaker_open", if breaker_open { 1.0 } else { 0.0 });
+        snap.series_counters(&mut sample);
+        sample.gauge("breaker_open", if breaker_open { 1.0 } else { 0.0 });
         let quality = metrics.obs().and_then(|o| o.quality());
         match quality {
             Some(q) => {

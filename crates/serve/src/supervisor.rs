@@ -24,7 +24,7 @@
 //! after restart; a cursor over the sorted kill list advances exactly once
 //! per scheduled kill.
 //!
-//! The queue itself is the per-shard SPSC ring set ([`crate::ring`]): the
+//! The queue itself is the per-shard SPSC ring set (the `ring` module): the
 //! writer pops frames in global ticket order, so the persisted stream for
 //! any deterministic call sequence is identical to what the old bounded
 //! MPSC channel produced, while producers never share a channel lock.

@@ -165,8 +165,7 @@ impl GateConfigBuilder {
 /// Construct via [`TrainerConfig::builder`] or from
 /// [`TrainerConfig::default`]; `#[non_exhaustive]`, so out-of-crate
 /// literal construction no longer compiles. Gate knobs live on
-/// [`GateConfig`] under [`TrainerConfig::gate`]; the old flat builder
-/// methods remain as deprecated aliases for one release.
+/// [`GateConfig`] under [`TrainerConfig::gate`].
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct TrainerConfig {
@@ -226,36 +225,6 @@ impl TrainerConfigBuilder {
     /// The promotion gate's configuration.
     pub fn gate(mut self, gate: GateConfig) -> Self {
         self.0.gate = gate;
-        self
-    }
-
-    /// Constants for the confidence radius.
-    #[deprecated(
-        since = "0.10.0",
-        note = "set GateConfig::builder().bound(..) via .gate(..)"
-    )]
-    pub fn bound(mut self, bound: BoundConfig) -> Self {
-        self.0.gate.bound = bound;
-        self
-    }
-
-    /// The gate's off-policy estimator.
-    #[deprecated(
-        since = "0.10.0",
-        note = "set GateConfig::builder().estimator(..) via .gate(..)"
-    )]
-    pub fn estimator(mut self, estimator: GateEstimator) -> Self {
-        self.0.gate.estimator = estimator;
-        self
-    }
-
-    /// Refuse to promote from fewer harvested samples than this.
-    #[deprecated(
-        since = "0.10.0",
-        note = "set GateConfig::builder().min_samples(..) via .gate(..)"
-    )]
-    pub fn min_samples(mut self, min_samples: usize) -> Self {
-        self.0.gate.min_samples = min_samples;
         self
     }
 
@@ -936,20 +905,8 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_builder_aliases_forward_into_gate() {
-        // The old flat knobs must keep steering the gate for one release.
-        #[allow(deprecated)]
+    fn gate_builder_reaches_every_gate_field() {
         let cfg = TrainerConfig::builder()
-            .bound(BoundConfig { c: 3.0, delta: 0.2 })
-            .estimator(GateEstimator::Dr)
-            .min_samples(42)
-            .build();
-        assert_eq!(cfg.gate.bound.c, 3.0);
-        assert_eq!(cfg.gate.bound.delta, 0.2);
-        assert_eq!(cfg.gate.estimator, GateEstimator::Dr);
-        assert_eq!(cfg.gate.min_samples, 42);
-        // And the new surface reaches the same fields.
-        let cfg2 = TrainerConfig::builder()
             .gate(
                 GateConfig::builder()
                     .bound(BoundConfig { c: 3.0, delta: 0.2 })
@@ -961,10 +918,13 @@ mod tests {
                     .build(),
             )
             .build();
-        assert_eq!(cfg2.gate.bound.c, cfg.gate.bound.c);
-        assert_eq!(cfg2.gate.portfolio, 8);
-        assert_eq!(cfg2.gate.lcb_margin, 0.01);
-        assert_eq!(cfg2.gate.min_ess, 50.0);
+        assert_eq!(cfg.gate.bound.c, 3.0);
+        assert_eq!(cfg.gate.bound.delta, 0.2);
+        assert_eq!(cfg.gate.estimator, GateEstimator::Dr);
+        assert_eq!(cfg.gate.min_samples, 42);
+        assert_eq!(cfg.gate.portfolio, 8);
+        assert_eq!(cfg.gate.lcb_margin, 0.01);
+        assert_eq!(cfg.gate.min_ess, 50.0);
     }
 
     #[test]

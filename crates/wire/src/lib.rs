@@ -34,7 +34,7 @@
 //!    produce byte-identical decision logs (`tests/wire_equivalence.rs`).
 //! 3. **Every decision lands on a ledger.** `decisions_requested ==
 //!    served + shed + errored` holds in the exported
-//!    [`metrics`](crate::metrics) snapshot, and door refusals are also
+//!    [`metrics`] snapshot, and door refusals are also
 //!    counted in the service's `admission_shed` so the two ledgers
 //!    reconcile.
 //!

@@ -17,59 +17,106 @@
 //! checkable from any snapshot because counters are bumped response-first:
 //! a request is counted `requested` at admission, and exactly one of the
 //! outcome counters fires before its response frame is encoded.
+//!
+//! Each counter is declared once, as a row of the `counter_table!` below
+//! (DESIGN.md §20); the recorders here are the ones that touch more than
+//! one counter or a histogram.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use harvest_obs::{AtomicHistogram, HistogramSummary, PromText};
 use serde::Serialize;
 
 const RELAXED: Ordering = Ordering::Relaxed;
 
-/// Shared atomic counters and histograms for the wire layer.
-#[derive(Default)]
-pub struct WireMetrics {
-    // Request frames by type.
-    ping_requests: AtomicU64,
-    decide_requests: AtomicU64,
-    batch_requests: AtomicU64,
-    reward_requests: AtomicU64,
-    // The decision ledger, in logical decisions (a batch counts its size).
-    decisions_requested: AtomicU64,
-    decisions_served: AtomicU64,
-    decisions_degraded: AtomicU64,
-    shed_rate_limited: AtomicU64,
-    shed_queue_full: AtomicU64,
-    shed_deadline: AtomicU64,
-    decisions_errored: AtomicU64,
-    // Rewards: forwarded to the joiner, or shed by the rate limit.
-    rewards_forwarded: AtomicU64,
-    rewards_shed: AtomicU64,
-    // The ops-plane ledger, kept apart from the decision ledger: a scrape
-    // is observability traffic, not a decision, so scrape sheds must not
-    // perturb the SLO burn-rate signal computed over decision counters.
-    ops_requests: AtomicU64,
-    ops_served: AtomicU64,
-    ops_shed: AtomicU64,
-    // Protocol health.
-    frames_corrupt: AtomicU64,
-    protocol_errors: AtomicU64,
-    responses_sent: AtomicU64,
-    // Logical-time histograms (recorded from request stamps, so they are
-    // deterministic under same-seed replay).
-    queue_wait_ns: AtomicHistogram,
-    request_latency_ns: AtomicHistogram,
-    batch_sizes: AtomicHistogram,
+harvest_obs::counter_table! {
+    /// Shared atomic counters and histograms for the wire layer.
+    pub struct WireMetrics {
+        // Logical-time histograms (recorded from request stamps, so they are
+        // deterministic under same-seed replay).
+        queue_wait_ns: AtomicHistogram,
+        request_latency_ns: AtomicHistogram,
+        batch_sizes: AtomicHistogram,
+    }
+
+    /// A point-in-time reading of the wire counters: every counter row of
+    /// the table, then the derived ledger fields and histogram digests.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize)]
+    pub struct WireSnapshot {
+        /// All sheds summed.
+        pub shed_total: u64,
+        /// Whether both ledgers held at read time: `requested == served +
+        /// shed_total + errored` for decisions and `ops_requests ==
+        /// ops_served + ops_shed` for scrapes.
+        pub ledger_ok: bool,
+        /// Logical queue-wait distribution.
+        pub queue_wait_ns: HistogramSummary,
+        /// Logical admission-to-response latency distribution.
+        pub request_latency_ns: HistogramSummary,
+        /// Decisions per batch frame.
+        pub batch_sizes: HistogramSummary,
+    }
+
+    rows {
+        // Request frames by type.
+        ping_requests: "harvest_wire_ping_requests_total", "Ping frames received.", []
+            => record_ping();
+        decide_requests: "harvest_wire_decide_requests_total",
+            "Single-decision frames received.", [];
+        batch_requests: "harvest_wire_batch_requests_total", "Batch frames received.", [];
+        reward_requests: "harvest_wire_reward_requests_total", "Reward frames received.", []
+            => record_reward_request();
+        // The decision ledger, in logical decisions (a batch counts its size).
+        decisions_requested: "harvest_wire_decisions_requested_total",
+            "Decisions asked for over the wire (batches count their size).", [];
+        decisions_served: "harvest_wire_decisions_served_total",
+            "Decisions answered with a valid propensity.", [];
+        decisions_degraded: "harvest_wire_decisions_degraded_total",
+            "Served decisions that came from the safe arm (breaker open).", [];
+        shed_rate_limited: "harvest_wire_shed_rate_limited_total",
+            "Decisions shed by per-connection rate limits.", []
+            => record_shed_rate_limited(n);
+        shed_queue_full: "harvest_wire_shed_queue_full_total",
+            "Decisions shed by the pending-work budget.", []
+            => record_shed_queue_full(n);
+        shed_deadline: "harvest_wire_shed_deadline_total",
+            "Decisions shed because their deadline lapsed in queue.", []
+            => record_shed_deadline(n);
+        decisions_errored: "harvest_wire_decisions_errored_total",
+            "Decisions answered with an Error response.", [];
+        // Rewards: forwarded to the joiner, or shed by the rate limit.
+        rewards_forwarded: "harvest_wire_rewards_forwarded_total",
+            "Rewards forwarded to the joiner.", []
+            => record_reward_forwarded();
+        rewards_shed: "harvest_wire_rewards_shed_total", "Rewards shed by rate limits.", []
+            => record_reward_shed();
+        // The ops-plane ledger, kept apart from the decision ledger: a
+        // scrape is observability traffic, not a decision, so scrape sheds
+        // must not perturb the SLO burn-rate signal computed over decision
+        // counters.
+        ops_requests: "harvest_wire_ops_requests_total", "Ops scrape frames received.", []
+            => record_ops_request();
+        ops_served: "harvest_wire_ops_served_total",
+            "Ops scrapes answered with a rendered report.", []
+            => record_ops_served();
+        ops_shed: "harvest_wire_ops_shed_total", "Ops scrapes refused by admission.", []
+            => record_ops_shed();
+        // Protocol health.
+        frames_corrupt: "harvest_wire_frames_corrupt_total",
+            "Corrupt frames (each closes its connection).", []
+            => record_corrupt_frame();
+        protocol_errors: "harvest_wire_protocol_errors_total",
+            "Error responses to invalid requests (never overload).", []
+            => record_protocol_error();
+        responses_sent: "harvest_wire_responses_total", "Response frames sent.", []
+            => record_response();
+    }
 }
 
 impl WireMetrics {
     /// Fresh, all-zero metrics.
     pub fn new() -> Self {
         WireMetrics::default()
-    }
-
-    /// Counts one ping frame.
-    pub fn record_ping(&self) {
-        self.ping_requests.fetch_add(1, RELAXED);
     }
 
     /// Counts one decide frame asking for one decision.
@@ -85,11 +132,6 @@ impl WireMetrics {
         self.batch_sizes.record(n);
     }
 
-    /// Counts one reward frame.
-    pub fn record_reward_request(&self) {
-        self.reward_requests.fetch_add(1, RELAXED);
-    }
-
     /// Counts `n` decisions served, `degraded` of them by the safe arm.
     pub fn record_served(&self, n: u64, degraded: u64) {
         self.decisions_served.fetch_add(n, RELAXED);
@@ -98,66 +140,11 @@ impl WireMetrics {
         }
     }
 
-    /// Counts `n` decisions shed by the per-connection rate limit.
-    pub fn record_shed_rate_limited(&self, n: u64) {
-        self.shed_rate_limited.fetch_add(n, RELAXED);
-    }
-
-    /// Counts `n` decisions shed by the pending-work budget.
-    pub fn record_shed_queue_full(&self, n: u64) {
-        self.shed_queue_full.fetch_add(n, RELAXED);
-    }
-
-    /// Counts `n` decisions shed because their deadline lapsed in queue.
-    pub fn record_shed_deadline(&self, n: u64) {
-        self.shed_deadline.fetch_add(n, RELAXED);
-    }
-
     /// Counts `n` decisions answered with an `Error` response (invalid
     /// shard, internal failure) — still ledgered, never silently lost.
     pub fn record_errored(&self, n: u64) {
         self.decisions_errored.fetch_add(n, RELAXED);
         self.protocol_errors.fetch_add(1, RELAXED);
-    }
-
-    /// Counts one reward forwarded to the joiner.
-    pub fn record_reward_forwarded(&self) {
-        self.rewards_forwarded.fetch_add(1, RELAXED);
-    }
-
-    /// Counts one reward shed by the rate limit.
-    pub fn record_reward_shed(&self) {
-        self.rewards_shed.fetch_add(1, RELAXED);
-    }
-
-    /// Counts one ops scrape frame received.
-    pub fn record_ops_request(&self) {
-        self.ops_requests.fetch_add(1, RELAXED);
-    }
-
-    /// Counts one ops scrape answered with a rendered report.
-    pub fn record_ops_served(&self) {
-        self.ops_served.fetch_add(1, RELAXED);
-    }
-
-    /// Counts one ops scrape refused by admission.
-    pub fn record_ops_shed(&self) {
-        self.ops_shed.fetch_add(1, RELAXED);
-    }
-
-    /// Counts one corrupt frame (the connection is closed after this).
-    pub fn record_corrupt_frame(&self) {
-        self.frames_corrupt.fetch_add(1, RELAXED);
-    }
-
-    /// Counts one `Error` response (invalid request, never overload).
-    pub fn record_protocol_error(&self) {
-        self.protocol_errors.fetch_add(1, RELAXED);
-    }
-
-    /// Counts one response frame sent.
-    pub fn record_response(&self) {
-        self.responses_sent.fetch_add(1, RELAXED);
     }
 
     /// Records how long a request sat queued, in logical ns.
@@ -179,43 +166,15 @@ impl WireMetrics {
 
     /// Reads every counter at one instant.
     pub fn snapshot(&self) -> WireSnapshot {
-        let requested = self.decisions_requested.load(RELAXED);
-        let served = self.decisions_served.load(RELAXED);
-        let shed_rate_limited = self.shed_rate_limited.load(RELAXED);
-        let shed_queue_full = self.shed_queue_full.load(RELAXED);
-        let shed_deadline = self.shed_deadline.load(RELAXED);
-        let shed_total = shed_rate_limited + shed_queue_full + shed_deadline;
-        let errored = self.decisions_errored.load(RELAXED);
-        let ops_requests = self.ops_requests.load(RELAXED);
-        let ops_served = self.ops_served.load(RELAXED);
-        let ops_shed = self.ops_shed.load(RELAXED);
-        WireSnapshot {
-            ping_requests: self.ping_requests.load(RELAXED),
-            decide_requests: self.decide_requests.load(RELAXED),
-            batch_requests: self.batch_requests.load(RELAXED),
-            reward_requests: self.reward_requests.load(RELAXED),
-            decisions_requested: requested,
-            decisions_served: served,
-            decisions_degraded: self.decisions_degraded.load(RELAXED),
-            shed_rate_limited,
-            shed_queue_full,
-            shed_deadline,
-            shed_total,
-            decisions_errored: errored,
-            rewards_forwarded: self.rewards_forwarded.load(RELAXED),
-            rewards_shed: self.rewards_shed.load(RELAXED),
-            ops_requests,
-            ops_served,
-            ops_shed,
-            frames_corrupt: self.frames_corrupt.load(RELAXED),
-            protocol_errors: self.protocol_errors.load(RELAXED),
-            responses_sent: self.responses_sent.load(RELAXED),
-            ledger_ok: requested == served + shed_total + errored
-                && ops_requests == ops_served + ops_shed,
-            queue_wait_ns: self.queue_wait_ns.snapshot().summary(),
-            request_latency_ns: self.request_latency_ns.snapshot().summary(),
-            batch_sizes: self.batch_sizes.snapshot().summary(),
-        }
+        let mut s = self.load_counters();
+        s.shed_total = s.shed_rate_limited + s.shed_queue_full + s.shed_deadline;
+        s.ledger_ok = s.decisions_requested
+            == s.decisions_served + s.shed_total + s.decisions_errored
+            && s.ops_requests == s.ops_served + s.ops_shed;
+        s.queue_wait_ns = self.queue_wait_ns.snapshot().summary();
+        s.request_latency_ns = self.request_latency_ns.snapshot().summary();
+        s.batch_sizes = self.batch_sizes.snapshot().summary();
+        s
     }
 
     /// Renders the `harvest_wire_*` Prometheus families. Deterministic:
@@ -223,101 +182,7 @@ impl WireMetrics {
     pub fn export_prometheus(&self) -> String {
         let s = self.snapshot();
         let mut p = PromText::new();
-        p.counter(
-            "harvest_wire_ping_requests_total",
-            "Ping frames received.",
-            s.ping_requests,
-        );
-        p.counter(
-            "harvest_wire_decide_requests_total",
-            "Single-decision frames received.",
-            s.decide_requests,
-        );
-        p.counter(
-            "harvest_wire_batch_requests_total",
-            "Batch frames received.",
-            s.batch_requests,
-        );
-        p.counter(
-            "harvest_wire_reward_requests_total",
-            "Reward frames received.",
-            s.reward_requests,
-        );
-        p.counter(
-            "harvest_wire_decisions_requested_total",
-            "Decisions asked for over the wire (batches count their size).",
-            s.decisions_requested,
-        );
-        p.counter(
-            "harvest_wire_decisions_served_total",
-            "Decisions answered with a valid propensity.",
-            s.decisions_served,
-        );
-        p.counter(
-            "harvest_wire_decisions_degraded_total",
-            "Served decisions that came from the safe arm (breaker open).",
-            s.decisions_degraded,
-        );
-        p.counter(
-            "harvest_wire_shed_rate_limited_total",
-            "Decisions shed by per-connection rate limits.",
-            s.shed_rate_limited,
-        );
-        p.counter(
-            "harvest_wire_shed_queue_full_total",
-            "Decisions shed by the pending-work budget.",
-            s.shed_queue_full,
-        );
-        p.counter(
-            "harvest_wire_shed_deadline_total",
-            "Decisions shed because their deadline lapsed in queue.",
-            s.shed_deadline,
-        );
-        p.counter(
-            "harvest_wire_decisions_errored_total",
-            "Decisions answered with an Error response.",
-            s.decisions_errored,
-        );
-        p.counter(
-            "harvest_wire_rewards_forwarded_total",
-            "Rewards forwarded to the joiner.",
-            s.rewards_forwarded,
-        );
-        p.counter(
-            "harvest_wire_rewards_shed_total",
-            "Rewards shed by rate limits.",
-            s.rewards_shed,
-        );
-        p.counter(
-            "harvest_wire_ops_requests_total",
-            "Ops scrape frames received.",
-            s.ops_requests,
-        );
-        p.counter(
-            "harvest_wire_ops_served_total",
-            "Ops scrapes answered with a rendered report.",
-            s.ops_served,
-        );
-        p.counter(
-            "harvest_wire_ops_shed_total",
-            "Ops scrapes refused by admission.",
-            s.ops_shed,
-        );
-        p.counter(
-            "harvest_wire_frames_corrupt_total",
-            "Corrupt frames (each closes its connection).",
-            s.frames_corrupt,
-        );
-        p.counter(
-            "harvest_wire_protocol_errors_total",
-            "Error responses to invalid requests (never overload).",
-            s.protocol_errors,
-        );
-        p.counter(
-            "harvest_wire_responses_total",
-            "Response frames sent.",
-            s.responses_sent,
-        );
+        s.prometheus_counters(&mut p);
         p.gauge(
             "harvest_wire_ledger_ok",
             "1 when requested == served + shed + errored.",
@@ -342,64 +207,45 @@ impl WireMetrics {
     }
 }
 
-/// A point-in-time reading of the wire counters.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct WireSnapshot {
-    /// Ping frames received.
-    pub ping_requests: u64,
-    /// Single-decision frames received.
-    pub decide_requests: u64,
-    /// Batch frames received.
-    pub batch_requests: u64,
-    /// Reward frames received.
-    pub reward_requests: u64,
-    /// Decisions asked for (batches count their size).
-    pub decisions_requested: u64,
-    /// Decisions answered with a valid propensity.
-    pub decisions_served: u64,
-    /// Served decisions that came from the safe arm.
-    pub decisions_degraded: u64,
-    /// Decisions shed by rate limits.
-    pub shed_rate_limited: u64,
-    /// Decisions shed by the pending-work budget.
-    pub shed_queue_full: u64,
-    /// Decisions shed past their deadline.
-    pub shed_deadline: u64,
-    /// All sheds summed.
-    pub shed_total: u64,
-    /// Decisions answered with an `Error` response.
-    pub decisions_errored: u64,
-    /// Rewards forwarded to the joiner.
-    pub rewards_forwarded: u64,
-    /// Rewards shed by rate limits.
-    pub rewards_shed: u64,
-    /// Ops scrape frames received.
-    pub ops_requests: u64,
-    /// Ops scrapes answered with a rendered report.
-    pub ops_served: u64,
-    /// Ops scrapes refused by admission.
-    pub ops_shed: u64,
-    /// Corrupt frames seen.
-    pub frames_corrupt: u64,
-    /// Error responses to invalid requests.
-    pub protocol_errors: u64,
-    /// Response frames sent.
-    pub responses_sent: u64,
-    /// Whether both ledgers held at read time: `requested == served +
-    /// shed_total + errored` for decisions and `ops_requests ==
-    /// ops_served + ops_shed` for scrapes.
-    pub ledger_ok: bool,
-    /// Logical queue-wait distribution.
-    pub queue_wait_ns: HistogramSummary,
-    /// Logical admission-to-response latency distribution.
-    pub request_latency_ns: HistogramSummary,
-    /// Decisions per batch frame.
-    pub batch_sizes: HistogramSummary,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        // Every counter row, bumped by an arbitrary amount, renders as one
+        // Prometheus family with its value and lands in the snapshot, and
+        // `ledger_ok` is exactly the two ledger equations over those values.
+        #[test]
+        fn every_counter_row_reaches_every_export(adds in proptest::collection::vec(0u64..4, 32)) {
+            let m = WireMetrics::new();
+            let cells = m.counter_cells();
+            prop_assert!(cells.len() <= adds.len());
+            for ((_, _, cell), &n) in cells.iter().zip(&adds) {
+                cell.fetch_add(n, RELAXED);
+            }
+            let page = m.export_prometheus();
+            let s = m.snapshot();
+            let snap = serde_json::to_value(&s);
+            for ((field, prom, _), &n) in cells.iter().zip(&adds) {
+                let samples: Vec<&str> = page
+                    .lines()
+                    .filter(|l| l.split(' ').next() == Some(*prom))
+                    .collect();
+                prop_assert_eq!(samples, vec![format!("{prom} {n}").as_str()]);
+                prop_assert_eq!(snap.get(field).and_then(|v| v.as_u64()), Some(n));
+            }
+            let shed = s.shed_rate_limited + s.shed_queue_full + s.shed_deadline;
+            prop_assert_eq!(s.shed_total, shed);
+            prop_assert_eq!(
+                s.ledger_ok,
+                s.decisions_requested == s.decisions_served + shed + s.decisions_errored
+                    && s.ops_requests == s.ops_served + s.ops_shed
+            );
+            let ledger_line = format!("harvest_wire_ledger_ok {}\n", u8::from(s.ledger_ok));
+            prop_assert!(page.contains(&ledger_line));
+        }
+    }
 
     #[test]
     fn ledger_balances_when_every_request_is_accounted() {

@@ -204,7 +204,7 @@ fn batched_run_recovers_byte_identical_log_and_ledger() {
 /// supervisor restarts), reward drops and delays, and shard poisonings all
 /// land at the same logical indices in both runs, so the recovered log and
 /// the full ledger — including `writer_restarts`, `rewards_lost`, and
-/// `lock_recoveries` — still agree byte for byte.
+/// `shard_wedges` — still agree byte for byte.
 #[test]
 fn batched_run_stays_equivalent_under_chaos() {
     let batched = run(29, true, Some(chaos_plan()));
