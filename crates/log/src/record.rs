@@ -86,10 +86,14 @@ impl BatchDecision {
     /// Expands back into a standalone [`DecisionRecord`] under the batch's
     /// shared `component`.
     pub fn into_decision(self, component: &str) -> DecisionRecord {
+        self.with_component(component.to_string())
+    }
+
+    fn with_component(self, component: String) -> DecisionRecord {
         DecisionRecord {
             request_id: self.request_id,
             timestamp_ns: self.timestamp_ns,
-            component: component.to_string(),
+            component,
             shared_features: self.shared_features,
             action_features: self.action_features,
             num_actions: self.num_actions,
@@ -164,6 +168,21 @@ pub enum LogRecord {
 }
 
 impl LogRecord {
+    /// The log frame for `decisions` served together under one
+    /// `component`: a lone decision is written as a plain
+    /// [`LogRecord::Decision`], anything else as one [`LogRecord::Batch`].
+    /// A single call and a batch of one therefore log the same bytes, and
+    /// this is the only place that choice is made.
+    pub fn from_decisions(component: String, decisions: Vec<BatchDecision>) -> LogRecord {
+        match <[BatchDecision; 1]>::try_from(decisions) {
+            Ok([d]) => LogRecord::Decision(d.with_component(component)),
+            Err(decisions) => LogRecord::Batch(BatchRecord {
+                component,
+                decisions,
+            }),
+        }
+    }
+
     /// The request id this record belongs to — the join key between
     /// decisions and outcomes, and the trace key in observability. For a
     /// batch this is the *first* decision's id (the batch reserves a

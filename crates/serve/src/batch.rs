@@ -5,17 +5,12 @@
 //! and [`DecisionEngine::decide_batch`](crate::engine::DecisionEngine::decide_batch)
 //! fill. Reusing one across calls keeps the hot path's own allocations
 //! amortized: the decision buffer and the degraded mask retain their
-//! capacity between batches, so a steady-state serve loop allocates only
-//! what the log record itself must own — one `Vec` of
-//! [`BatchDecision`] entries per batch
-//! (the record is moved into the writer queue, so its buffer cannot be
-//! reclaimed), plus the per-decision feature clones every logged decision
-//! has always carried. That replaces the single-call path's per-decision
-//! record allocation and per-decision queue hand-off with one of each per
-//! batch.
+//! capacity between batches. What the log frame owns — its entry vector
+//! and the per-decision feature clones — is built fresh per batch, because
+//! the frame is moved into the writer queue and its buffers cannot be
+//! reclaimed.
 
 use crate::engine::Decision;
-use harvest_log::record::BatchDecision;
 
 /// Caller-owned, reusable output buffer for one batched decide call.
 ///
@@ -26,11 +21,6 @@ use harvest_log::record::BatchDecision;
 pub struct DecisionBatch {
     /// The served decisions, in request order.
     pub(crate) decisions: Vec<Decision>,
-    /// Staging for the batch log record's payload. `mem::take`n into the
-    /// record at the end of each engine batch, so it is empty between
-    /// calls; kept here so the field count documents the full allocation
-    /// story in one place.
-    pub(crate) entries: Vec<BatchDecision>,
     /// Per-decision degraded-mode mask, filled by the service layer from
     /// the circuit breaker *per decision* — the breaker can open or
     /// re-arm mid-batch, and the RNG draw sequence (hence the whole
@@ -48,7 +38,6 @@ impl DecisionBatch {
     pub fn with_capacity(n: usize) -> Self {
         DecisionBatch {
             decisions: Vec::with_capacity(n),
-            entries: Vec::with_capacity(n),
             degraded: Vec::with_capacity(n),
         }
     }
@@ -76,7 +65,6 @@ impl DecisionBatch {
     /// Clears all buffers, retaining capacity.
     pub(crate) fn reset(&mut self) {
         self.decisions.clear();
-        self.entries.clear();
         self.degraded.clear();
     }
 }

@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn collapsed_gate_radius_trips_but_bootstrap_noise_does_not() {
         let (b, m) = breaker(64, 1000, 4);
-        // n ≤ 1 is bootstrap noise (radius_of returns ∞ by design): no trip.
+        // n ≤ 1 is bootstrap noise (no finite radius exists yet): no trip.
         b.note_gate(0, f64::INFINITY, &m);
         b.note_gate(1, f64::NAN, &m);
         assert!(!b.is_open());

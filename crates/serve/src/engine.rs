@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use harvest_core::{Context, SimpleContext};
-use harvest_log::record::{BatchDecision, BatchRecord, DecisionRecord, LogRecord};
+use harvest_log::record::{BatchDecision, LogRecord};
 use harvest_sim_net::rng::{fork_rng_indexed, rng_from_state, rng_state, DetRng};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -310,6 +310,42 @@ impl DecisionEngine {
         Ok(())
     }
 
+    /// One slot of every decision path — batch, single, and warm-restart
+    /// replay: resolve the serving policy (the incumbent, or `fallback`
+    /// when the breaker degraded this slot), run the ε-greedy draw, and
+    /// stamp the shard's next request id.
+    fn draw(
+        &self,
+        shard: usize,
+        state: &mut Shard,
+        ctx: &SimpleContext,
+        fallback: Option<&ServePolicy>,
+    ) -> Decision {
+        // Disjoint field borrows: the draw needs the policy cache and the
+        // RNG at once, and splitting them here lets each decision borrow
+        // the cached `Arc<PolicyVersion>` instead of cloning it — one less
+        // pair of refcount updates per decision on the hot path.
+        let Shard {
+            rng, seq, cache, ..
+        } = state;
+        // Per-decision policy resolution: a promotion that lands
+        // mid-batch takes effect between two decisions.
+        let version = cache.get(&self.registry);
+        let policy = fallback.unwrap_or(&version.policy);
+        let (action, propensity, explored) = sample_epsilon_greedy(rng, policy, ctx, self.epsilon);
+        let request_id = ((shard as u64) << SEQ_BITS) | *seq;
+        *seq += 1;
+        Decision {
+            request_id,
+            shard,
+            action,
+            propensity,
+            explored,
+            generation: version.generation,
+            degraded: fallback.is_some(),
+        }
+    }
+
     /// Warm-restart replay of one logged decision: re-runs the exact
     /// ε-greedy draw the previous incarnation made for this context,
     /// advancing the shard's RNG and sequence counter — but touching no
@@ -330,134 +366,46 @@ impl DecisionEngine {
             });
         }
         let mut guard = self.lock_shard(shard);
-        let version = Arc::clone(guard.cache.get(&self.registry));
-        let (action, _propensity, explored) =
-            sample_epsilon_greedy(&mut guard.rng, &version.policy, ctx, self.epsilon);
-        let request_id = ((shard as u64) << SEQ_BITS) | guard.seq;
-        guard.seq += 1;
+        let d = self.draw(shard, &mut guard, ctx, None);
         guard.last_ns = Some(now_ns);
-        Ok((request_id, action, explored))
+        Ok((d.request_id, d.action, d.explored))
     }
 
     /// Serves one decision on `shard` at logical time `now_ns` under the
-    /// incumbent policy. See [`DecisionEngine::decide_with`].
+    /// incumbent policy: [`decide_batch`](DecisionEngine::decide_batch) on
+    /// a batch of one, so it draws, counts, traces, and logs exactly as a
+    /// one-context batch does.
     pub fn decide(
         &self,
         shard: usize,
         now_ns: u64,
         ctx: &SimpleContext,
     ) -> Result<Decision, ServeError> {
-        self.decide_with(shard, now_ns, ctx, None)
-    }
-
-    /// Serves one decision on `shard` at logical time `now_ns`.
-    ///
-    /// Samples ε-greedy around the serving policy — the incumbent, or
-    /// `fallback` when the circuit breaker has forced degraded mode. The
-    /// greedy action keeps probability `1 − ε + ε/K`, every other action
-    /// `ε/K` (a policy with no greedy action serves `1/K` each). The
-    /// decision record — context, action, exact propensity — goes to the
-    /// log queue before this returns, degraded or not: even safe-arm
-    /// traffic stays harvestable.
-    ///
-    /// A wedged shard (the chaos fault that replaced lock poisoning — see
-    /// [`poison_shard`](DecisionEngine::poison_shard)) is recovered and
-    /// counted at acquisition, never propagated: the shard's RNG, sequence
-    /// counter, and policy cache are each valid at every instant.
-    pub fn decide_with(
-        &self,
-        shard: usize,
-        now_ns: u64,
-        ctx: &SimpleContext,
-        fallback: Option<&ServePolicy>,
-    ) -> Result<Decision, ServeError> {
-        if shard >= self.shards.len() {
-            return Err(ServeError::ShardOutOfRange {
-                shard,
-                shards: self.shards.len(),
-            });
-        }
-        let mut guard = self.lock_shard(shard);
-        let version = Arc::clone(guard.cache.get(&self.registry));
-        let degraded = fallback.is_some();
-        let policy = fallback.unwrap_or(&version.policy);
-        let k = ctx.num_actions();
-        let (action, propensity, explored) =
-            sample_epsilon_greedy(&mut guard.rng, policy, ctx, self.epsilon);
-        let request_id = ((shard as u64) << SEQ_BITS) | guard.seq;
-        guard.seq += 1;
-        let gap_ns = guard.last_ns.map(|prev| now_ns.saturating_sub(prev));
-        guard.last_ns = Some(now_ns);
-        drop(guard);
-
-        self.metrics.record_decision(now_ns, explored);
-        if degraded {
-            self.metrics.record_degraded();
-        }
-        // Trace *before* offering the record to the queue: the writer
-        // thread must never terminate a trace that does not exist yet.
-        if let Some(obs) = self.metrics.obs() {
-            obs.tracer().decided(
-                request_id,
-                harvest_obs::Decided {
-                    ns: now_ns,
-                    shard: shard as u32,
-                    action,
-                    propensity,
-                    explored,
-                    degraded,
-                    generation: version.generation,
-                    enqueued: true,
-                },
-            );
-            if let Some(gap) = gap_ns {
-                obs.record_interarrival(shard, gap);
-            }
-        }
-        let action_features: Option<Vec<Vec<f64>>> = if ctx.action_feature_dim() > 0 {
-            Some((0..k).map(|a| ctx.action_features(a).to_vec()).collect())
-        } else {
-            None
-        };
-        let queued = self.logger.log(LogRecord::Decision(DecisionRecord {
-            request_id,
-            timestamp_ns: now_ns,
-            component: self.component.clone(),
-            shared_features: ctx.shared_features().to_vec(),
-            action_features,
-            num_actions: k,
-            action,
-            propensity: Some(propensity),
-            reward: None,
-        }));
-        if !queued {
-            if let Some(obs) = self.metrics.obs() {
-                obs.tracer().shed(request_id);
-            }
-        }
-        Ok(Decision {
-            request_id,
-            shard,
-            action,
-            propensity,
-            explored,
-            generation: version.generation,
-            degraded,
-        })
+        let mut out = DecisionBatch::new();
+        self.decide_batch(shard, now_ns, std::slice::from_ref(ctx), &mut out)?;
+        Ok(out.decisions[0])
     }
 
     /// Serves a batch of decisions on `shard`, all stamped at logical time
     /// `now_ns`, under the incumbent policy. Decisions land in `out` (which
     /// is cleared first), in context order.
     ///
-    /// The batch path is the amortized twin of calling
-    /// [`decide`](DecisionEngine::decide) once per context: the shard lock
-    /// is taken once, the sequence range is reserved once, and the whole
-    /// batch goes to the log queue as a single
-    /// [`LogRecord::Batch`] frame — but the per-decision policy lookups and
-    /// RNG draws replicate the single-call sequence *exactly*, so a
-    /// same-seed batch run and single-call run produce byte-identical
-    /// recovered decision streams (segment recovery flattens batch frames).
+    /// Samples ε-greedy around the serving policy: the greedy action keeps
+    /// probability `1 − ε + ε/K`, every other action `ε/K` (a policy with
+    /// no greedy action serves `1/K` each). Each decision record — context,
+    /// action, exact propensity — goes to the log queue before this
+    /// returns, degraded or not: even safe-arm traffic stays harvestable.
+    /// The shard lock is taken once, the sequence range is reserved once,
+    /// and the batch goes to the log queue as one frame
+    /// ([`LogRecord::from_decisions`]: a plain decision record for a batch
+    /// of one, one [`LogRecord::Batch`] otherwise). Recovery flattens batch
+    /// frames, so the recovered decision stream does not depend on how
+    /// calls were batched.
+    ///
+    /// A wedged shard (the chaos fault that replaced lock poisoning — see
+    /// [`poison_shard`](DecisionEngine::poison_shard)) is recovered and
+    /// counted at acquisition, never propagated: the shard's RNG, sequence
+    /// counter, and policy cache are each valid at every instant.
     pub fn decide_batch(
         &self,
         shard: usize,
@@ -466,11 +414,10 @@ impl DecisionEngine {
         out: &mut DecisionBatch,
     ) -> Result<(), ServeError> {
         out.reset();
-        out.degraded.resize(contexts.len(), false);
         self.decide_batch_with(shard, now_ns, contexts, None, out)
     }
 
-    /// Batch twin of [`decide_with`](DecisionEngine::decide_with), with a
+    /// [`decide_batch`](DecisionEngine::decide_batch) with a
     /// *per-decision* degraded mask in `out.degraded` (filled by the
     /// service from the circuit breaker): slot `i` serves `fallback` when
     /// `out.degraded[i]` is set. The mask must be per-decision because the
@@ -484,9 +431,8 @@ impl DecisionEngine {
         fallback: Option<&ServePolicy>,
         out: &mut DecisionBatch,
     ) -> Result<(), ServeError> {
-        debug_assert_eq!(out.degraded.len(), contexts.len());
+        debug_assert!(fallback.is_none() || out.degraded.len() == contexts.len());
         out.decisions.clear();
-        out.entries.clear();
         if shard >= self.shards.len() {
             return Err(ServeError::ShardOutOfRange {
                 shard,
@@ -497,42 +443,14 @@ impl DecisionEngine {
             return Ok(());
         }
         out.decisions.reserve(contexts.len());
-        out.entries.reserve(contexts.len());
 
         let mut guard = self.lock_shard(shard);
-        // One reservation for the whole batch: the contiguous id range the
-        // same number of single calls would have drawn one by one.
-        let first_seq = guard.seq;
-        guard.seq += contexts.len() as u64;
         let first_gap = guard.last_ns.map(|prev| now_ns.saturating_sub(prev));
         guard.last_ns = Some(now_ns);
-        // Disjoint field borrows: the loop needs the policy cache and the
-        // RNG at once, and splitting them here lets each decision borrow
-        // the cached `Arc<PolicyVersion>` instead of cloning it — one less
-        // pair of refcount updates per decision on the hot path.
-        let Shard { rng, cache, .. } = &mut *guard;
         for (i, ctx) in contexts.iter().enumerate() {
-            // Per-decision policy resolution: a promotion that lands
-            // mid-batch takes effect between two decisions, exactly as it
-            // would between two single calls.
-            let version = cache.get(&self.registry);
-            let degraded = fallback.is_some() && out.degraded[i];
-            let policy = if degraded {
-                fallback.unwrap_or(&version.policy)
-            } else {
-                &version.policy
-            };
-            let (action, propensity, explored) =
-                sample_epsilon_greedy(rng, policy, ctx, self.epsilon);
-            out.decisions.push(Decision {
-                request_id: ((shard as u64) << SEQ_BITS) | (first_seq + i as u64),
-                shard,
-                action,
-                propensity,
-                explored,
-                generation: version.generation,
-                degraded,
-            });
+            let slot_fallback = fallback.filter(|_| out.degraded[i]);
+            let d = self.draw(shard, &mut guard, ctx, slot_fallback);
+            out.decisions.push(d);
         }
         drop(guard);
 
@@ -571,9 +489,9 @@ impl DecisionEngine {
         // record-weighted queue capacity first, and only build the log
         // entries — feature clones, record allocation — for an admitted
         // frame. A refused batch costs one failed reservation instead of n
-        // per-decision record builds; single calls cannot make this trade,
-        // because each must construct its record before offering it.
+        // per-decision record builds.
         let queued = if self.logger.reserve(n) {
+            let mut entries = Vec::with_capacity(contexts.len());
             for (d, ctx) in out.decisions.iter().zip(contexts) {
                 let k = ctx.num_actions();
                 let action_features: Option<Vec<Vec<f64>>> = if ctx.action_feature_dim() > 0 {
@@ -581,7 +499,7 @@ impl DecisionEngine {
                 } else {
                     None
                 };
-                out.entries.push(BatchDecision {
+                entries.push(BatchDecision {
                     request_id: d.request_id,
                     timestamp_ns: now_ns,
                     shared_features: ctx.shared_features().to_vec(),
@@ -592,10 +510,8 @@ impl DecisionEngine {
                     reward: None,
                 });
             }
-            self.logger.send_reserved(LogRecord::Batch(BatchRecord {
-                component: self.component.clone(),
-                decisions: std::mem::take(&mut out.entries),
-            }))
+            self.logger
+                .send_reserved(LogRecord::from_decisions(self.component.clone(), entries))
         } else {
             self.logger.refuse(n);
             false
@@ -650,11 +566,7 @@ mod tests {
         policy: ServePolicy,
     ) -> (DecisionEngine, WriterSupervisorHandle<MemorySegments>) {
         let metrics = Arc::new(ServeMetrics::new());
-        let registry = Arc::new(PolicyRegistry::with_metrics(
-            policy,
-            "bootstrap",
-            Arc::clone(&metrics),
-        ));
+        let registry = Arc::new(PolicyRegistry::new(policy, "bootstrap"));
         let (logger, writer) = spawn_supervised_writer(
             LoggerConfig::default(),
             SupervisorConfig::default(),
@@ -803,8 +715,13 @@ mod tests {
         let (e, w) = engine_with(1, 11, ServePolicy::Greedy(scorer));
         let ctx = SimpleContext::contextless(4);
         let safe = ServePolicy::Uniform;
+        let mut out = DecisionBatch::new();
         for i in 0..200 {
-            let d = e.decide_with(0, i, &ctx, Some(&safe)).unwrap();
+            out.reset();
+            out.degraded.push(true);
+            e.decide_batch_with(0, i, std::slice::from_ref(&ctx), Some(&safe), &mut out)
+                .unwrap();
+            let d = out.decisions()[0];
             assert!(d.degraded);
             // Uniform fallback: exact propensity 1/K, never the greedy mix.
             assert!((d.propensity - 0.25).abs() < 1e-12);

@@ -11,7 +11,7 @@
 //! record and count it (lossy, never stalls serving).
 //!
 //! Accounting invariant, checked by property and chaos tests: **every**
-//! record offered to [`DecisionLogger::log`] is counted `enqueued`, and
+//! record offered to the queue is counted `enqueued`, and
 //! once the pipeline drains, `enqueued == written + dropped + quarantined`.
 //! No fault class — backpressure, writer crash, torn write, permanent
 //! writer death — can make a record vanish from that ledger.
@@ -190,39 +190,22 @@ impl DecisionLogger {
         }
     }
 
-    /// Offers one record to the queue. Every offer counts as `enqueued` —
-    /// scaled by [`LogRecord::record_count`], so a batch frame counts every
-    /// decision it carries; offers refused by a full queue (under
-    /// [`Backpressure::DropNewest`]) additionally count as `dropped` (again
-    /// in logical records).
+    /// Offers one already-built record to the queue (the service logs
+    /// outcomes this way; the decide path reserves before it builds). Every
+    /// offer counts as `enqueued` — scaled by [`LogRecord::record_count`],
+    /// so a batch frame counts every decision it carries; offers refused by
+    /// a full queue (under [`Backpressure::DropNewest`]) additionally count
+    /// as `dropped` (again in logical records).
     ///
     /// Returns `true` when the record entered the queue, `false` when it
-    /// was refused at the door — the caller-side signal the tracer needs
-    /// to mark a shed decision terminal without waiting on the writer.
+    /// was refused at the door.
     pub fn log(&self, record: LogRecord) -> bool {
         let n = record.record_count() as u64;
-        self.metrics.record_enqueued_n(n);
-        match self.backpressure {
-            Backpressure::Block => self.budget.acquire_blocking(n),
-            Backpressure::DropNewest => {
-                if !self.budget.try_acquire(n) {
-                    self.metrics.record_dropped_n(n);
-                    return false;
-                }
-            }
-        }
-        self.push(record);
-        true
-    }
-
-    /// Pushes an admitted frame and wakes a parked writer once the queue
-    /// holds at least 1 / [`BELL_FRACTION`] of its capacity. Below that
-    /// mark the writer wakes on its own liveness timeout, so a fast writer
-    /// drains in bursts instead of costing every producer a futex wake.
-    fn push(&self, record: LogRecord) {
-        self.rings.push(record);
-        if self.budget.in_use() >= self.bell_at {
-            self.rings.ring_bell();
+        if self.reserve(n) {
+            self.send_reserved(record)
+        } else {
+            self.refuse(n);
+            false
         }
     }
 
@@ -233,7 +216,7 @@ impl DecisionLogger {
     /// the caller should account for it via
     /// [`refuse`](DecisionLogger::refuse) instead of building it at all.
     ///
-    /// This is the batch path's admission control: a refused 256-decision
+    /// This is the decide path's admission control: a refused 256-decision
     /// frame costs one failed reservation, not 256 feature clones plus a
     /// record allocation that would be dropped at the door anyway.
     pub(crate) fn reserve(&self, n: u64) -> bool {
@@ -247,22 +230,28 @@ impl DecisionLogger {
     }
 
     /// Offers a frame whose capacity was reserved by
-    /// [`reserve`](DecisionLogger::reserve). Counts `enqueued` exactly like
-    /// [`log`](DecisionLogger::log); the reservation guarantees ring space
-    /// (frames ≤ records), so the push cannot be refused — as long as any
-    /// producer is alive the writer (or its post-mortem drain) pops.
+    /// [`reserve`](DecisionLogger::reserve), counting it `enqueued`. The
+    /// reservation guarantees ring space (frames ≤ records), so the push
+    /// cannot be refused — as long as any producer is alive the writer (or
+    /// its post-mortem drain) pops.
+    ///
+    /// The push wakes a parked writer only once the queue holds at least
+    /// 1 / [`BELL_FRACTION`] of its capacity. Below that mark the writer
+    /// wakes on its own liveness timeout, so a fast writer drains in bursts
+    /// instead of costing every producer a futex wake.
     pub(crate) fn send_reserved(&self, record: LogRecord) -> bool {
         let n = record.record_count() as u64;
         self.metrics.record_enqueued_n(n);
-        self.push(record);
+        self.rings.push(record);
+        if self.budget.in_use() >= self.bell_at {
+            self.rings.ring_bell();
+        }
         true
     }
 
     /// Accounts for an `n`-record frame refused by a failed
     /// [`reserve`](DecisionLogger::reserve): the conservation ledger counts
-    /// it offered (`enqueued`) and shed (`dropped`), exactly as if the
-    /// built frame had been offered to [`log`](DecisionLogger::log) and
-    /// turned away at the door.
+    /// it offered (`enqueued`) and shed (`dropped`).
     pub(crate) fn refuse(&self, n: u64) {
         self.metrics.record_enqueued_n(n);
         self.metrics.record_dropped_n(n);

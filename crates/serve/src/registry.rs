@@ -17,7 +17,6 @@ use harvest_core::scorer::{LinearScorer, Scorer};
 use harvest_core::{Context, SimpleContext};
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::ServeMetrics;
 use crate::rcu::{RcuCell, RcuReader};
 
 /// How many registered lock-free readers the registry supports (one per
@@ -103,17 +102,6 @@ impl PolicyRegistry {
             generation: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
         }
-    }
-
-    /// Like [`PolicyRegistry::new`]. The metrics handle is accepted for
-    /// construction-site compatibility but no longer consulted: the RCU
-    /// registry has no slot locks left to poison or recover.
-    pub fn with_metrics(
-        initial: ServePolicy,
-        name: impl Into<String>,
-        _metrics: Arc<ServeMetrics>,
-    ) -> Self {
-        Self::new(initial, name)
     }
 
     /// The current incumbent. A cold (mutex-sharing) read — control-plane

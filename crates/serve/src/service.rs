@@ -86,7 +86,8 @@ pub struct ServeConfig {
     pub safe_policy: ServePolicy,
     /// Reward-join TTL in logical nanoseconds.
     pub join_ttl_ns: u64,
-    /// Trainer and promotion gate.
+    /// Trainer and promotion gate. Its `epsilon` is ignored: the service
+    /// gates candidates as served, under [`EngineConfig::epsilon`].
     pub trainer: TrainerConfig,
     /// Observability: decision tracer and telemetry histograms.
     pub obs: ObsConfig,
@@ -97,13 +98,9 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let engine = EngineConfig::default();
         ServeConfig {
-            trainer: TrainerConfig {
-                epsilon: engine.epsilon,
-                ..TrainerConfig::default()
-            },
-            engine,
+            trainer: TrainerConfig::default(),
+            engine: EngineConfig::default(),
             logger: LoggerConfig::default(),
             supervisor: SupervisorConfig::default(),
             breaker: BreakerConfig::default(),
@@ -142,11 +139,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// The exploration floor ε, applied to serving *and* to the trainer's
-    /// as-served gate evaluation (must stay in `(0, 1]`).
+    /// The exploration floor ε (must stay in `(0, 1]`). The service gates
+    /// candidates as served, so its trainer evaluates under this ε too.
     pub fn epsilon(mut self, epsilon: f64) -> Self {
         self.0.engine.epsilon = epsilon;
-        self.0.trainer.epsilon = epsilon;
         self
     }
 
@@ -308,10 +304,9 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         } else {
             Arc::new(ServeMetrics::new())
         };
-        let registry = Arc::new(PolicyRegistry::with_metrics(
+        let registry = Arc::new(PolicyRegistry::new(
             ServePolicy::Uniform,
             "bootstrap-uniform",
-            Arc::clone(&metrics),
         ));
         // One SPSC ring per engine shard: each shard pushes to its own ring
         // and the writer merges in ticket order, so log hand-off never
@@ -341,7 +336,12 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
             logger,
             writer: Some(writer),
             metrics,
-            trainer: Trainer::new(cfg.trainer),
+            // One ε: the gate evaluates candidates exactly as the engine
+            // will serve them.
+            trainer: Trainer::new(TrainerConfig {
+                epsilon: cfg.engine.epsilon,
+                ..cfg.trainer
+            }),
             rounds: Mutex::new(0),
             train_rounds: AtomicU64::new(0),
             breaker: CircuitBreaker::new(cfg.breaker),
@@ -366,38 +366,25 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         now_ns: u64,
         ctx: &SimpleContext,
     ) -> Result<Decision, ServeError> {
-        let index = self.decision_seq.fetch_add(1, Ordering::SeqCst);
-        if let Some(chaos) = &self.chaos {
-            if chaos.poison_at(index) {
-                self.engine.poison_shard(shard);
-            }
-        }
-        let writer_alive = self.writer.as_ref().map(|w| w.alive()).unwrap_or(false);
-        let degraded = self.breaker.on_decision(writer_alive, &self.metrics);
-        let fallback = if degraded {
-            Some(&self.safe_policy)
-        } else {
-            None
-        };
-        let decision = self.engine.decide_with(shard, now_ns, ctx, fallback)?;
-        lock_recovering(&self.joiner, Some(&self.metrics)).track(decision.request_id, now_ns);
-        Ok(decision)
+        let mut out = DecisionBatch::new();
+        self.decide_batch(shard, now_ns, std::slice::from_ref(ctx), &mut out)?;
+        Ok(out.decisions[0])
     }
 
     /// Serves a batch of decisions on `shard`, all stamped at logical time
     /// `now_ns`, into the caller-owned `out` buffer (cleared first; reuse
     /// one buffer across calls to keep the hot path allocation-amortized).
     ///
-    /// Semantically this is [`decide`](DecisionService::decide) called once
-    /// per context, and a same-seed batch run reproduces the single-call
-    /// run's decision stream byte for byte: the circuit breaker is
-    /// consulted *per decision* (it can open or re-arm mid-batch), chaos
-    /// poison faults scheduled anywhere in the batch's decision-index range
-    /// fire before the batch is served, and segment recovery flattens the
-    /// batch's single log frame back into the individual decision records.
-    /// What is amortized: one shard-lock acquisition, one id-range
-    /// reservation, one log-queue hand-off, and bulk joiner tracking per
-    /// batch instead of per decision.
+    /// [`decide`](DecisionService::decide) is this call on a batch of one,
+    /// so a same-seed batch run reproduces the single-call run's decision
+    /// stream byte for byte: the circuit breaker is consulted *per
+    /// decision* (it can open or re-arm mid-batch), chaos poison faults
+    /// scheduled anywhere in the batch's decision-index range fire before
+    /// the batch is served, and segment recovery flattens the batch's
+    /// single log frame back into the individual decision records. What is
+    /// amortized: one shard-lock acquisition, one id-range reservation, one
+    /// log-queue hand-off, and bulk joiner tracking per batch instead of
+    /// per decision.
     pub fn decide_batch(
         &self,
         shard: usize,
@@ -695,7 +682,7 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harvest_log::segment::MemorySegments;
+    use harvest_log::segment::{MemorySegments, FRAME_HEADER_LEN};
 
     fn config(seed: u64) -> ServeConfig {
         ServeConfig {
@@ -775,6 +762,54 @@ mod tests {
             .unwrap();
         assert_eq!(d.generation, 1);
         svc.shutdown().unwrap();
+    }
+
+    #[test]
+    fn the_trainer_gates_under_the_serving_epsilon() {
+        // Replacing the trainer config after setting ε must not leave the
+        // gate evaluating candidates under a different floor than serving.
+        let cfg = ServeConfig::builder()
+            .epsilon(0.3)
+            .trainer(TrainerConfig::default())
+            .build()
+            .unwrap();
+        let svc = DecisionService::new(cfg, MemorySegments::new());
+        assert_eq!(svc.trainer.config().epsilon, 0.3);
+        svc.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_single_decision_logs_the_same_frame_as_a_batch_of_one() {
+        let ctx = SimpleContext::new(vec![0.4, 0.6], 3);
+        let single = DecisionService::new(config(23), MemorySegments::new());
+        let batched = DecisionService::new(config(23), MemorySegments::new());
+        let mut out = DecisionBatch::new();
+        for i in 0..40u64 {
+            let shard = (i % 2) as usize;
+            let d = single.decide(shard, i * 10, &ctx).unwrap();
+            batched
+                .decide_batch(shard, i * 10, std::slice::from_ref(&ctx), &mut out)
+                .unwrap();
+            assert_eq!(out.decisions(), &[d]);
+        }
+        let single = single.shutdown().unwrap().snapshot();
+        let batched = batched.shutdown().unwrap().snapshot();
+        assert_eq!(single, batched, "segment bytes differ");
+        // Every frame decodes, unflattened, as a plain decision record
+        // (codec tag 0) — never as a one-entry batch frame (tag 2).
+        let mut frames = 0;
+        for bytes in &single {
+            let mut off = 0;
+            while off < bytes.len() {
+                let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+                let payload = &bytes[off + FRAME_HEADER_LEN..off + FRAME_HEADER_LEN + len];
+                let record = harvest_log::codec::decode_record(payload).unwrap();
+                assert!(matches!(record, LogRecord::Decision(_)), "{record:?}");
+                off += FRAME_HEADER_LEN + len;
+                frames += 1;
+            }
+        }
+        assert_eq!(frames, 40);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! harvested data.
 //!
 //! The gate is deliberately asymmetric: the candidate must clear a
-//! finite-sample **lower confidence bound** ([`empirical_bernstein_radius`])
+//! finite-sample **lower confidence bound**
+//! ([`empirical_bernstein_radius`](harvest_estimators::bounds::empirical_bernstein_radius))
 //! above the incumbent's **point estimate**. A candidate that merely looks
 //! good inside its own noise band is refused; only statistically-grounded
 //! improvements reach the registry. This is what makes unattended continuous
@@ -27,7 +28,7 @@ use harvest_core::learner::{ModelingMode, RegressionCbLearner, SampleWeighting};
 use harvest_core::policy::UniformPolicy;
 use harvest_core::scorer::LinearScorer;
 use harvest_core::{Dataset, HarvestError, Scorer, SimpleContext};
-use harvest_estimators::bounds::{empirical_bernstein_radius, BoundConfig};
+use harvest_estimators::bounds::BoundConfig;
 use harvest_estimators::{
     harvest_quality, Candidate, EvaluatorConfig, GreedyScorerCandidate, HarvestQuality,
     LeaderboardEntry, PolicyEstimate, PortfolioEvaluator, PortfolioReport,
@@ -170,7 +171,10 @@ impl GateConfigBuilder {
 #[non_exhaustive]
 pub struct TrainerConfig {
     /// The exploration floor the engine serves with; candidate and
-    /// incumbent are both evaluated as served (ε-floored).
+    /// incumbent are both evaluated as served (ε-floored). A
+    /// [`DecisionService`](crate::service::DecisionService) overrides it
+    /// with its own [`EngineConfig::epsilon`](crate::engine::EngineConfig::epsilon),
+    /// so only a standalone trainer reads this value.
     pub epsilon: f64,
     /// Ridge regularizer for the candidate reward model.
     pub lambda: f64,
@@ -203,8 +207,8 @@ impl TrainerConfig {
 pub struct TrainerConfigBuilder(TrainerConfig);
 
 impl TrainerConfigBuilder {
-    /// The exploration floor candidates are evaluated under (should match
-    /// the engine's ε).
+    /// The exploration floor candidates are evaluated under. A service
+    /// overrides it with the engine's ε.
     pub fn epsilon(mut self, epsilon: f64) -> Self {
         self.0.epsilon = epsilon;
         self
@@ -239,7 +243,7 @@ impl TrainerConfigBuilder {
 pub struct GateReport {
     /// Harvested samples the verdict rests on.
     pub n: usize,
-    /// Candidates scored this round (1 for the single-candidate gate).
+    /// Candidates scored this round ([`GateConfig::portfolio`]).
     pub portfolio: usize,
     /// Name of the portfolio winner the verdict is about.
     pub winner: String,
@@ -287,13 +291,11 @@ pub struct Trainer {
     cfg: TrainerConfig,
 }
 
-/// Per-policy single-pass evaluation: the as-served value, the per-sample
-/// terms whose spread sets the confidence radius, and the importance
-/// weights — all derived from **one** `served_probabilities` call per
-/// record, shared by the estimate, the radius, and the quality gauges.
+/// Per-policy single-pass evaluation: the as-served value and the
+/// importance weights, both derived from **one** `served_probabilities`
+/// call per record and shared by the estimate and the quality gauges.
 struct EstimateParts {
     value: f64,
-    terms: Vec<f64>,
     weights: Vec<f64>,
 }
 
@@ -338,37 +340,7 @@ impl Trainer {
             .fit(data)
     }
 
-    /// Step 4, single-candidate form: the classic promotion gate.
-    ///
-    /// Estimates both policies *as served* (ε-floored) on the same data and
-    /// promotes only if the candidate's lower confidence bound clears the
-    /// incumbent's point estimate by the configured margin (and the ESS
-    /// floor holds).
-    pub fn gate(
-        &self,
-        data: &Dataset<SimpleContext>,
-        incumbent: &ServePolicy,
-        candidate: &ServePolicy,
-        model: &LinearScorer,
-    ) -> GateReport {
-        let cand = self.estimate(data, candidate, model);
-        let incumbent_value = self.estimate(data, incumbent, model).value;
-        let candidate_radius = radius_of(&self.cfg.gate.bound, &cand.terms);
-        let quality = harvest_quality(data, &cand.weights, self.cfg.epsilon, WEIGHT_CLIP);
-        let winner_ess = quality.effective_sample_size;
-        self.verdict(
-            data.len(),
-            1,
-            "candidate".to_string(),
-            winner_ess,
-            cand.value,
-            candidate_radius,
-            incumbent_value,
-            quality,
-        )
-    }
-
-    /// Step 4, portfolio form: shadow-evaluates the fitted scorer plus a
+    /// Step 4: shadow-evaluates the fitted scorer plus a
     /// deterministic fan of tilted variants in **one pass** over the
     /// harvested data, then gates the LCB-winner against the incumbent.
     ///
@@ -516,16 +488,14 @@ impl Trainer {
         })
     }
 
-    /// The as-served estimate of `policy` on `data`, with per-sample terms
-    /// and importance weights from a single pass.
+    /// The as-served estimate of `policy` on `data`, with importance
+    /// weights from the same pass.
     ///
     /// Targets here are stochastic (the served ε-floored distribution), so
     /// the importance weight is `π(aₜ|xₜ)/pₜ` rather than an indicator:
     ///
-    /// * SNIPS: `Σ wₜ rₜ / Σ wₜ`, radius from the plain IPS terms `wₜ rₜ`
-    ///   (a conservative proxy — SNIPS's own variance is never larger).
-    /// * DR: `mean[ Σₐ π(a|xₜ) r̂(xₜ,a) + wₜ (rₜ − r̂(xₜ,aₜ)) ]`, radius
-    ///   from exactly those terms.
+    /// * SNIPS: `Σ wₜ rₜ / Σ wₜ`;
+    /// * DR: `mean[ Σₐ π(a|xₜ) r̂(xₜ,a) + wₜ (rₜ − r̂(xₜ,aₜ)) ]`.
     fn estimate(
         &self,
         data: &Dataset<SimpleContext>,
@@ -533,7 +503,6 @@ impl Trainer {
         model: &LinearScorer,
     ) -> EstimateParts {
         let eps = self.cfg.epsilon;
-        let mut terms = Vec::with_capacity(data.len());
         let mut weights = Vec::with_capacity(data.len());
         match self.cfg.gate.estimator {
             GateEstimator::Snips => {
@@ -544,37 +513,29 @@ impl Trainer {
                     let w = probs[s.action] / s.propensity;
                     num += w * s.reward;
                     den += w;
-                    terms.push(w * s.reward);
                     weights.push(w);
                 }
                 let value = if den > 0.0 { num / den } else { 0.0 };
-                EstimateParts {
-                    value,
-                    terms,
-                    weights,
-                }
+                EstimateParts { value, weights }
             }
             GateEstimator::Dr => {
                 let mut scores = Vec::new();
+                let mut total = 0.0;
                 for s in data {
                     let probs = policy.served_probabilities(&s.context, eps);
                     model.score_all(&s.context, &mut scores);
                     let baseline: f64 = probs.iter().zip(&scores).map(|(p, r)| p * r).sum();
                     let w = probs[s.action] / s.propensity;
                     let correction = w * (s.reward - scores[s.action]);
-                    terms.push(baseline + correction);
+                    total += baseline + correction;
                     weights.push(w);
                 }
-                let value = if terms.is_empty() {
+                let value = if data.is_empty() {
                     0.0
                 } else {
-                    terms.iter().sum::<f64>() / terms.len() as f64
+                    total / data.len() as f64
                 };
-                EstimateParts {
-                    value,
-                    terms,
-                    weights,
-                }
+                EstimateParts { value, weights }
             }
         }
     }
@@ -613,20 +574,6 @@ fn tilt_scorer(fitted: &LinearScorer, j: usize) -> LinearScorer {
                 .collect(),
         },
     }
-}
-
-/// Empirical-Bernstein radius of the mean of `terms` (k = 1 candidate).
-/// Degenerate inputs (n ≤ 1) get an infinite radius: never promote on them.
-fn radius_of(bound: &BoundConfig, terms: &[f64]) -> f64 {
-    let n = terms.len();
-    if n <= 1 {
-        return f64::INFINITY;
-    }
-    let mean = terms.iter().sum::<f64>() / n as f64;
-    let var = terms.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
-    let min = terms.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = terms.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    empirical_bernstein_radius(bound, var, max - min, n as f64, 1.0)
 }
 
 #[cfg(test)]
@@ -671,19 +618,33 @@ mod tests {
         }
     }
 
+    /// A trainer whose gate scores a single candidate — the scorer it is
+    /// handed, untilted — under `gate`'s other knobs.
+    fn single_candidate(gate: GateConfigBuilder) -> Trainer {
+        Trainer::new(
+            TrainerConfig::builder()
+                .gate(gate.portfolio(1).build())
+                .build(),
+        )
+    }
+
+    /// The verdict on `scorer` as served, against the uniform incumbent.
+    fn verdict(t: &Trainer, data: &Dataset<SimpleContext>, scorer: LinearScorer) -> GateReport {
+        t.portfolio_gate(data, &ServePolicy::Uniform, &scorer).0
+    }
+
     #[test]
     fn gate_accepts_a_clearly_better_candidate() {
         let data = crossing_data(4000, 1);
-        let t = Trainer::new(TrainerConfig::default());
-        let candidate = ServePolicy::Greedy(good_scorer());
-        let report = t.gate(&data, &ServePolicy::Uniform, &candidate, &good_scorer());
+        let t = single_candidate(GateConfig::builder());
+        let report = verdict(&t, &data, good_scorer());
         // Truth: candidate ≈ 0.75 (minus a little ε), incumbent = 0.5.
         assert!(report.promoted, "{report:?}");
         assert!(report.candidate_lcb > report.incumbent_value);
         assert!((report.incumbent_value - 0.5).abs() < 0.05, "{report:?}");
         assert_eq!(report.reason, "promoted");
         assert_eq!(report.portfolio, 1);
-        assert_eq!(report.winner, "candidate");
+        assert_eq!(report.winner, "cb-fit");
         // Quality gauges ride along: uniform logging with a near-greedy
         // candidate halves the effective sample size, roughly.
         assert_eq!(report.quality.n, 4000);
@@ -697,9 +658,8 @@ mod tests {
     #[test]
     fn gate_refuses_a_degraded_candidate() {
         let data = crossing_data(4000, 2);
-        let t = Trainer::new(TrainerConfig::default());
-        let candidate = ServePolicy::Greedy(bad_scorer());
-        let report = t.gate(&data, &ServePolicy::Uniform, &candidate, &bad_scorer());
+        let t = single_candidate(GateConfig::builder());
+        let report = verdict(&t, &data, bad_scorer());
         // Truth: candidate ≈ 0.25 < incumbent 0.5 — refused decisively.
         assert!(!report.promoted, "{report:?}");
         assert!(report.candidate_value < report.incumbent_value);
@@ -709,15 +669,8 @@ mod tests {
     #[test]
     fn gate_refuses_on_too_few_samples() {
         let data = crossing_data(20, 3);
-        let t = Trainer::new(TrainerConfig {
-            gate: GateConfig {
-                min_samples: 1000,
-                ..GateConfig::default()
-            },
-            ..TrainerConfig::default()
-        });
-        let candidate = ServePolicy::Greedy(good_scorer());
-        let report = t.gate(&data, &ServePolicy::Uniform, &candidate, &good_scorer());
+        let t = single_candidate(GateConfig::builder().min_samples(1000));
+        let report = verdict(&t, &data, good_scorer());
         assert!(!report.promoted);
         assert_eq!(report.reason, "insufficient_samples");
     }
@@ -725,15 +678,8 @@ mod tests {
     #[test]
     fn gate_refuses_below_the_ess_floor() {
         let data = crossing_data(4000, 6);
-        let t = Trainer::new(TrainerConfig {
-            gate: GateConfig {
-                min_ess: 1e9,
-                ..GateConfig::default()
-            },
-            ..TrainerConfig::default()
-        });
-        let candidate = ServePolicy::Greedy(good_scorer());
-        let report = t.gate(&data, &ServePolicy::Uniform, &candidate, &good_scorer());
+        let t = single_candidate(GateConfig::builder().min_ess(1e9));
+        let report = verdict(&t, &data, good_scorer());
         assert!(!report.promoted, "{report:?}");
         assert_eq!(report.reason, "below_min_ess");
     }
@@ -741,15 +687,8 @@ mod tests {
     #[test]
     fn lcb_margin_raises_the_bar() {
         let data = crossing_data(4000, 7);
-        let t = Trainer::new(TrainerConfig {
-            gate: GateConfig {
-                lcb_margin: 10.0,
-                ..GateConfig::default()
-            },
-            ..TrainerConfig::default()
-        });
-        let candidate = ServePolicy::Greedy(good_scorer());
-        let report = t.gate(&data, &ServePolicy::Uniform, &candidate, &good_scorer());
+        let t = single_candidate(GateConfig::builder().lcb_margin(10.0));
+        let report = verdict(&t, &data, good_scorer());
         assert!(!report.promoted, "{report:?}");
         assert_eq!(report.reason, "lcb_not_above_incumbent");
     }
@@ -757,23 +696,9 @@ mod tests {
     #[test]
     fn dr_gate_agrees_on_the_easy_cases() {
         let data = crossing_data(4000, 4);
-        let t = Trainer::new(TrainerConfig {
-            gate: GateConfig {
-                estimator: GateEstimator::Dr,
-                ..GateConfig::default()
-            },
-            ..TrainerConfig::default()
-        });
-        let good = ServePolicy::Greedy(good_scorer());
-        let bad = ServePolicy::Greedy(bad_scorer());
-        assert!(
-            t.gate(&data, &ServePolicy::Uniform, &good, &good_scorer())
-                .promoted
-        );
-        assert!(
-            !t.gate(&data, &ServePolicy::Uniform, &bad, &bad_scorer())
-                .promoted
-        );
+        let t = single_candidate(GateConfig::builder().estimator(GateEstimator::Dr));
+        assert!(verdict(&t, &data, good_scorer()).promoted);
+        assert!(!verdict(&t, &data, bad_scorer()).promoted);
     }
 
     fn crossing_records(n: u64, seed: u64) -> Vec<LogRecord> {
@@ -929,21 +854,8 @@ mod tests {
 
     #[test]
     fn empty_terms_never_promote() {
-        let t = Trainer::new(TrainerConfig {
-            gate: GateConfig {
-                min_samples: 0,
-                ..GateConfig::default()
-            },
-            ..TrainerConfig::default()
-        });
-        let data = Dataset::new();
-        let report = t.gate(
-            &data,
-            &ServePolicy::Uniform,
-            &ServePolicy::Greedy(good_scorer()),
-            &good_scorer(),
-        );
-        assert!(!report.promoted);
-        assert_eq!(report.candidate_lcb, f64::NEG_INFINITY);
+        let t = single_candidate(GateConfig::builder().min_samples(0));
+        let report = verdict(&t, &Dataset::new(), good_scorer());
+        assert!(!report.promoted, "{report:?}");
     }
 }

@@ -228,7 +228,6 @@ impl<S: SegmentSink + Send + 'static> WireCore<S> {
             Request::DecideBatch { .. } => self.metrics.record_batch_request(weight),
             Request::Reward { .. } => self.metrics.record_reward_request(),
         }
-        let is_reward = matches!(request, Request::Reward { .. });
         if !conn.bucket.try_take(weight, arrival_ns) {
             self.shed(&request, weight, ShedReason::RateLimited);
             self.metrics.record_response();
@@ -252,7 +251,6 @@ impl<S: SegmentSink + Send + 'static> WireCore<S> {
                 },
             );
         }
-        let _ = is_reward;
         Admission::Enqueue(Job {
             conn_id: conn.conn_id,
             seq,
@@ -270,43 +268,23 @@ impl<S: SegmentSink + Send + 'static> WireCore<S> {
         let now_ns = self.clock.now_ns();
         self.metrics
             .record_queue_wait(now_ns.saturating_sub(job.arrival_ns));
-        let response = match job.request {
-            Request::Ping { nonce } => Response::Pong { nonce },
+        let response = match &job.request {
+            Request::Ping { nonce } => Response::Pong { nonce: *nonce },
             Request::Decide {
                 shard,
                 now_ns: stamp_ns,
                 budget_ns,
-                context,
-            } => {
-                if deadline_lapsed(stamp_ns, budget_ns, now_ns) {
-                    self.metrics.record_shed_deadline(1);
-                    self.serve_metrics.record_admission_shed_n(1);
-                    Response::Shed {
-                        reason: ShedReason::DeadlineExpired,
-                    }
-                } else {
-                    match self.svc.decide(shard as usize, stamp_ns, &context) {
-                        Ok(d) => {
-                            self.metrics.record_served(1, u64::from(d.degraded));
-                            Response::Decision(WireDecision::from(&d))
-                        }
-                        Err(e) => {
-                            self.metrics.record_errored(1);
-                            Response::Error {
-                                message: e.to_string(),
-                            }
-                        }
-                    }
-                }
+                ..
             }
-            Request::DecideBatch {
+            | Request::DecideBatch {
                 shard,
                 now_ns: stamp_ns,
                 budget_ns,
-                contexts,
+                ..
             } => {
+                let contexts = job.request.contexts();
                 let n = contexts.len() as u64;
-                if deadline_lapsed(stamp_ns, budget_ns, now_ns) {
+                if deadline_lapsed(*stamp_ns, *budget_ns, now_ns) {
                     self.metrics.record_shed_deadline(n);
                     self.serve_metrics.record_admission_shed_n(n);
                     Response::Shed {
@@ -316,15 +294,20 @@ impl<S: SegmentSink + Send + 'static> WireCore<S> {
                     let mut out = DecisionBatch::with_capacity(contexts.len());
                     match self
                         .svc
-                        .decide_batch(shard as usize, stamp_ns, &contexts, &mut out)
+                        .decide_batch(*shard as usize, *stamp_ns, contexts, &mut out)
                     {
                         Ok(()) => {
-                            let degraded =
-                                out.decisions().iter().filter(|d| d.degraded).count() as u64;
+                            let degraded = out.iter().filter(|d| d.degraded).count() as u64;
                             self.metrics.record_served(n, degraded);
-                            Response::Batch(
-                                out.decisions().iter().map(WireDecision::from).collect(),
-                            )
+                            // The reply kind follows the request kind: a
+                            // `Decide` is answered with one `Decision`.
+                            let mut served = out.iter().map(WireDecision::from);
+                            match job.request {
+                                Request::Decide { .. } => Response::Decision(
+                                    served.next().expect("one context serves one decision"),
+                                ),
+                                _ => Response::Batch(served.collect()),
+                            }
                         }
                         Err(e) => {
                             self.metrics.record_errored(n);
@@ -340,10 +323,10 @@ impl<S: SegmentSink + Send + 'static> WireCore<S> {
                 now_ns: stamp_ns,
                 reward,
             } => {
-                let outcome = self.svc.reward(request_id, stamp_ns, reward);
+                let outcome = self.svc.reward(*request_id, *stamp_ns, *reward);
                 self.metrics.record_reward_forwarded();
                 Response::RewardAck {
-                    request_id,
+                    request_id: *request_id,
                     outcome: outcome.into(),
                 }
             }

@@ -106,6 +106,16 @@ impl Request {
         }
     }
 
+    /// The contexts a decide request asks to serve: one for `Decide`, the
+    /// whole batch for `DecideBatch`, none for anything else.
+    pub fn contexts(&self) -> &[SimpleContext] {
+        match self {
+            Request::Decide { context, .. } => std::slice::from_ref(context),
+            Request::DecideBatch { contexts, .. } => contexts,
+            Request::Ping { .. } | Request::Reward { .. } => &[],
+        }
+    }
+
     /// The shard this request routes to, for shard-affine dispatch.
     /// Rewards route by the shard encoded in their request id, so a
     /// reward contends only with the shard that made its decision.

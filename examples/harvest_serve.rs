@@ -16,7 +16,7 @@
 
 use harvest::lb::{ClusterConfig, LbContext};
 use harvest::prelude::*;
-use harvest::serve::{GateEstimator, Trainer};
+use harvest::serve::{GateConfigBuilder, GateEstimator, Trainer};
 use harvest::simnet::rng::fork_rng;
 use harvest_estimators::bounds::BoundConfig;
 use rand::Rng;
@@ -27,21 +27,22 @@ const REQUESTS_PER_WAVE: usize = 4000;
 const BATCH: usize = 16;
 const EPSILON: f64 = 0.15;
 
-fn trainer_config() -> TrainerConfig {
+fn gate_config() -> GateConfigBuilder {
+    GateConfig::builder()
+        .bound(BoundConfig {
+            c: 2.0,
+            delta: 0.05,
+        })
+        .estimator(GateEstimator::Snips)
+        .min_samples(500)
+}
+
+fn trainer_config(gate: GateConfig) -> TrainerConfig {
     TrainerConfig::builder()
         .epsilon(EPSILON)
         .lambda(1e-3)
         .modeling(harvest::core::learner::ModelingMode::Pooled)
-        .gate(
-            GateConfig::builder()
-                .bound(BoundConfig {
-                    c: 2.0,
-                    delta: 0.05,
-                })
-                .estimator(GateEstimator::Snips)
-                .min_samples(500)
-                .build(),
-        )
+        .gate(gate)
         .build()
 }
 
@@ -60,7 +61,7 @@ fn main() {
                 .build(),
         )
         .join_ttl_ns(5_000_000_000)
-        .trainer(trainer_config())
+        .trainer(trainer_config(gate_config().build()))
         .build()
         .expect("valid demo config");
     let svc = DecisionService::new(cfg, store.clone());
@@ -149,19 +150,15 @@ fn main() {
     }
 
     // The gate's other half: a degraded candidate must be refused. Invert
-    // the incumbent's learned scorer so it prefers the *worst* server.
+    // the incumbent's learned scorer so it prefers the *worst* server, and
+    // gate it alone (a portfolio of one: no tilts that could rescue it).
     let incumbent = svc.registry().current();
     if let ServePolicy::Greedy(scorer) = &incumbent.policy {
         let sabotaged = negate(scorer);
-        let trainer = Trainer::new(trainer_config());
+        let trainer = Trainer::new(trainer_config(gate_config().portfolio(1).build()));
         let (records, _) = store.recover();
         let (data, _) = trainer.harvest(&records).unwrap();
-        let verdict = trainer.gate(
-            &data,
-            &incumbent.policy,
-            &ServePolicy::Greedy(sabotaged.clone()),
-            &sabotaged,
-        );
+        let (verdict, _, _) = trainer.portfolio_gate(&data, &incumbent.policy, &sabotaged);
         println!(
             "sabotage check: inverted scorer value {:.4} (lcb {:.4}) vs incumbent {:.4} -> {}",
             verdict.candidate_value,
@@ -170,9 +167,10 @@ fn main() {
             if verdict.promoted {
                 "PROMOTED (bug!)"
             } else {
-                "refused, as it must be"
+                "refused -> OK"
             }
         );
+        assert!(!verdict.promoted, "the gate promoted an inverted scorer");
     }
 
     let snapshot = svc.metrics();
@@ -187,15 +185,26 @@ fn main() {
         snapshot.lock_recoveries,
         snapshot.degraded_decisions,
     );
+    // Read the log ledger only after shutdown has drained the writer:
+    // records still in the ring count as enqueued but not yet written.
+    let handle = svc.metrics_handle();
+    svc.shutdown().unwrap();
+    let drained = handle.snapshot();
+    let conservation_ok =
+        drained.log_enqueued == drained.log_written + drained.log_dropped + drained.log_quarantined;
     println!(
-        "conservation: enqueued({}) == written({}) + dropped({}) + quarantined({})",
-        snapshot.log_enqueued, snapshot.log_written, snapshot.log_dropped, snapshot.log_quarantined
+        "conservation: enqueued({}) == written({}) + dropped({}) + quarantined({}) -> {}",
+        drained.log_enqueued,
+        drained.log_written,
+        drained.log_dropped,
+        drained.log_quarantined,
+        if conservation_ok { "OK" } else { "VIOLATED" }
     );
     println!(
         "final metrics: {}",
         serde_json::to_string(&snapshot).unwrap()
     );
-    svc.shutdown().unwrap();
+    assert!(conservation_ok, "log conservation must hold");
 }
 
 /// The scorer with every weight negated: prefers whatever the original

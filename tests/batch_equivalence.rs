@@ -96,6 +96,15 @@ fn chaos_plan() -> ChaosPlan {
         .build()
 }
 
+/// How a run serves each group of [`BATCH`] same-instant contexts.
+#[derive(Debug, Clone, Copy)]
+enum Serve {
+    /// One `decide` call per context.
+    Single,
+    /// `decide_batch` over consecutive chunks of this many contexts.
+    Batches(usize),
+}
+
 struct RunResult {
     /// Every recovered record, individually serialized.
     recovered: Vec<String>,
@@ -111,7 +120,7 @@ struct RunResult {
 /// `now_ns` and rewards after the group, exactly as the batch path does, so
 /// any byte that differs downstream is a batching bug, not a workload
 /// artifact.
-fn run(seed: u64, batched: bool, chaos: Option<ChaosPlan>) -> RunResult {
+fn run(seed: u64, serve: Serve, chaos: Option<ChaosPlan>) -> RunResult {
     let store = MemorySegments::new();
     let svc = match chaos {
         Some(plan) => DecisionService::with_chaos(config(seed), store.clone(), plan),
@@ -144,15 +153,19 @@ fn run(seed: u64, batched: bool, chaos: Option<ChaosPlan>) -> RunResult {
                 SimpleContext::new(vec![x], ACTIONS)
             })
             .collect();
-        let decisions: Vec<_> = if batched {
-            svc.decide_batch(shard, now_ns, &contexts, &mut out)
-                .expect("batch must serve");
-            out.decisions().to_vec()
-        } else {
-            contexts
+        let decisions: Vec<_> = match serve {
+            Serve::Batches(size) => contexts
+                .chunks(size)
+                .flat_map(|chunk| {
+                    svc.decide_batch(shard, now_ns, chunk, &mut out)
+                        .expect("batch must serve");
+                    out.decisions().to_vec()
+                })
+                .collect(),
+            Serve::Single => contexts
                 .iter()
                 .map(|ctx| svc.decide(shard, now_ns, ctx).expect("single must serve"))
-                .collect()
+                .collect(),
         };
         for (d, ctx) in decisions.iter().zip(&contexts) {
             let x = ctx.shared_features()[0];
@@ -181,8 +194,8 @@ fn run(seed: u64, batched: bool, chaos: Option<ChaosPlan>) -> RunResult {
 /// in the conservation ledger agrees.
 #[test]
 fn batched_run_recovers_byte_identical_log_and_ledger() {
-    let batched = run(17, true, None);
-    let single = run(17, false, None);
+    let batched = run(17, Serve::Batches(BATCH), None);
+    let single = run(17, Serve::Single, None);
     assert_eq!(batched.recovered.len(), single.recovered.len());
     assert!(!batched.recovered.is_empty());
     assert_eq!(
@@ -195,8 +208,12 @@ fn batched_run_recovers_byte_identical_log_and_ledger() {
         batched.metrics, single.metrics,
         "batched and single-call metrics ledgers differ"
     );
+    // Batches of one are single calls.
+    let ones = run(17, Serve::Batches(1), None);
+    assert_eq!(ones.recovered, single.recovered);
+    assert_eq!(ones.metrics, single.metrics);
     // And the log genuinely depends on the seed.
-    let other = run(18, true, None);
+    let other = run(18, Serve::Batches(BATCH), None);
     assert_ne!(batched.recovered, other.recovered);
 }
 
@@ -207,8 +224,8 @@ fn batched_run_recovers_byte_identical_log_and_ledger() {
 /// `shard_wedges` — still agree byte for byte.
 #[test]
 fn batched_run_stays_equivalent_under_chaos() {
-    let batched = run(29, true, Some(chaos_plan()));
-    let single = run(29, false, Some(chaos_plan()));
+    let batched = run(29, Serve::Batches(BATCH), Some(chaos_plan()));
+    let single = run(29, Serve::Single, Some(chaos_plan()));
     assert_eq!(
         batched.recovered, single.recovered,
         "chaos: batched and single-call recovered logs differ"
@@ -218,4 +235,7 @@ fn batched_run_stays_equivalent_under_chaos() {
         batched.metrics, single.metrics,
         "chaos: batched and single-call metrics ledgers differ"
     );
+    let ones = run(29, Serve::Batches(1), Some(chaos_plan()));
+    assert_eq!(ones.recovered, single.recovered);
+    assert_eq!(ones.metrics, single.metrics);
 }

@@ -5,8 +5,8 @@
 use harvest::lb::{ClusterConfig, LbContext};
 use harvest::serve::PromotionReport;
 use harvest::serve::{
-    Backpressure, DecisionService, GateConfig, GateEstimator, JoinOutcome, LoggerConfig,
-    ServeConfig, ServePolicy, Trainer, TrainerConfig,
+    Backpressure, DecisionService, GateConfig, GateConfigBuilder, GateEstimator, JoinOutcome,
+    LoggerConfig, ServeConfig, ServePolicy, Trainer, TrainerConfig,
 };
 use harvest::simnet::rng::fork_rng;
 use harvest_estimators::bounds::BoundConfig;
@@ -17,21 +17,22 @@ const EPSILON: f64 = 0.15;
 const WARMUP_REQUESTS: usize = 2500;
 const SERVE_REQUESTS: usize = 1500;
 
-fn trainer_config() -> TrainerConfig {
+fn gate_config() -> GateConfigBuilder {
+    GateConfig::builder()
+        .bound(BoundConfig {
+            c: 2.0,
+            delta: 0.05,
+        })
+        .estimator(GateEstimator::Snips)
+        .min_samples(500)
+}
+
+fn trainer_config(gate: GateConfig) -> TrainerConfig {
     TrainerConfig::builder()
         .epsilon(EPSILON)
         .lambda(1e-3)
         .modeling(harvest::core::learner::ModelingMode::Pooled)
-        .gate(
-            GateConfig::builder()
-                .bound(BoundConfig {
-                    c: 2.0,
-                    delta: 0.05,
-                })
-                .estimator(GateEstimator::Snips)
-                .min_samples(500)
-                .build(),
-        )
+        .gate(gate)
         .build()
 }
 
@@ -48,7 +49,7 @@ fn service_config(seed: u64, shards: usize) -> ServeConfig {
                 .build(),
         )
         .join_ttl_ns(5_000_000_000)
-        .trainer(trainer_config())
+        .trainer(trainer_config(gate_config().build()))
         .build()
         .expect("valid test config")
 }
@@ -182,7 +183,8 @@ fn gate_refuses_a_degraded_candidate() {
     }
     let (records, _) = store.recover();
 
-    let trainer = Trainer::new(trainer_config());
+    // One candidate per verdict: the scorer under test, untilted.
+    let trainer = Trainer::new(trainer_config(gate_config().portfolio(1).build()));
     let (data, _) = trainer.harvest(&records).unwrap();
     let good = trainer.train(&data).unwrap();
     let degraded = match &good {
@@ -201,19 +203,9 @@ fn gate_refuses_a_degraded_candidate() {
         }
     };
 
-    let accept = trainer.gate(
-        &data,
-        &ServePolicy::Uniform,
-        &ServePolicy::Greedy(good.clone()),
-        &good,
-    );
+    let (accept, _, _) = trainer.portfolio_gate(&data, &ServePolicy::Uniform, &good);
     assert!(accept.promoted, "{accept:?}");
-    let refuse = trainer.gate(
-        &data,
-        &ServePolicy::Uniform,
-        &ServePolicy::Greedy(degraded.clone()),
-        &degraded,
-    );
+    let (refuse, _, _) = trainer.portfolio_gate(&data, &ServePolicy::Uniform, &degraded);
     assert!(!refuse.promoted, "{refuse:?}");
     assert!(refuse.candidate_value < refuse.incumbent_value);
     svc.shutdown().unwrap();
