@@ -5,10 +5,10 @@
 //! and [`DecisionEngine::decide_batch`](crate::engine::DecisionEngine::decide_batch)
 //! fill. Reusing one across calls keeps the hot path's own allocations
 //! amortized: the decision buffer and the degraded mask retain their
-//! capacity between batches. What the log frame owns — its entry vector
-//! and the per-decision feature clones — is built fresh per batch, because
-//! the frame is moved into the writer queue and its buffers cannot be
-//! reclaimed.
+//! capacity between batches. The log frame's buffers — its entry vector
+//! and the per-decision feature copies — are reused too, but not through
+//! this buffer: the writer hands each written batch frame back to its
+//! shard, and the engine refills it.
 
 use crate::engine::Decision;
 

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use harvest_core::{Context, SimpleContext};
-use harvest_log::record::{BatchDecision, LogRecord};
+use harvest_log::record::{BatchDecision, BatchRecord, LogRecord};
 use harvest_sim_net::rng::{fork_rng_indexed, rng_from_state, rng_state, DetRng};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -138,6 +138,14 @@ pub struct Decision {
 /// good for a trillion decisions per shard. Public so front-ends can route
 /// a reward back to the shard that made its decision (`id >> SEQ_BITS`).
 pub const SEQ_BITS: u32 = 40;
+
+/// Which of `shards` owns `request_id`: the shard that decided it, folded
+/// into range for ids no shard of this engine could have made. The log
+/// rings, the frame return rings and the service's reward joiners all
+/// route by it.
+pub(crate) fn shard_of(request_id: u64, shards: usize) -> usize {
+    ((request_id >> SEQ_BITS) as usize) % shards
+}
 
 struct Shard {
     rng: DetRng,
@@ -487,31 +495,11 @@ impl DecisionEngine {
         }
         // Admission control before construction: reserve the frame's
         // record-weighted queue capacity first, and only build the log
-        // entries — feature clones, record allocation — for an admitted
-        // frame. A refused batch costs one failed reservation instead of n
-        // per-decision record builds.
+        // entries for an admitted frame. A refused batch costs one failed
+        // reservation instead of n per-decision record builds.
         let queued = if self.logger.reserve(n) {
-            let mut entries = Vec::with_capacity(contexts.len());
-            for (d, ctx) in out.decisions.iter().zip(contexts) {
-                let k = ctx.num_actions();
-                let action_features: Option<Vec<Vec<f64>>> = if ctx.action_feature_dim() > 0 {
-                    Some((0..k).map(|a| ctx.action_features(a).to_vec()).collect())
-                } else {
-                    None
-                };
-                entries.push(BatchDecision {
-                    request_id: d.request_id,
-                    timestamp_ns: now_ns,
-                    shared_features: ctx.shared_features().to_vec(),
-                    action_features,
-                    num_actions: k,
-                    action: d.action,
-                    propensity: Some(d.propensity),
-                    reward: None,
-                });
-            }
             self.logger
-                .send_reserved(LogRecord::from_decisions(self.component.clone(), entries))
+                .send_reserved(self.log_frame(shard, now_ns, contexts, &out.decisions))
         } else {
             self.logger.refuse(n);
             false
@@ -525,6 +513,55 @@ impl DecisionEngine {
             }
         }
         Ok(())
+    }
+
+    /// The log frame for one served batch ([`LogRecord::from_decisions`]).
+    /// A batch frame refills a frame the writer handed back to this shard
+    /// when one is waiting: each entry's feature buffers are cleared and
+    /// refilled in place, so a steady batch size allocates nothing here,
+    /// and buffers are freed on the thread that allocated them. Only a
+    /// missing frame, or entries past its length, allocate.
+    fn log_frame(
+        &self,
+        shard: usize,
+        now_ns: u64,
+        contexts: &[SimpleContext],
+        decisions: &[Decision],
+    ) -> LogRecord {
+        let returned = if contexts.len() > 1 {
+            self.logger.reclaim_frame(shard)
+        } else {
+            // A lone decision is logged as a plain record, which would
+            // consume the frame's entry vector.
+            None
+        };
+        let BatchRecord {
+            mut component,
+            decisions: mut entries,
+        } = returned.unwrap_or_else(|| BatchRecord {
+            component: String::new(),
+            decisions: Vec::new(),
+        });
+        component.clear();
+        component.push_str(&self.component);
+        entries.truncate(contexts.len());
+        entries.reserve(contexts.len() - entries.len());
+        for (i, (d, ctx)) in decisions.iter().zip(contexts).enumerate() {
+            if i == entries.len() {
+                entries.push(BatchDecision {
+                    request_id: 0,
+                    timestamp_ns: 0,
+                    shared_features: Vec::new(),
+                    action_features: None,
+                    num_actions: 0,
+                    action: 0,
+                    propensity: None,
+                    reward: None,
+                });
+            }
+            fill_entry(&mut entries[i], d, ctx, now_ns);
+        }
+        LogRecord::from_decisions(component, entries)
     }
 
     /// Chaos hook: wedges `shard`'s cell — the lock-free analogue of the
@@ -543,6 +580,38 @@ impl DecisionEngine {
         cell.wedge();
         true
     }
+}
+
+/// Overwrites a log entry with one served decision, reusing the entry's
+/// feature buffers.
+fn fill_entry(entry: &mut BatchDecision, d: &Decision, ctx: &SimpleContext, now_ns: u64) {
+    let k = ctx.num_actions();
+    entry.request_id = d.request_id;
+    entry.timestamp_ns = now_ns;
+    entry.shared_features.clear();
+    entry
+        .shared_features
+        .extend_from_slice(ctx.shared_features());
+    if ctx.action_feature_dim() > 0 {
+        let rows = entry.action_features.get_or_insert_with(Vec::new);
+        rows.truncate(k);
+        for a in 0..k {
+            let features = ctx.action_features(a);
+            match rows.get_mut(a) {
+                Some(row) => {
+                    row.clear();
+                    row.extend_from_slice(features);
+                }
+                None => rows.push(features.to_vec()),
+            }
+        }
+    } else {
+        entry.action_features = None;
+    }
+    entry.num_actions = k;
+    entry.action = d.action;
+    entry.propensity = Some(d.propensity);
+    entry.reward = None;
 }
 
 #[cfg(test)]

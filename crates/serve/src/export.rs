@@ -41,7 +41,8 @@ pub struct ObsSnapshot {
     pub decision_interarrival_ns: Option<HistogramSummary>,
     /// Logical delay between a decision and its joined reward.
     pub join_delay_ns: Option<HistogramSummary>,
-    /// Joiner pending-set size sampled at every track call.
+    /// Pending decisions in the deciding shard's joiner, sampled at every
+    /// track call.
     pub join_queue_depth: Option<HistogramSummary>,
     /// Records per sealed log segment.
     pub segment_records: Option<HistogramSummary>,
@@ -329,7 +330,7 @@ pub(crate) fn prometheus_page(
         );
         p.histogram(
             "harvest_join_queue_depth",
-            "Joiner pending-set size sampled at every track call.",
+            "Pending decisions in the deciding shard's joiner, sampled at every track call.",
             &o.join_queue_depth_histogram(),
         );
         p.histogram(

@@ -14,13 +14,22 @@
 //! Time is the caller's logical clock (the same one stamped on decisions),
 //! and must be non-decreasing across calls; the joiner never reads a wall
 //! clock, so replaying a trace reproduces the exact same join outcomes.
+//!
+//! The service keeps **one joiner per engine shard** and routes every id
+//! to the joiner of the shard that decided it (`request_id >> SEQ_BITS`).
+//! Each joiner's clock is therefore its own shard's: the decisions it
+//! tracks and the rewards routed to it. A fast shard's clock never
+//! expires a slow shard's decisions, so whether a reward joins does not
+//! depend on how the callers of different shards interleave.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use harvest_log::record::OutcomeRecord;
 use serde::{Deserialize, Serialize};
 
+use crate::engine::shard_of;
 use crate::metrics::ServeMetrics;
 
 /// What happened to one reward observation.
@@ -43,7 +52,9 @@ pub enum JoinOutcome {
 /// Durable joiner state for the control-plane checkpoint: the pending map
 /// and both tombstone sets, each sorted so the serialized bytes are a pure
 /// function of the joiner's logical state (hash iteration order never
-/// leaks into the checkpoint).
+/// leaks into the checkpoint). A service with several shard joiners
+/// merges their states into one of these, so the format does not depend
+/// on the shard count.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JoinerState {
     /// `(request_id, deadline)` pairs still awaiting a reward.
@@ -54,20 +65,59 @@ pub struct JoinerState {
     pub expired: Vec<u64>,
 }
 
+impl JoinerState {
+    /// One sorted state holding every part (the shard joiners' states).
+    pub(crate) fn merged(parts: impl IntoIterator<Item = JoinerState>) -> JoinerState {
+        let mut all = JoinerState::default();
+        for part in parts {
+            all.pending.extend(part.pending);
+            all.joined.extend(part.joined);
+            all.expired.extend(part.expired);
+        }
+        all.pending.sort_unstable();
+        all.joined.sort_unstable();
+        all.expired.sort_unstable();
+        all
+    }
+
+    /// The part of this state that shard `shard` of `shards` owns.
+    pub(crate) fn shard_part(&self, shard: usize, shards: usize) -> JoinerState {
+        let mine = |id: u64| shard_of(id, shards) == shard;
+        let mut part = self.clone();
+        part.pending.retain(|&(id, _)| mine(id));
+        part.joined.retain(|&id| mine(id));
+        part.expired.retain(|&id| mine(id));
+        part
+    }
+}
+
+/// Where one tracked decision stands. Ids only ever move pending → joined
+/// or pending → expired, so each id is counted exactly once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Awaiting a reward until `deadline` (decision time + TTL,
+    /// saturating).
+    Pending { deadline: u64 },
+    /// Joined a reward; a later reward is a duplicate.
+    Joined,
+    /// The TTL lapsed unjoined; a later reward is late.
+    Expired,
+}
+
 /// Joins delayed rewards to tracked decisions within a logical-time TTL.
 #[derive(Debug)]
 pub struct RewardJoiner {
     ttl_ns: u64,
-    /// request_id → expiry deadline (decision time + TTL, saturating).
-    pending: HashMap<u64, u64>,
-    /// (deadline, request_id), for in-order expiry sweeps.
-    deadlines: BTreeSet<(u64, u64)>,
-    /// Tombstones. Ids only ever move pending → joined or pending →
-    /// expired, so each id is counted exactly once. Tombstones are kept
+    /// request_id → slot. Joined and expired slots are tombstones kept
     /// forever — the price of exact duplicate/late classification; bound
     /// the id space (e.g. restart per epoch) if memory matters.
-    joined: HashSet<u64>,
-    expired: HashSet<u64>,
+    slots: HashMap<u64, Slot>,
+    /// `(deadline, request_id)` in deadline order, swept from the front.
+    /// A joined id leaves lazily: the sweep skips it when it reaches the
+    /// front.
+    deadlines: VecDeque<(u64, u64)>,
+    /// Number of [`Slot::Pending`] slots.
+    pending: usize,
     metrics: Arc<ServeMetrics>,
 }
 
@@ -76,10 +126,9 @@ impl RewardJoiner {
     pub fn new(ttl_ns: u64, metrics: Arc<ServeMetrics>) -> Self {
         RewardJoiner {
             ttl_ns,
-            pending: HashMap::new(),
-            deadlines: BTreeSet::new(),
-            joined: HashSet::new(),
-            expired: HashSet::new(),
+            slots: HashMap::new(),
+            deadlines: VecDeque::new(),
+            pending: 0,
             metrics,
         }
     }
@@ -106,19 +155,32 @@ impl RewardJoiner {
 
     /// Insert + depth sample for one id, after the caller has swept.
     fn track_swept(&mut self, request_id: u64, now_ns: u64) {
-        if !(self.joined.contains(&request_id)
-            || self.expired.contains(&request_id)
-            || self.pending.contains_key(&request_id))
-        {
+        if let Entry::Vacant(slot) = self.slots.entry(request_id) {
             let deadline = now_ns.saturating_add(self.ttl_ns);
-            self.pending.insert(request_id, deadline);
-            self.deadlines.insert((deadline, request_id));
+            slot.insert(Slot::Pending { deadline });
+            self.pending += 1;
+            self.enqueue(deadline, request_id);
         }
         // Queue depth sampled at every track: a pure function of the
         // call sequence, hence deterministic under replay.
         if let Some(obs) = self.metrics.obs() {
             let stripe = (request_id >> crate::engine::SEQ_BITS) as usize;
-            obs.record_join_queue_depth(stripe, self.pending.len() as u64);
+            obs.record_join_queue_depth(stripe, self.pending as u64);
+        }
+    }
+
+    /// Adds a deadline to the queue, keeping it sorted. A non-decreasing
+    /// clock appends at the back; an earlier deadline (a track after a
+    /// restore, or from a caller whose clock stepped back) is inserted in
+    /// order, so the sweep still expires exactly the deadlines that have
+    /// passed.
+    fn enqueue(&mut self, deadline: u64, request_id: u64) {
+        match self.deadlines.back() {
+            Some(&(last, _)) if deadline < last => {
+                let at = self.deadlines.partition_point(|&(d, _)| d <= deadline);
+                self.deadlines.insert(at, (deadline, request_id));
+            }
+            _ => self.deadlines.push_back((deadline, request_id)),
         }
     }
 
@@ -131,72 +193,84 @@ impl RewardJoiner {
         reward: f64,
     ) -> (JoinOutcome, Option<OutcomeRecord>) {
         self.sweep(now_ns);
-        if self.joined.contains(&request_id) {
-            self.metrics.record_join_duplicate();
-            return (JoinOutcome::Duplicate, None);
-        }
-        if self.expired.contains(&request_id) {
-            self.metrics.record_join_late();
-            return (JoinOutcome::Expired, None);
-        }
-        match self.pending.remove(&request_id) {
-            Some(deadline) => {
-                self.deadlines.remove(&(deadline, request_id));
-                self.joined.insert(request_id);
-                if let Some(obs) = self.metrics.obs() {
-                    // Deadline was decision time + TTL (saturating), so the
-                    // join delay in logical time is recoverable exactly.
-                    let decided_ns = deadline.saturating_sub(self.ttl_ns);
-                    let stripe = (request_id >> crate::engine::SEQ_BITS) as usize;
-                    obs.record_join_delay(stripe, now_ns.saturating_sub(decided_ns));
-                    obs.tracer().joined(request_id, now_ns);
-                }
-                self.metrics.record_join_hit();
-                (
-                    JoinOutcome::Joined,
-                    Some(OutcomeRecord {
-                        request_id,
-                        timestamp_ns: now_ns,
-                        reward,
-                    }),
-                )
+        let Some(slot) = self.slots.get_mut(&request_id) else {
+            self.metrics.record_join_unknown();
+            return (JoinOutcome::Unknown, None);
+        };
+        let deadline = match *slot {
+            Slot::Joined => {
+                self.metrics.record_join_duplicate();
+                return (JoinOutcome::Duplicate, None);
             }
-            None => {
-                self.metrics.record_join_unknown();
-                (JoinOutcome::Unknown, None)
+            Slot::Expired => {
+                self.metrics.record_join_late();
+                return (JoinOutcome::Expired, None);
             }
+            Slot::Pending { deadline } => {
+                *slot = Slot::Joined;
+                deadline
+            }
+        };
+        self.pending -= 1;
+        if let Some(obs) = self.metrics.obs() {
+            // Deadline was decision time + TTL (saturating), so the join
+            // delay in logical time is recoverable exactly.
+            let decided_ns = deadline.saturating_sub(self.ttl_ns);
+            let stripe = (request_id >> crate::engine::SEQ_BITS) as usize;
+            obs.record_join_delay(stripe, now_ns.saturating_sub(decided_ns));
+            obs.tracer().joined(request_id, now_ns);
         }
+        self.metrics.record_join_hit();
+        (
+            JoinOutcome::Joined,
+            Some(OutcomeRecord {
+                request_id,
+                timestamp_ns: now_ns,
+                reward,
+            }),
+        )
     }
 
     /// Decisions still waiting for a reward.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.pending
     }
 
     /// Snapshots the joiner's durable state for a checkpoint. Sorted, so
     /// same logical state ⇒ byte-identical serialization.
     pub fn state(&self) -> JoinerState {
-        let mut pending: Vec<(u64, u64)> = self.pending.iter().map(|(&id, &d)| (id, d)).collect();
-        pending.sort_unstable();
-        let mut joined: Vec<u64> = self.joined.iter().copied().collect();
-        joined.sort_unstable();
-        let mut expired: Vec<u64> = self.expired.iter().copied().collect();
-        expired.sort_unstable();
-        JoinerState {
-            pending,
-            joined,
-            expired,
+        let mut state = JoinerState::default();
+        for (&id, slot) in &self.slots {
+            match *slot {
+                Slot::Pending { deadline } => state.pending.push((id, deadline)),
+                Slot::Joined => state.joined.push(id),
+                Slot::Expired => state.expired.push(id),
+            }
         }
+        JoinerState::merged([state])
     }
 
     /// Restores a checkpointed state verbatim, replacing the current one.
     /// Touches no metrics: the counters describing this state were restored
     /// separately, and a restore is bookkeeping, not new join traffic.
     pub fn restore(&mut self, state: &JoinerState) {
-        self.pending = state.pending.iter().copied().collect();
-        self.deadlines = state.pending.iter().map(|&(id, d)| (d, id)).collect();
-        self.joined = state.joined.iter().copied().collect();
-        self.expired = state.expired.iter().copied().collect();
+        // Later lists win: a tombstone outranks a pending entry for the
+        // same id, as the join checks tombstones first.
+        let pending = state
+            .pending
+            .iter()
+            .map(|&(id, deadline)| (id, Slot::Pending { deadline }));
+        let expired = state.expired.iter().map(|&id| (id, Slot::Expired));
+        let joined = state.joined.iter().map(|&id| (id, Slot::Joined));
+        self.slots = pending.chain(expired).chain(joined).collect();
+        self.pending = self
+            .slots
+            .values()
+            .filter(|s| matches!(s, Slot::Pending { .. }))
+            .count();
+        let mut deadlines: Vec<(u64, u64)> = state.pending.iter().map(|&(id, d)| (d, id)).collect();
+        deadlines.sort_unstable();
+        self.deadlines = deadlines.into();
     }
 
     /// Warm-restart replay of a logged outcome record. An outcome only ever
@@ -217,18 +291,23 @@ impl RewardJoiner {
         outcome
     }
 
-    /// Moves every decision whose deadline has passed to the expired set.
-    /// A reward at exactly the deadline still joins; one tick later it is
-    /// late.
+    /// Moves every decision whose deadline has passed to expired. A reward
+    /// at exactly the deadline still joins; one tick later it is late.
     fn sweep(&mut self, now_ns: u64) {
-        while let Some(&(deadline, id)) = self.deadlines.iter().next() {
+        while let Some(&(deadline, id)) = self.deadlines.front() {
             if deadline >= now_ns {
                 break;
             }
-            self.deadlines.remove(&(deadline, id));
-            self.pending.remove(&id);
-            self.expired.insert(id);
-            self.metrics.record_timed_out();
+            self.deadlines.pop_front();
+            // Joined ids were left in the queue; only a still-pending slot
+            // with this deadline expires.
+            if let Some(slot) = self.slots.get_mut(&id) {
+                if *slot == (Slot::Pending { deadline }) {
+                    *slot = Slot::Expired;
+                    self.pending -= 1;
+                    self.metrics.record_timed_out();
+                }
+            }
         }
     }
 }

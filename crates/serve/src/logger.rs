@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use harvest_log::record::LogRecord;
+use harvest_log::record::{BatchRecord, LogRecord};
 use harvest_log::segment::SegmentConfig;
 
 // The queue bound lives in [`crate::admission`] (promoted to a shared
@@ -247,6 +247,12 @@ impl DecisionLogger {
             self.rings.ring_bell();
         }
         true
+    }
+
+    /// A batch frame the writer has persisted and handed back to `shard`,
+    /// for the engine to refill instead of allocating a new one.
+    pub(crate) fn reclaim_frame(&self, shard: usize) -> Option<BatchRecord> {
+        self.rings.reclaim(shard)
     }
 
     /// Accounts for an `n`-record frame refused by a failed

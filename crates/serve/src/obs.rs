@@ -14,8 +14,9 @@
 //!   so the gaps replay exactly);
 //! * **join delay** — reward observation time minus decision time, both
 //!   logical;
-//! * **join queue depth** — the joiner's pending count sampled at each
-//!   `track`, a function of the call sequence alone;
+//! * **join queue depth** — the pending count of the deciding shard's
+//!   joiner, sampled at each `track`, a function of the call sequence
+//!   alone;
 //! * **sealed-segment size** — records and bytes per *sealed* segment
 //!   (rotation points are record-indexed, so seals replay; the final
 //!   never-sealed segment is not recorded).
@@ -225,7 +226,8 @@ impl ServeObs {
         self.join_delay_ns.record(shard, delay_ns);
     }
 
-    /// Records the joiner's pending depth sampled at a `track`.
+    /// Records the pending depth of shard `shard`'s joiner, sampled at a
+    /// `track`.
     pub fn record_join_queue_depth(&self, shard: usize, depth: u64) {
         self.join_queue_depth.record(shard, depth);
     }

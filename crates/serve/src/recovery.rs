@@ -4,11 +4,11 @@
 //! crash-safe; this module makes the *control plane* restartable. A
 //! [`ServiceCheckpoint`] is everything the service cannot rederive from
 //! config alone: the incumbent policy version, the per-shard RNG stream
-//! positions and sequence counters, the joiner's pending set and
-//! tombstones, the conservation-ledger counters, and the chaos scheduling
-//! cursors. It serializes to JSON (sorted collections, no wall clock, no
-//! hash-order leakage) and travels inside the CRC-framed checkpoint blobs
-//! of [`harvest_log::checkpoint`].
+//! positions and sequence counters, the shard joiners' pending sets and
+//! tombstones (merged into one sorted state), the conservation-ledger
+//! counters, and the chaos scheduling cursors. It serializes to JSON
+//! (sorted collections, no wall clock, no hash-order leakage) and travels
+//! inside the CRC-framed checkpoint blobs of [`harvest_log::checkpoint`].
 //!
 //! Recovery ([`DecisionService::resume`]) is **checkpoint + deterministic
 //! replay**:
@@ -81,7 +81,7 @@ pub struct ServiceCheckpoint {
     pub swaps: u64,
     /// Per-shard RNG positions, next sequence numbers, last stamps.
     pub shards: Vec<ShardState>,
-    /// Pending joins and tombstones.
+    /// Pending joins and tombstones of every shard joiner, merged.
     pub joiner: JoinerState,
     /// The conservation ledger and telemetry counters.
     pub counters: MetricsState,
@@ -141,7 +141,11 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
             incumbent: (*incumbent).clone(),
             swaps: self.registry.swap_count(),
             shards: self.engine.shard_states(),
-            joiner: lock_recovering(&self.joiner, Some(&self.metrics)).state(),
+            joiner: JoinerState::merged(
+                self.joiners
+                    .iter()
+                    .map(|j| lock_recovering(j, Some(&self.metrics)).state()),
+            ),
             counters: self.metrics.checkpoint_counters(),
             promoted_rounds: *lock_recovering(&self.rounds, Some(&self.metrics)),
             train_rounds: self.train_rounds.load(Ordering::SeqCst),
@@ -252,7 +256,11 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         if let Some(ckpt) = &loaded {
             svc.registry.restore(ckpt.incumbent.clone(), ckpt.swaps);
             svc.engine.restore_shard_states(&ckpt.shards)?;
-            lock_recovering(&svc.joiner, Some(&svc.metrics)).restore(&ckpt.joiner);
+            let shards = svc.joiners.len();
+            for (shard, joiner) in svc.joiners.iter().enumerate() {
+                lock_recovering(joiner, Some(&svc.metrics))
+                    .restore(&ckpt.joiner.shard_part(shard, shards));
+            }
             svc.metrics.restore_counters(&ckpt.counters);
             *lock_recovering(&svc.rounds, Some(&svc.metrics)) = ckpt.promoted_rounds;
             svc.train_rounds.store(ckpt.train_rounds, Ordering::SeqCst);
@@ -293,8 +301,7 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
                         report.replay_divergence += 1;
                     }
                     svc.metrics.record_decision(d.timestamp_ns, explored);
-                    lock_recovering(&svc.joiner, Some(&svc.metrics))
-                        .track(d.request_id, d.timestamp_ns);
+                    svc.joiner(d.request_id).track(d.request_id, d.timestamp_ns);
                 }
                 Err(_) => report.replay_divergence += 1,
             }
@@ -317,7 +324,7 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
                     svc.metrics.record_enqueued();
                     svc.metrics.record_written();
                     svc.metrics.record_replayed_join();
-                    let outcome = lock_recovering(&svc.joiner, Some(&svc.metrics)).replay_outcome(
+                    let outcome = svc.joiner(o.request_id).replay_outcome(
                         o.request_id,
                         o.timestamp_ns,
                         o.reward,

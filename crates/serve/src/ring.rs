@@ -26,6 +26,12 @@
 //! possible with a mis-sized ring; see above) holds no ticket the writer
 //! needs.
 //!
+//! Frame return: after persisting a batch frame the writer pushes it into
+//! a small per-shard return ring (another [`SpscRing`], the writer on the
+//! producer side), and the shard's next batch refills that frame's buffers
+//! instead of allocating new ones. A full return ring drops the frame, so
+//! the writer never waits on a shard.
+//!
 //! [`QueueBudget`]: crate::admission::QueueBudget
 //!
 //! This module is one of the three audited `unsafe` islands in the crate
@@ -39,9 +45,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use harvest_log::record::LogRecord;
+use harvest_log::record::{BatchRecord, LogRecord};
 
-use crate::engine::SEQ_BITS;
+use crate::engine::shard_of;
+
+/// Written batch frames each shard's return ring holds for reuse.
+const RETURN_FRAMES: usize = 8;
 
 /// A bounded single-producer/single-consumer ring.
 ///
@@ -243,6 +252,9 @@ struct Ticketed {
 /// [`DecisionLogger`]: crate::logger::DecisionLogger
 pub(crate) struct LogRings {
     rings: Box<[SpscRing<Ticketed>]>,
+    /// Written batch frames on their way back to the shard that built
+    /// them, one ring per log ring.
+    returns: Box<[SpscRing<BatchRecord>]>,
     /// Next ticket to assign; drawn under a ring's producer gate so ring
     /// order and ticket order agree within each ring.
     next_ticket: AtomicU64,
@@ -267,6 +279,9 @@ impl LogRings {
             rings: (0..rings.max(1))
                 .map(|_| SpscRing::with_capacity(capacity))
                 .collect(),
+            returns: (0..rings.max(1))
+                .map(|_| SpscRing::with_capacity(RETURN_FRAMES))
+                .collect(),
             next_ticket: AtomicU64::new(0),
             next_pop: AtomicU64::new(0),
             producers: AtomicUsize::new(1),
@@ -281,12 +296,7 @@ impl LogRings {
     /// shard stay on one ring and the producer gate stays uncontended under
     /// shard affinity.
     fn route(&self, record: &LogRecord) -> usize {
-        let id = match record {
-            LogRecord::Decision(d) => d.request_id,
-            LogRecord::Outcome(o) => o.request_id,
-            LogRecord::Batch(b) => b.decisions.first().map(|d| d.request_id).unwrap_or(0),
-        };
-        ((id >> SEQ_BITS) as usize) % self.rings.len()
+        shard_of(record.request_id(), self.rings.len())
     }
 
     /// Enqueues one admitted frame: draws the global ticket and pushes,
@@ -305,6 +315,26 @@ impl LogRings {
         }
         let ticket = self.next_ticket.fetch_add(1, Ordering::AcqRel);
         producer.push(Ticketed { ticket, record });
+    }
+
+    /// Hands a written frame back to the shard that built it. Only batch
+    /// frames come back; a full return ring drops the frame.
+    pub(crate) fn recycle(&self, record: LogRecord) {
+        let LogRecord::Batch(frame) = record else {
+            return;
+        };
+        let first = frame.decisions.first().map_or(0, |d| d.request_id);
+        let mut producer = self.returns[shard_of(first, self.returns.len())].lock_producer();
+        if !producer.is_full() {
+            producer.push(frame);
+        }
+    }
+
+    /// A written frame handed back to `shard`, if one is waiting.
+    pub(crate) fn reclaim(&self, shard: usize) -> Option<BatchRecord> {
+        self.returns[shard % self.returns.len()]
+            .lock_consumer()
+            .pop()
     }
 
     /// Marks one logical producer gone; the last one wakes the writer so it
@@ -405,6 +435,7 @@ impl std::fmt::Debug for LogRings {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SEQ_BITS;
     use harvest_log::record::OutcomeRecord;
     use std::sync::Arc;
 

@@ -40,7 +40,7 @@
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use harvest_core::SimpleContext;
 use harvest_log::record::LogRecord;
@@ -50,7 +50,7 @@ use serde::Serialize;
 
 use crate::batch::DecisionBatch;
 use crate::breaker::{BreakerConfig, CircuitBreaker, TripReason};
-use crate::engine::{Decision, DecisionEngine, EngineConfig};
+use crate::engine::{shard_of, Decision, DecisionEngine, EngineConfig};
 use crate::error::{lock_recovering, ServeError};
 use crate::export::{obs_snapshot, prometheus_page, ObsSnapshot};
 use crate::joiner::{JoinOutcome, RewardJoiner};
@@ -263,7 +263,9 @@ pub struct DecisionService<S: SegmentSink + Send + 'static> {
     // the public surface.
     pub(crate) registry: Arc<PolicyRegistry>,
     pub(crate) engine: DecisionEngine,
-    pub(crate) joiner: Mutex<RewardJoiner>,
+    /// One reward joiner per engine shard; an id joins on the joiner of
+    /// the shard that decided it ([`shard_of`]).
+    pub(crate) joiners: Box<[Mutex<RewardJoiner>]>,
     logger: DecisionLogger,
     writer: Option<WriterSupervisorHandle<S>>,
     pub(crate) metrics: Arc<ServeMetrics>,
@@ -326,13 +328,15 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
             Arc::clone(&metrics),
             logger.clone(),
         );
-        let joiner = Mutex::new(RewardJoiner::new(cfg.join_ttl_ns, Arc::clone(&metrics)));
+        let joiners = (0..engine.num_shards())
+            .map(|_| Mutex::new(RewardJoiner::new(cfg.join_ttl_ns, Arc::clone(&metrics))))
+            .collect();
         let scope = (cfg.obs.enabled && cfg.scope.enabled)
             .then(|| Mutex::new(HarvestScope::new(&cfg.scope)));
         DecisionService {
             registry,
             engine,
-            joiner,
+            joiners,
             logger,
             writer: Some(writer),
             metrics,
@@ -412,9 +416,16 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         }
         self.engine
             .decide_batch_with(shard, now_ns, contexts, Some(&self.safe_policy), out)?;
-        lock_recovering(&self.joiner, Some(&self.metrics))
+        // The engine has range-checked `shard`.
+        lock_recovering(&self.joiners[shard], Some(&self.metrics))
             .track_many(out.decisions.iter().map(|d| d.request_id), now_ns);
         Ok(())
+    }
+
+    /// The joiner that owns `request_id`: its deciding shard's.
+    pub(crate) fn joiner(&self, request_id: u64) -> MutexGuard<'_, RewardJoiner> {
+        let shard = shard_of(request_id, self.joiners.len());
+        lock_recovering(&self.joiners[shard], Some(&self.metrics))
     }
 
     /// Reports the delayed reward for `request_id`. Joins within the TTL
@@ -437,11 +448,9 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
                 None => {}
             }
         }
-        let (outcome, record) = lock_recovering(&self.joiner, Some(&self.metrics)).join(
-            request_id,
-            observed_ns,
-            reward,
-        );
+        let (outcome, record) = self
+            .joiner(request_id)
+            .join(request_id, observed_ns, reward);
         if let Some(rec) = record {
             self.logger.log(LogRecord::Outcome(rec));
         }

@@ -190,7 +190,8 @@ impl<S: SegmentSink> WriterShared<S> {
     /// batch frame advances the fault-index clock by its batch length (the
     /// clock counts *logical* records, matching the single-call run), and a
     /// fault scheduled anywhere inside that range fires on the whole frame.
-    fn write_one(&self, record: &LogRecord) {
+    /// A written batch frame goes back to its shard for reuse.
+    fn write_one(&self, record: LogRecord) {
         let count = record.record_count() as u64;
         let index = self.attempted.fetch_add(count.max(1), SEQ);
         let fault = self
@@ -201,7 +202,7 @@ impl<S: SegmentSink> WriterShared<S> {
         let Some(writer) = guard.as_mut() else {
             // The writer was already taken at shutdown; nothing to do but
             // keep the ledger honest.
-            self.note_terminal(record, Terminal::Dropped);
+            self.note_terminal(&record, Terminal::Dropped);
             self.metrics.record_dropped_n(count);
             return;
         };
@@ -212,25 +213,29 @@ impl<S: SegmentSink> WriterShared<S> {
             // runtime ledger counts the whole batch; at-rest recovery of a
             // torn *batch* frame can only count the unparsable partial
             // frame once, an undercount DESIGN.md §10 records.
-            if let Ok(frame) = encode_frame(record) {
+            if let Ok(frame) = encode_frame(&record) {
                 let keep = (((frame.len() - 1) as f64) * keep_frac.clamp(0.0, 1.0)) as usize;
                 let keep = keep.clamp(1, frame.len() - 1);
                 let _ = writer.append_raw(&frame[..keep]);
             }
-            self.note_terminal(record, Terminal::Quarantined);
+            self.note_terminal(&record, Terminal::Quarantined);
             self.metrics.record_quarantined(count);
             panic!("chaos: torn write of record {index}");
         }
-        match writer.write(record) {
+        match writer.write(&record) {
             Ok(_) => {
-                self.note_terminal(record, Terminal::Written);
+                self.note_terminal(&record, Terminal::Written);
+                // Handed back before it counts as written, so a drained
+                // ledger means every written frame is back (or was dropped
+                // by a full return ring).
+                self.rings.recycle(record);
                 self.metrics.record_written_n(count);
             }
             Err(_) => {
                 // The sink refused the append; the frame may be partial.
                 // Count the record(s) quarantined and seal the segment so
                 // the damage cannot spread into later frames.
-                self.note_terminal(record, Terminal::Quarantined);
+                self.note_terminal(&record, Terminal::Quarantined);
                 self.metrics.record_quarantined(count);
                 let _ = writer.rotate();
             }
@@ -254,14 +259,14 @@ fn incarnation<S: SegmentSink>(shared: &WriterShared<S>) {
         // Release the budget at pop, before persisting: an injected
         // mid-write panic must never leak queue capacity.
         shared.budget.release(first.record_count() as u64);
-        shared.write_one(&first);
+        shared.write_one(first);
         // Batch: drain whatever is already queued before one flush.
         loop {
             shared.maybe_fire_kill(shared.attempted.load(SEQ));
             match shared.rings.pop_next(false) {
                 Some(record) => {
                     shared.budget.release(record.record_count() as u64);
-                    shared.write_one(&record);
+                    shared.write_one(record);
                 }
                 None => break,
             }

@@ -1,16 +1,24 @@
-//! The greedy decide path scores every action without touching the heap.
+//! Heap traffic on the decide path: greedy scoring allocates nothing, and
+//! a batch refills the log frame the writer handed back instead of cloning
+//! every decision's features.
 //!
 //! A counting global allocator wraps the system one for this test binary
 //! only; the count is per thread, so tests running alongside on other
-//! threads do not disturb it.
+//! threads — the log writer included — do not disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
 use harvest_core::scorer::{LinearScorer, Scorer};
 use harvest_core::SimpleContext;
+use harvest_log::segment::MemorySegments;
 use harvest_serve::registry::ServePolicy;
+use harvest_serve::{
+    spawn_supervised_writer, DecisionBatch, DecisionEngine, EngineConfig, LoggerConfig,
+    PolicyRegistry, ServeMetrics, SupervisorConfig,
+};
 
 struct CountingAlloc;
 
@@ -82,4 +90,54 @@ fn greedy_scoring_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "scoring allocated {n} times");
+}
+
+/// Serves two batches of `n` contexts on a fresh one-shard engine and
+/// counts the allocations of the second, made once the writer has written
+/// the first frame and handed it back.
+fn second_batch_allocations(n: usize) -> u64 {
+    let metrics = Arc::new(ServeMetrics::new());
+    let (logger, writer) = spawn_supervised_writer(
+        LoggerConfig::default(),
+        SupervisorConfig::default(),
+        Arc::clone(&metrics),
+        None,
+        MemorySegments::new(),
+    );
+    let engine = DecisionEngine::new(
+        &EngineConfig::builder().shards(1).build().unwrap(),
+        Arc::new(PolicyRegistry::new(ServePolicy::Uniform, "v0")),
+        Arc::clone(&metrics),
+        logger,
+    );
+    let contexts: Vec<SimpleContext> = (0..n)
+        .map(|i| {
+            SimpleContext::with_action_features(
+                vec![i as f64; 32],
+                (0..4).map(|a| vec![a as f64, 1.0]).collect(),
+            )
+        })
+        .collect();
+    let mut out = DecisionBatch::with_capacity(n);
+    engine.decide_batch(0, 0, &contexts, &mut out).unwrap();
+    while metrics.snapshot().log_backlog > 0 {
+        std::thread::yield_now();
+    }
+    let count = allocations_during(|| {
+        engine.decide_batch(0, 1, &contexts, &mut out).unwrap();
+    });
+    drop(engine);
+    let (records, _) = writer.finish().unwrap().recover();
+    assert_eq!(records.len(), 2 * n);
+    count
+}
+
+#[test]
+fn a_returned_log_frame_makes_batch_size_free() {
+    let small = second_batch_allocations(16);
+    let large = second_batch_allocations(64);
+    assert_eq!(
+        small, large,
+        "a batch of 16 allocated {small} times, a batch of 64 {large} times"
+    );
 }

@@ -14,6 +14,12 @@
 //!   concurrently snapshots shard states through the same cells;
 //! * the writer thread drains the ticket-ordered rings underneath it all.
 //!
+//! A second storm drives the whole service: shard-affine callers decide in
+//! batches and reward on their own shard's joiner after a lag, while a
+//! rogue thread rewards ids of every shard, twice each. Every reward
+//! offered must land in exactly one join counter, every join must reach the
+//! log as one outcome record, and the log ledger must balance.
+//!
 //! When the dust settles, conservation must hold exactly: every decision
 //! was offered to the log once (`log_enqueued == decisions`), nothing
 //! vanished (`enqueued == written + dropped + quarantined`), the recovered
@@ -23,14 +29,17 @@
 //! the internal `debug_assert!`s in the lock-free modules stay armed under
 //! optimized codegen.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use harvest::core::SimpleContext;
+use harvest::logs::record::LogRecord;
 use harvest::logs::segment::MemorySegments;
 use harvest::serve::{
-    spawn_supervised_writer, Backpressure, DecisionBatch, DecisionEngine, EngineConfig,
-    LoggerConfig, PolicyRegistry, ServeMetrics, ServePolicy, SupervisorConfig,
+    spawn_supervised_writer, Backpressure, DecisionBatch, DecisionEngine, DecisionService,
+    EngineConfig, LoggerConfig, PolicyRegistry, ServeConfig, ServeMetrics, ServePolicy,
+    SupervisorConfig, SEQ_BITS,
 };
 
 const SHARDS: usize = 4;
@@ -260,4 +269,104 @@ fn storm_with_blocking_backpressure_loses_nothing() {
 #[test]
 fn storm_with_drop_newest_sheds_measurably_not_silently() {
     run_storm(Backpressure::DropNewest, 32);
+}
+
+const STORM_BATCHES: usize = 400; // per shard-affine caller
+const REWARD_LAG: usize = 4; // batches between a decision and its reward
+const STORM_TTL_NS: u64 = 60;
+const ROGUE_IDS: u64 = 1_500; // per shard, each rewarded twice
+
+/// Shard-affine callers decide and reward on their own shards, some
+/// rewards twice and some past the TTL, while a rogue rewards every
+/// shard's ids twice over: every reward is counted in
+/// exactly one join outcome, every join is logged once, and the log ledger
+/// balances.
+#[test]
+fn reward_storm_reconciles_every_reward() {
+    let cfg = ServeConfig::builder()
+        .shards(SHARDS)
+        .epsilon(0.2)
+        .master_seed(7)
+        .join_ttl_ns(STORM_TTL_NS)
+        .logger(LoggerConfig::builder().capacity(128).build())
+        .build()
+        .unwrap();
+    let svc = DecisionService::new(cfg, MemorySegments::new());
+    let contexts: Vec<SimpleContext> = (0..BATCH)
+        .map(|i| SimpleContext::new(vec![i as f64, -0.25], ACTIONS))
+        .collect();
+    let offered = AtomicU64::new(0);
+
+    std::thread::scope(|s| {
+        for shard in 0..SHARDS {
+            let (svc, contexts, offered) = (&svc, &contexts, &offered);
+            s.spawn(move || {
+                let mut out = DecisionBatch::with_capacity(BATCH);
+                let mut lagged: VecDeque<Vec<u64>> = VecDeque::new();
+                let mut now = 0u64;
+                for i in 0..STORM_BATCHES {
+                    // Uneven steps put some lagged rewards past the TTL.
+                    now += 10 + (i as u64 % 3) * 5;
+                    svc.decide_batch(shard, now, contexts, &mut out).unwrap();
+                    lagged.push_back(out.iter().map(|d| d.request_id).collect());
+                    let due = if i + 1 == STORM_BATCHES {
+                        0
+                    } else {
+                        REWARD_LAG
+                    };
+                    // Every fifth round re-sends its rewards.
+                    let sends = if i % 5 == 0 { 2 } else { 1 };
+                    while lagged.len() > due {
+                        for id in lagged.pop_front().unwrap() {
+                            for _ in 0..sends {
+                                svc.reward(id, now, 1.0);
+                                offered.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                }
+            });
+        }
+        // Rogue: rewards ids of every shard — decided or not yet — twice.
+        {
+            let (svc, offered) = (&svc, &offered);
+            s.spawn(move || {
+                for seq in 0..ROGUE_IDS {
+                    for shard in 0..SHARDS as u64 {
+                        let id = (shard << SEQ_BITS) | (seq * 3);
+                        for _ in 0..2 {
+                            svc.reward(id, 0, 0.5);
+                            offered.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            });
+        }
+    });
+
+    let metrics = svc.metrics_handle();
+    let records = svc.shutdown().unwrap().recover().0;
+    let s = metrics.snapshot();
+    let offered = offered.load(Ordering::Relaxed);
+    assert_eq!(
+        s.join_hits + s.join_duplicates + s.join_late + s.join_unknown,
+        offered,
+        "every reward offered lands in one join counter: {s:?}"
+    );
+    assert!(
+        s.join_hits > 0 && s.join_duplicates > 0 && s.join_late > 0 && s.join_unknown > 0,
+        "{s:?}"
+    );
+    let outcomes = records
+        .iter()
+        .filter(|r| matches!(r, LogRecord::Outcome(_)))
+        .count() as u64;
+    assert_eq!(outcomes, s.join_hits, "every join is logged once");
+    assert_eq!(s.decisions, (SHARDS * STORM_BATCHES * BATCH) as u64);
+    assert_eq!(
+        s.log_enqueued,
+        s.log_written + s.log_dropped + s.log_quarantined,
+        "ledger must balance once drained: {s:?}"
+    );
+    assert_eq!(s.log_dropped + s.log_quarantined, 0);
 }

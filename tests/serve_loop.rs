@@ -241,3 +241,39 @@ fn service_refuses_late_duplicate_and_unknown_rewards() {
     assert_eq!(snap.join_unknown, 1);
     svc.shutdown().unwrap();
 }
+
+/// Each shard's joiner runs on its own shard's clock: a shard whose
+/// callers have moved far ahead does not expire another shard's pending
+/// decisions, so whether a reward joins does not depend on how the callers
+/// of different shards interleave.
+#[test]
+fn ttl_runs_on_each_shards_own_clock() {
+    let cfg = ServeConfig::builder()
+        .shards(2)
+        .epsilon(EPSILON)
+        .master_seed(41)
+        .join_ttl_ns(1_000)
+        .build()
+        .unwrap();
+    let svc = DecisionService::new(cfg, MemorySegments::new());
+    let ctx = harvest::core::SimpleContext::contextless(3);
+    let slow = svc.decide(1, 0, &ctx).unwrap();
+    let early = svc.decide(0, 0, &ctx).unwrap();
+    // Shard 0's callers move a thousand TTLs ahead.
+    let fast = svc.decide(0, 1_000_000, &ctx).unwrap();
+    assert_eq!(
+        svc.reward(fast.request_id, 1_000_000, 1.0),
+        JoinOutcome::Joined
+    );
+    assert_eq!(
+        svc.reward(early.request_id, 1_000_000, 1.0),
+        JoinOutcome::Expired
+    );
+    // Shard 1's reward arrives inside the TTL on shard 1's clock.
+    assert_eq!(svc.reward(slow.request_id, 500, 1.0), JoinOutcome::Joined);
+    let snap = svc.metrics();
+    assert_eq!(snap.join_hits, 2);
+    assert_eq!(snap.join_late, 1);
+    assert_eq!(snap.timed_out_decisions, 1);
+    svc.shutdown().unwrap();
+}
