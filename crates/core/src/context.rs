@@ -104,6 +104,55 @@ impl SimpleContext {
         SimpleContext::new(Vec::new(), num_actions)
     }
 
+    /// Rebuilds this context in place as [`SimpleContext::new`] would,
+    /// keeping the shared-feature buffer: a loop that refills one context
+    /// per record allocates only when a record outgrows every earlier one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_actions == 0`.
+    pub fn refill(&mut self, shared: impl IntoIterator<Item = f64>, num_actions: usize) {
+        assert!(num_actions > 0, "a context needs at least one action");
+        self.shared.clear();
+        self.shared.extend(shared);
+        self.per_action.clear();
+        self.num_actions = num_actions;
+    }
+
+    /// Rebuilds this context in place as
+    /// [`SimpleContext::with_action_features`] would, refilling the
+    /// feature buffers it already has.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_action` is empty or its rows have differing lengths.
+    pub fn refill_with_action_features<R: IntoIterator<Item = f64>>(
+        &mut self,
+        shared: impl IntoIterator<Item = f64>,
+        per_action: impl IntoIterator<Item = R>,
+    ) {
+        self.shared.clear();
+        self.shared.extend(shared);
+        let mut rows = 0;
+        for row in per_action {
+            if rows == self.per_action.len() {
+                self.per_action.push(Vec::new());
+            }
+            let slot = &mut self.per_action[rows];
+            slot.clear();
+            slot.extend(row);
+            rows += 1;
+        }
+        self.per_action.truncate(rows);
+        assert!(rows > 0, "a context needs at least one action");
+        let dim = self.per_action[0].len();
+        assert!(
+            self.per_action.iter().all(|f| f.len() == dim),
+            "per-action features must share a dimension"
+        );
+        self.num_actions = rows;
+    }
+
     /// The explicit per-action feature vectors, or `None` for a context
     /// built without them ([`SimpleContext::new`]).
     pub fn per_action_features(&self) -> Option<&[Vec<f64>]> {

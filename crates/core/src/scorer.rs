@@ -310,6 +310,126 @@ impl<C: Context> Scorer<C> for LinearScorer {
     }
 }
 
+/// Actions per [`ActionPanel`] tile: one `[f64; LANES]` per feature holds
+/// the weight of every action in the tile, so a tile's chains advance
+/// together on whole SIMD registers.
+const LANES: usize = 8;
+
+/// A [`LinearScorer`] with a feature-major copy of its per-action weights:
+/// the scorer the portfolio evaluator calls once per (record, candidate).
+///
+/// The rows of a [`LinearScorer::PerAction`] are copied into tiles of
+/// eight actions. A tile stores, for each feature and then the bias,
+/// the weights of its actions side by side, so one walk over the shared
+/// features loads each weight group from one contiguous array. The last
+/// tile is padded with zero-weight lanes that are never emitted.
+///
+/// Every action's chain is the one [`LinearScorer::score`] computes:
+/// start at `-0.0`, add the products in feature order, add the bias last,
+/// and [`Scorer::greedy_action`] offers the scores to the same argmax. So
+/// every score matches the scorer's bit for bit. A context whose action
+/// count or shared-feature length differs from the panel's, a ragged or
+/// empty weight table, and a pooled scorer all take the [`LinearScorer`]
+/// path instead.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ActionPanel {
+    scorer: LinearScorer,
+    actions: usize,
+    dim: usize,
+    /// `dim + 1` weight groups per tile: one per shared feature, then the
+    /// bias. Empty when the scorer has no panel form.
+    tiles: Vec<[f64; LANES]>,
+}
+
+impl ActionPanel {
+    /// Copies `scorer`'s per-action rows into feature-major tiles.
+    pub fn new(scorer: LinearScorer) -> Self {
+        let (actions, dim, tiles) = match &scorer {
+            LinearScorer::PerAction { weights }
+                if weights.first().is_some_and(|w| !w.is_empty())
+                    && weights.iter().all(|w| w.len() == weights[0].len()) =>
+            {
+                let width = weights[0].len();
+                let mut tiles = Vec::with_capacity(weights.len().div_ceil(LANES) * width);
+                for block in weights.chunks(LANES) {
+                    tiles.extend((0..width).map(|i| {
+                        let mut group = [0.0; LANES];
+                        for (lane, w) in group.iter_mut().zip(block) {
+                            *lane = w[i];
+                        }
+                        group
+                    }));
+                }
+                (weights.len(), width - 1, tiles)
+            }
+            _ => (0, 0, Vec::new()),
+        };
+        ActionPanel {
+            scorer,
+            actions,
+            dim,
+            tiles,
+        }
+    }
+
+    /// The scorer this panel copies.
+    pub fn scorer(&self) -> &LinearScorer {
+        &self.scorer
+    }
+
+    /// True when the tiles can score `ctx`: one row per action and one
+    /// weight per shared feature plus the bias.
+    fn fits<C: Context>(&self, ctx: &C) -> bool {
+        !self.tiles.is_empty()
+            && ctx.num_actions() == self.actions
+            && ctx.shared_features().len() == self.dim
+    }
+
+    /// Feeds the score of every action to `emit`, in action order, from
+    /// the tiles. The caller has checked [`Self::fits`].
+    fn for_each_score(&self, shared: &[f64], mut emit: impl FnMut(f64)) {
+        let mut left = self.actions;
+        for tile in self.tiles.chunks_exact(self.dim + 1) {
+            let (features, bias) = tile.split_at(self.dim);
+            let mut acc = [CHAIN_START; LANES];
+            for (group, &x) in features.iter().zip(shared) {
+                for (acc, w) in acc.iter_mut().zip(group) {
+                    *acc += w * x;
+                }
+            }
+            let lanes = left.min(LANES);
+            for (acc, b) in acc.iter().zip(&bias[0]).take(lanes) {
+                emit(acc + b * BIAS);
+            }
+            left -= lanes;
+        }
+    }
+}
+
+impl<C: Context> Scorer<C> for ActionPanel {
+    fn score(&self, ctx: &C, action: usize) -> f64 {
+        self.scorer.score(ctx, action)
+    }
+
+    fn score_all(&self, ctx: &C, out: &mut Vec<f64>) {
+        if !self.fits(ctx) {
+            return self.scorer.score_all(ctx, out);
+        }
+        out.clear();
+        out.reserve(self.actions);
+        self.for_each_score(ctx.shared_features(), |score| out.push(score));
+    }
+
+    fn greedy_action(&self, ctx: &C) -> usize {
+        if !self.fits(ctx) {
+            return self.scorer.greedy_action(ctx);
+        }
+        let mut best = Argmax::new();
+        self.for_each_score(ctx.shared_features(), |score| best.offer(score));
+        best.action()
+    }
+}
+
 /// A context-independent score table — one value per action. The simplest
 /// possible reward model (a multi-armed-bandit estimate); useful as a
 /// baseline and in tests.

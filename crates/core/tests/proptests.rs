@@ -10,7 +10,7 @@ use harvest_core::policy::{
 };
 use harvest_core::regression::{LinearModel, RidgeRegression, SgdRegressor};
 use harvest_core::sample::{Dataset, LoggedDecision};
-use harvest_core::scorer::{LinearScorer, Scorer, TableScorer};
+use harvest_core::scorer::{ActionPanel, LinearScorer, Scorer, TableScorer};
 
 fn ctx_with_features(shared: Vec<f64>, k: usize) -> SimpleContext {
     SimpleContext::new(shared, k)
@@ -238,12 +238,13 @@ proptest! {
 }
 
 /// A weight or feature value: mostly small integers so exact score ties
-/// are common, plus both signed zeros and arbitrary reals.
+/// are common, plus both signed zeros, NaN and arbitrary reals.
 fn coefficient() -> Union<f64> {
     prop_oneof![
         (-2i32..=2).prop_map(f64::from),
         Just(0.0),
         Just(-0.0),
+        Just(f64::NAN),
         -4.0f64..4.0,
     ]
 }
@@ -311,17 +312,37 @@ proptest! {
             prop_assert!(got[rows..].iter().all(|&s| s == f64::NEG_INFINITY));
         }
 
-        // The greedy choice: the first strictly-greater score in action
-        // order, so exact ties go to the lowest index.
-        let mut want_greedy = 0;
-        for a in 1..k {
-            if want[a] > want[want_greedy] {
-                want_greedy = a;
-            }
-        }
+        // The greedy choice: the lowest action holding the largest
+        // non-NaN score, or action 0 when nothing beats `-∞`. NaN never
+        // wins.
+        let max = want
+            .iter()
+            .copied()
+            .filter(|s| !s.is_nan())
+            .fold(f64::NEG_INFINITY, f64::max);
+        let want_greedy = if max > f64::NEG_INFINITY {
+            want.iter().position(|&s| s == max).unwrap()
+        } else {
+            0
+        };
         let greedy = scorer.greedy_action(&ctx);
         prop_assert_eq!(greedy, want_greedy);
-        prop_assert!(want[..greedy].iter().all(|&s| s < want[greedy]));
+        prop_assert!(want[..greedy].iter().all(|&s| s.is_nan() || s < want[greedy]));
+        if max > f64::NEG_INFINITY {
+            prop_assert!(!want[greedy].is_nan(), "a NaN score won");
+        }
         prop_assert_eq!(GreedyPolicy::new(&scorer).choose(&ctx), greedy);
+
+        // The feature-major panel: tiles of eight actions (the last one
+        // padded) when the rows fit the context, the scorer's own path
+        // when they do not (`rows` other than `k`, a pooled scorer).
+        let panel = ActionPanel::new(scorer.clone());
+        let mut tiled = vec![f64::NAN; 2];
+        panel.score_all(&ctx, &mut tiled);
+        prop_assert_eq!(tiled.len(), k);
+        for a in 0..k {
+            prop_assert_eq!(tiled[a].to_bits(), want[a].to_bits(), "panel, action {}", a);
+        }
+        prop_assert_eq!(panel.greedy_action(&ctx), want_greedy);
     }
 }

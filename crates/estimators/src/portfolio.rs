@@ -11,38 +11,56 @@
 //!
 //! # One-pass accumulator layout
 //!
-//! Per record, the expensive shared work happens once: segment recovery
-//! (CRC + decode), the outcome join, context reconstruction, and the
-//! reward-model scores `r̂(x, a)` for each action. Per candidate, the
-//! importance weight `w = π(aₜ|xₜ)/pₜ` is computed **once** — as an
-//! [`ObservedRecord`] — and shared by all three of that candidate's
-//! accumulators; each accumulator then folds the precomputed terms into
-//! a handful of running sums ([`crate::diagnostics::WeightStats`] plus
-//! term moments). Nothing is buffered: memory is `O(k)`, not `O(n)`.
+//! Per record, the expensive shared work happens once: the outcome join,
+//! context reconstruction, and the reward-model scores `r̂(x, a)` for each
+//! action. Per candidate, the importance weight `w = π(aₜ|xₜ)/pₜ` is
+//! computed **once** — as an [`ObservedRecord`] — and shared by all three
+//! of that candidate's accumulators; each accumulator then folds the
+//! precomputed terms into a handful of running sums
+//! ([`crate::diagnostics::WeightStats`] plus term moments).
 //!
-//! # Parallel ≡ sequential, byte for byte
+//! Nothing per decision is buffered, and with greedy candidates nothing
+//! per decision is allocated (a [`StochasticCandidate`] still builds its
+//! distribution). Decisions are read in place from the segment bytes
+//! ([`harvest_log::codec::RecordRef`]), each one's features are decoded
+//! into one context a worker reuses, and the greedy candidates and the DR
+//! model score through a feature-major [`ActionPanel`]. Memory is `k`
+//! accumulator banks per segment plus a reward per outcome, never the
+//! decisions themselves.
 //!
-//! Scavenging is parallelized *per segment* in two phases. Phase one
-//! builds the cross-segment [`harvest_log::scavenge::OutcomeIndex`]
-//! sequentially in segment order (rewards may land in a later segment
-//! than their decision). Phase two evaluates each segment against the
-//! finished index — a pure function of `(segment, index)` — on whatever
-//! worker thread picks it up, producing one accumulator set per segment.
+//! # Three phases, parallel ≡ sequential, byte for byte
+//!
+//! 1. **Scan** (parallel, per segment): [`scan_segment`] checks each
+//!    frame's CRC and parse, counts the quarantined tail, and keeps only
+//!    the segment's outcomes and the length of its valid prefix.
+//! 2. **Join map** (serial, in segment order): the outcomes go into one
+//!    pre-sized `request_id → reward` map; a later outcome wins, as in
+//!    [`harvest_log::scavenge::scavenge`]. Rewards may land in a later
+//!    segment than their decision, which is why this map is global.
+//! 3. **Fold** (parallel, per segment): [`replay_prefix`] walks each
+//!    validated prefix again without a second CRC, and every decision is
+//!    checked by the rule [`fill_context`] shares with
+//!    [`harvest_log::scavenge::context_of`], joined, and folded into that
+//!    segment's accumulators.
+//!
 //! The merge then folds per-segment accumulators **in segment-index
 //! order**, so the only thing parallelism changes is *which thread*
-//! computes each partial, never the order of any floating-point
-//! addition. Same segments, same seed ⇒ byte-identical estimates and
-//! leaderboard JSON at any worker count.
+//! computes each partial, never the order of any floating-point addition.
+//! Same segments, same seed ⇒ byte-identical estimates and leaderboard
+//! JSON at any worker count.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use harvest_core::scorer::LinearScorer;
+use harvest_core::scorer::{ActionPanel, LinearScorer};
 use harvest_core::{Context, Dataset, HarvestError, Scorer, SimpleContext, StochasticPolicy};
-use harvest_log::record::LogRecord;
-use harvest_log::scavenge::{scavenge_with_outcomes, OutcomeIndex, ScavengedSample};
-use harvest_log::segment::{recover_segment, RecoveryStats};
-use serde::Serialize;
+use harvest_log::codec::{RecordRef, OUTCOME_PAYLOAD_LEN};
+use harvest_log::scavenge::fill_context;
+use harvest_log::segment::{
+    replay_prefix, scan_segment, RecoveryStats, SegmentRecovery, FRAME_HEADER_LEN,
+};
+use serde::{Serialize, Value};
 
 use crate::bounds::{empirical_bernstein_radius, BoundConfig};
 use crate::diagnostics::WeightStats;
@@ -348,10 +366,11 @@ impl<P: StochasticPolicy<SimpleContext> + Send + Sync> CandidatePolicy for Stoch
 /// ε-greedy over a linear scorer — the candidate shape the serve
 /// trainer's portfolio uses. Fills probabilities without allocating:
 /// `ε/K` everywhere plus `1 − ε` on the scorer's argmax (first action
-/// wins ties, matching the serving path).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// wins ties, matching the serving path), found through the scorer's
+/// [`ActionPanel`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct GreedyScorerCandidate {
-    scorer: LinearScorer,
+    panel: ActionPanel,
     epsilon: f64,
 }
 
@@ -362,12 +381,25 @@ impl GreedyScorerCandidate {
             (0.0..=1.0).contains(&epsilon),
             "epsilon must be in [0, 1], got {epsilon}"
         );
-        GreedyScorerCandidate { scorer, epsilon }
+        GreedyScorerCandidate {
+            panel: ActionPanel::new(scorer),
+            epsilon,
+        }
     }
 
     /// The scorer this candidate serves.
     pub fn scorer(&self) -> &LinearScorer {
-        &self.scorer
+        self.panel.scorer()
+    }
+}
+
+/// Serializes as `{scorer, epsilon}`: the panel is derived from the scorer.
+impl Serialize for GreedyScorerCandidate {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("scorer".to_string(), self.scorer().to_value()),
+            ("epsilon".to_string(), self.epsilon.to_value()),
+        ])
     }
 }
 
@@ -376,7 +408,7 @@ impl CandidatePolicy for GreedyScorerCandidate {
         let k = ctx.num_actions();
         out.clear();
         out.resize(k, self.epsilon / k as f64);
-        out[self.scorer.greedy_action(ctx)] += 1.0 - self.epsilon;
+        out[self.panel.greedy_action(ctx)] += 1.0 - self.epsilon;
     }
 }
 
@@ -554,6 +586,41 @@ struct SegmentResult {
     skipped: usize,
 }
 
+/// What the scan phase keeps of one segment.
+struct ScannedSegment {
+    recovery: SegmentRecovery,
+    /// Bytes in the valid prefix the fold phase reads again.
+    prefix: usize,
+    /// `(request_id, reward)` of every outcome in the prefix, in order.
+    outcomes: Vec<(u64, f64)>,
+}
+
+/// One joined decision, borrowed: everything the fold reads.
+struct JoinedDecision<'c> {
+    context: &'c SimpleContext,
+    action: usize,
+    reward: f64,
+    propensity: Option<f64>,
+}
+
+/// A worker's reusable buffers: the context each decision's features are
+/// decoded into, one candidate's probabilities, and the model's scores.
+struct WorkerBuffers {
+    context: SimpleContext,
+    probs: Vec<f64>,
+    scores: Vec<f64>,
+}
+
+impl WorkerBuffers {
+    fn new() -> Self {
+        WorkerBuffers {
+            context: SimpleContext::contextless(1),
+            probs: Vec::new(),
+            scores: Vec::new(),
+        }
+    }
+}
+
 /// The frozen portfolio evaluator: a fixed candidate set, an optional
 /// DR reward model, and an [`EvaluatorConfig`].
 ///
@@ -564,7 +631,7 @@ struct SegmentResult {
 pub struct PortfolioEvaluator {
     cfg: EvaluatorConfig,
     candidates: Vec<Candidate>,
-    model: Option<LinearScorer>,
+    model: Option<ActionPanel>,
 }
 
 impl std::fmt::Debug for PortfolioEvaluator {
@@ -623,7 +690,7 @@ impl PortfolioEvaluatorBuilder {
         Ok(PortfolioEvaluator {
             cfg,
             candidates: self.candidates,
-            model: self.model,
+            model: self.model.map(ActionPanel::new),
         })
     }
 }
@@ -661,17 +728,17 @@ impl PortfolioEvaluator {
             .collect()
     }
 
-    /// Folds one scavenged sample into every candidate's accumulators.
+    /// Folds one joined decision into every candidate's accumulators.
     /// The shared per-record work (propensity inversion, model scores)
     /// happens once, outside the candidate loop.
     fn observe_sample(
         &self,
         states: &mut [CandidateState],
-        sample: &ScavengedSample,
+        sample: &JoinedDecision<'_>,
         probs: &mut Vec<f64>,
         scores: &mut Vec<f64>,
     ) {
-        let ctx = &sample.context;
+        let ctx = sample.context;
         let num_actions = ctx.num_actions();
         let propensity = sample.propensity.unwrap_or(1.0 / num_actions as f64);
         let inv_p = 1.0 / propensity;
@@ -705,20 +772,71 @@ impl PortfolioEvaluator {
         }
     }
 
-    /// Evaluates one recovered segment against the prebuilt outcome
-    /// index: a pure function of its inputs, safe to run on any thread.
-    fn evaluate_one_segment(&self, records: &[LogRecord], index: &OutcomeIndex) -> SegmentResult {
-        let (samples, stats) = scavenge_with_outcomes(records, index);
-        let mut states = self.fresh_states();
-        let mut probs = Vec::new();
-        let mut scores = Vec::new();
-        for sample in &samples {
-            self.observe_sample(&mut states, sample, &mut probs, &mut scores);
+    /// Phase A for one segment: checks its frames and keeps its outcomes
+    /// and the length of its valid prefix.
+    fn scan_one_segment(bytes: &[u8]) -> ScannedSegment {
+        // Every outcome frame is the same size, so no segment holds more
+        // outcomes than this and the vector never grows.
+        let mut outcomes =
+            Vec::with_capacity(bytes.len() / (FRAME_HEADER_LEN + OUTCOME_PAYLOAD_LEN));
+        let (recovery, prefix) = scan_segment(bytes, |record| {
+            if let RecordRef::Outcome(o) = record {
+                outcomes.push((o.request_id, o.reward));
+            }
+        });
+        ScannedSegment {
+            recovery,
+            prefix,
+            outcomes,
         }
+    }
+
+    /// Phase C for one segment: folds every decision of its validated
+    /// `prefix`, joined against the finished reward map. A pure function
+    /// of its inputs (the worker buffers carry no state between
+    /// decisions), safe to run on any thread.
+    fn evaluate_prefix(
+        &self,
+        prefix: &[u8],
+        rewards: &HashMap<u64, f64>,
+        buffers: &mut WorkerBuffers,
+    ) -> SegmentResult {
+        let mut states = self.fresh_states();
+        let (mut joined, mut skipped) = (0, 0);
+        let WorkerBuffers {
+            context,
+            probs,
+            scores,
+        } = buffers;
+        replay_prefix(prefix, |record| {
+            let RecordRef::Decision(d) = record else {
+                return;
+            };
+            if !fill_context(&d, context) {
+                skipped += 1;
+                return;
+            }
+            // An outcome overrides the inline reward.
+            let reward = match rewards.get(&d.request_id).copied().or(d.reward) {
+                Some(r) if r.is_finite() => r,
+                _ => {
+                    skipped += 1;
+                    return;
+                }
+            };
+            joined += 1;
+            let sample = JoinedDecision {
+                context,
+                action: d.action,
+                reward,
+                propensity: d.propensity,
+            };
+            self.observe_sample(&mut states, &sample, probs, scores);
+        });
         SegmentResult {
             states,
-            joined: stats.joined,
-            skipped: stats.missing_outcome + stats.invalid,
+            joined,
+            skipped,
         }
     }
 
@@ -731,17 +849,19 @@ impl PortfolioEvaluator {
     /// many worker threads; the result is byte-identical to the
     /// sequential pass (see the module docs for why).
     pub fn evaluate_segments(&self, segments: &[Vec<u8>]) -> (PortfolioReport, RecoveryStats) {
-        // Phase A: recover every segment (parallel; each segment's
-        // recovery is independent).
-        let recovered: Vec<(Vec<LogRecord>, _)> =
-            run_indexed(self.cfg.parallelism, segments.len(), |i| {
-                recover_segment(&segments[i])
-            });
+        let parallelism = self.cfg.parallelism;
+        // Phase A: scan every segment (parallel; each is independent).
+        let scanned = run_indexed(
+            parallelism,
+            segments.len(),
+            || (),
+            |_, i| Self::scan_one_segment(&segments[i]),
+        );
         let mut recovery = RecoveryStats {
             segments: segments.len(),
             ..RecoveryStats::default()
         };
-        for (_, seg) in &recovered {
+        for seg in scanned.iter().map(|s| &s.recovery) {
             recovery.recovered += seg.recovered;
             recovery.quarantined_records += seg.quarantined_records;
             recovery.quarantined_bytes += seg.quarantined_bytes;
@@ -750,17 +870,21 @@ impl PortfolioEvaluator {
             }
         }
 
-        // Phase B: the cross-segment outcome index, built sequentially
-        // in segment order (last write wins, as the one-pass join does).
-        let mut index = OutcomeIndex::new();
-        for (records, _) in &recovered {
-            index.index(records);
+        // Phase B: the cross-segment reward map, built sequentially in
+        // segment order (last write wins, as the one-pass join does).
+        let mut rewards = HashMap::with_capacity(scanned.iter().map(|s| s.outcomes.len()).sum());
+        for s in &scanned {
+            rewards.extend(s.outcomes.iter().copied());
         }
 
-        // Phase C: per-segment evaluation, fanned out across workers.
-        let results: Vec<SegmentResult> = run_indexed(self.cfg.parallelism, recovered.len(), |i| {
-            self.evaluate_one_segment(&recovered[i].0, &index)
-        });
+        // Phase C: per-segment evaluation, fanned out across workers that
+        // each reuse one set of worker buffers.
+        let results = run_indexed(
+            parallelism,
+            scanned.len(),
+            WorkerBuffers::new,
+            |buffers, i| self.evaluate_prefix(&segments[i][..scanned[i].prefix], &rewards, buffers),
+        );
 
         // Merge in segment-index order — the step that pins down every
         // floating-point addition order regardless of thread schedule.
@@ -795,8 +919,8 @@ impl PortfolioEvaluator {
         let mut probs = Vec::new();
         let mut scores = Vec::new();
         for s in data {
-            let sample = ScavengedSample {
-                context: s.context.clone(),
+            let sample = JoinedDecision {
+                context: &s.context,
                 action: s.action,
                 reward: s.reward,
                 propensity: Some(s.propensity),
@@ -848,30 +972,36 @@ impl PortfolioEvaluator {
     }
 }
 
-/// Runs `work(i)` for every `i < count`, preserving index order in the
-/// output. With `parallelism > 1`, workers pull indices from a shared
+/// Runs `work(state, i)` for every `i < count`, preserving index order in
+/// the output. Each worker makes one `state` and lends it to every item it
+/// computes. With `parallelism > 1`, workers pull indices from a shared
 /// counter and write into per-index slots, so *which thread* computes an
 /// item never affects *where* its result lands.
-fn run_indexed<T: Send>(
+fn run_indexed<S, T: Send>(
     parallelism: usize,
     count: usize,
-    work: impl Fn(usize) -> T + Sync,
+    state: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
     if parallelism <= 1 || count <= 1 {
-        return (0..count).map(work).collect();
+        let mut state = state();
+        return (0..count).map(|i| work(&mut state, i)).collect();
     }
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = parallelism.min(count);
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
+            scope.spawn(|| {
+                let mut state = state();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= count {
+                        break;
+                    }
+                    let result = work(&mut state, i);
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
                 }
-                let result = work(i);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
             });
         }
     });
@@ -891,7 +1021,7 @@ mod tests {
     use crate::evaluator::{eval_dr, eval_ips, eval_snips};
     use harvest_core::policy::GreedyPolicy;
     use harvest_core::sample::LoggedDecision;
-    use harvest_log::record::DecisionRecord;
+    use harvest_log::record::{DecisionRecord, LogRecord};
     use harvest_log::segment::{MemorySegments, SegmentConfig, SegmentedLogWriter};
 
     fn scorer(w0: f64, w1: f64) -> LinearScorer {
@@ -1100,6 +1230,16 @@ mod tests {
             assert!(e.ess > 0.0);
             assert!(e.snips.lcb <= e.snips.point && e.snips.point <= e.snips.ucb);
         }
+    }
+
+    #[test]
+    fn greedy_candidate_serializes_as_scorer_and_epsilon() {
+        let candidate = GreedyScorerCandidate::new(scorer(1.0, 0.5), 0.25);
+        let want = format!(
+            "{{\"scorer\":{},\"epsilon\":0.25}}",
+            serde_json::to_string(&scorer(1.0, 0.5)).unwrap()
+        );
+        assert_eq!(serde_json::to_string(&candidate).unwrap(), want);
     }
 
     #[test]

@@ -36,11 +36,21 @@
 //! non-canonical varint, invalid UTF-8, a length that overruns the
 //! payload, or trailing bytes all reject it. Every accepted payload
 //! therefore has exactly one encoding.
+//!
+//! Reading: [`RecordRef::parse`] is the one parser. It checks every byte
+//! of a payload and returns a view that borrows it, so a decision's
+//! features stay in the payload until they are read, and reading a view
+//! never fails. [`decode_record`] makes that view owned; the portfolio
+//! scan reads views directly and never copies a decision.
 
 use crate::record::{BatchDecision, BatchRecord, DecisionRecord, LogRecord, OutcomeRecord};
 
 /// The layout version written as the first payload byte.
 pub const CODEC_VERSION: u8 = 1;
+
+/// Bytes in an outcome payload: version, tag, id, stamp and reward. Every
+/// outcome has exactly this size, which bounds how many a buffer can hold.
+pub const OUTCOME_PAYLOAD_LEN: usize = 2 + 8 + 8 + 8;
 
 const TAG_DECISION: u8 = 0;
 const TAG_OUTCOME: u8 = 1;
@@ -199,14 +209,14 @@ impl<'a> Decoder<'a> {
 
     /// A count-prefixed `f64` vector.
     pub fn take_f64s(&mut self) -> Option<Vec<f64>> {
+        self.take_f64s_ref().map(|xs| xs.to_vec())
+    }
+
+    /// A count-prefixed `f64` vector, borrowed: its floats decode only when
+    /// read.
+    pub(crate) fn take_f64s_ref(&mut self) -> Option<F64sRef<'a>> {
         let n = self.take_count(8)?;
-        let bytes = self.take(n * 8)?;
-        Some(
-            bytes
-                .chunks_exact(8)
-                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-                .collect(),
-        )
+        self.take(n * 8).map(|bytes| F64sRef { bytes })
     }
 
     /// Succeeds only when every byte has been consumed: trailing bytes
@@ -216,15 +226,205 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// The per-decision fields a [`DecisionRecord`] and a [`BatchDecision`]
-/// share after their ids and stamps.
-struct Choice {
-    num_actions: usize,
-    action: usize,
-    propensity: Option<f64>,
-    reward: Option<f64>,
-    shared_features: Vec<f64>,
-    action_features: Option<Vec<Vec<f64>>>,
+/// A borrowed `f64s` field: the raw little-endian bits of `len()` floats,
+/// decoded one at a time as they are read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct F64sRef<'a> {
+    bytes: &'a [u8],
+}
+
+impl<'a> F64sRef<'a> {
+    /// The number of floats.
+    pub(crate) fn len(&self) -> usize {
+        self.bytes.len() / 8
+    }
+
+    /// The floats, in order, bit-exact.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
+        self.bytes
+            .chunks_exact(8)
+            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
+    }
+
+    /// The floats as an owned vector.
+    pub(crate) fn to_vec(self) -> Vec<f64> {
+        self.iter().collect()
+    }
+}
+
+/// A decision's borrowed per-action feature rows: `len()` [`F64sRef`]s
+/// laid end to end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ActionRowsRef<'a> {
+    rows: usize,
+    bytes: &'a [u8],
+}
+
+impl<'a> ActionRowsRef<'a> {
+    /// The number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// The rows, in action order.
+    pub(crate) fn iter(&self) -> impl ExactSizeIterator<Item = F64sRef<'a>> + 'a {
+        let mut dec = Decoder::new(self.bytes);
+        (0..self.rows).map(move |_| dec.take_f64s_ref().expect(VALIDATED))
+    }
+
+    /// The rows as owned vectors.
+    pub(crate) fn to_vecs(self) -> Vec<Vec<f64>> {
+        self.iter().map(|row| row.to_vec()).collect()
+    }
+}
+
+/// A decision read in place from a payload: every field of a
+/// [`DecisionRecord`], with the features still in the payload's bytes. A
+/// batched decision carries its batch's component.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecisionRef<'a> {
+    /// Correlates this decision with its outcome.
+    pub request_id: u64,
+    /// Nanoseconds since the start of the trace.
+    pub timestamp_ns: u64,
+    /// The component that logged the decision.
+    pub component: &'a str,
+    /// Size of the eligible action set.
+    pub num_actions: usize,
+    /// The action taken.
+    pub action: usize,
+    /// The decision probability, when the logging site knew it.
+    pub propensity: Option<f64>,
+    /// The reward, when it was known synchronously.
+    pub reward: Option<f64>,
+    /// Shared context features at decision time.
+    pub shared_features: F64sRef<'a>,
+    /// Per-action features, if the action set carries them.
+    pub action_features: Option<ActionRowsRef<'a>>,
+}
+
+impl DecisionRef<'_> {
+    /// The owned [`BatchDecision`] (the record minus its component).
+    pub(crate) fn to_batch_decision(self) -> BatchDecision {
+        BatchDecision {
+            request_id: self.request_id,
+            timestamp_ns: self.timestamp_ns,
+            shared_features: self.shared_features.to_vec(),
+            action_features: self.action_features.map(|rows| rows.to_vecs()),
+            num_actions: self.num_actions,
+            action: self.action,
+            propensity: self.propensity,
+            reward: self.reward,
+        }
+    }
+
+    /// The owned [`DecisionRecord`].
+    pub fn to_record(&self) -> DecisionRecord {
+        self.to_batch_decision().into_decision(self.component)
+    }
+}
+
+/// A batch frame read in place: its component and its decisions' bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BatchRef<'a> {
+    component: &'a str,
+    len: usize,
+    body: &'a [u8],
+}
+
+impl<'a> BatchRef<'a> {
+    /// The number of decisions.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The decisions, in decision order.
+    pub(crate) fn decisions(&self) -> impl ExactSizeIterator<Item = DecisionRef<'a>> + 'a {
+        let component = self.component;
+        let mut dec = Decoder::new(self.body);
+        (0..self.len).map(move |_| take_entry(&mut dec, component).expect(VALIDATED))
+    }
+}
+
+/// One record payload read in place: the borrowed twin of [`LogRecord`].
+///
+/// [`RecordRef::parse`] is the codec's only parser: it checks the whole
+/// payload, so every view it returns reads without failing, and
+/// [`decode_record`] is this view made owned.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RecordRef<'a> {
+    /// A decision record.
+    Decision(DecisionRef<'a>),
+    /// An outcome record (it has no borrowed fields).
+    Outcome(OutcomeRecord),
+    /// A batch of decisions under one component.
+    Batch(BatchRef<'a>),
+}
+
+/// Why reading a view cannot fail: [`RecordRef::parse`] walked every byte.
+const VALIDATED: &str = "RecordRef::parse validated the payload";
+
+impl<'a> RecordRef<'a> {
+    /// Parses one record payload, or `None` when the bytes are not exactly
+    /// one valid encoding. Nothing is copied or allocated.
+    pub fn parse(payload: &'a [u8]) -> Option<RecordRef<'a>> {
+        let mut dec = Decoder::new(payload);
+        if dec.take_u8()? != CODEC_VERSION {
+            return None;
+        }
+        let record = match dec.take_u8()? {
+            TAG_DECISION => {
+                let request_id = dec.take_u64()?;
+                let timestamp_ns = dec.take_u64()?;
+                let component = dec.take_str()?;
+                RecordRef::Decision(take_choice(&mut dec, request_id, timestamp_ns, component)?)
+            }
+            TAG_OUTCOME => RecordRef::Outcome(OutcomeRecord {
+                request_id: dec.take_u64()?,
+                timestamp_ns: dec.take_u64()?,
+                reward: dec.take_f64()?,
+            }),
+            TAG_BATCH => {
+                let component = dec.take_str()?;
+                // Ids, stamp and the choice's fixed part: at least 20 bytes.
+                let len = dec.take_count(20)?;
+                let body = dec.rest;
+                for _ in 0..len {
+                    take_entry(&mut dec, component)?;
+                }
+                let body = &body[..body.len() - dec.rest.len()];
+                RecordRef::Batch(BatchRef {
+                    component,
+                    len,
+                    body,
+                })
+            }
+            _ => return None,
+        };
+        dec.finish()?;
+        Some(record)
+    }
+
+    /// The logical records this payload holds: a batch's length, else 1
+    /// (see [`LogRecord::record_count`]).
+    pub(crate) fn record_count(&self) -> usize {
+        match self {
+            RecordRef::Batch(b) => b.len(),
+            _ => 1,
+        }
+    }
+
+    /// The owned record.
+    pub fn to_record(&self) -> LogRecord {
+        match self {
+            RecordRef::Decision(d) => LogRecord::Decision(d.to_record()),
+            RecordRef::Outcome(o) => LogRecord::Outcome(o.clone()),
+            RecordRef::Batch(b) => LogRecord::Batch(BatchRecord {
+                component: b.component.to_string(),
+                decisions: b.decisions().map(|d| d.to_batch_decision()).collect(),
+            }),
+        }
+    }
 }
 
 fn put_choice(
@@ -264,7 +464,13 @@ fn put_choice(
     }
 }
 
-fn take_choice(dec: &mut Decoder<'_>) -> Option<Choice> {
+/// Reads the fields a decision stores after its id, stamp and component.
+fn take_choice<'a>(
+    dec: &mut Decoder<'a>,
+    request_id: u64,
+    timestamp_ns: u64,
+    component: &'a str,
+) -> Option<DecisionRef<'a>> {
     let num_actions = dec.take_len()?;
     let action = dec.take_len()?;
     let flags = dec.take_u8()?;
@@ -281,19 +487,25 @@ fn take_choice(dec: &mut Decoder<'_>) -> Option<Choice> {
     } else {
         None
     };
-    let shared_features = dec.take_f64s()?;
+    let shared_features = dec.take_f64s_ref()?;
     let action_features = if flags & HAS_ACTION_FEATURES != 0 {
         // Every row costs at least its one-byte count.
         let rows = dec.take_count(1)?;
-        Some(
-            (0..rows)
-                .map(|_| dec.take_f64s())
-                .collect::<Option<Vec<_>>>()?,
-        )
+        let start = dec.rest;
+        for _ in 0..rows {
+            dec.take_f64s_ref()?;
+        }
+        Some(ActionRowsRef {
+            rows,
+            bytes: &start[..start.len() - dec.rest.len()],
+        })
     } else {
         None
     };
-    Some(Choice {
+    Some(DecisionRef {
+        request_id,
+        timestamp_ns,
+        component,
         num_actions,
         action,
         propensity,
@@ -301,6 +513,13 @@ fn take_choice(dec: &mut Decoder<'_>) -> Option<Choice> {
         shared_features,
         action_features,
     })
+}
+
+/// Reads one batch entry: id, stamp, then the choice.
+fn take_entry<'a>(dec: &mut Decoder<'a>, component: &'a str) -> Option<DecisionRef<'a>> {
+    let request_id = dec.take_u64()?;
+    let timestamp_ns = dec.take_u64()?;
+    take_choice(dec, request_id, timestamp_ns, component)
 }
 
 /// Bytes a decision typically costs besides its component and features:
@@ -374,64 +593,9 @@ pub fn encode_record(record: &LogRecord, out: &mut Vec<u8>) {
 }
 
 /// Decodes one record payload, or `None` when the bytes are not exactly
-/// one valid encoding.
+/// one valid encoding: [`RecordRef::parse`], made owned.
 pub fn decode_record(payload: &[u8]) -> Option<LogRecord> {
-    let mut dec = Decoder::new(payload);
-    if dec.take_u8()? != CODEC_VERSION {
-        return None;
-    }
-    let record = match dec.take_u8()? {
-        TAG_DECISION => {
-            let request_id = dec.take_u64()?;
-            let timestamp_ns = dec.take_u64()?;
-            let component = dec.take_str()?.to_string();
-            let c = take_choice(&mut dec)?;
-            LogRecord::Decision(DecisionRecord {
-                request_id,
-                timestamp_ns,
-                component,
-                shared_features: c.shared_features,
-                action_features: c.action_features,
-                num_actions: c.num_actions,
-                action: c.action,
-                propensity: c.propensity,
-                reward: c.reward,
-            })
-        }
-        TAG_OUTCOME => LogRecord::Outcome(OutcomeRecord {
-            request_id: dec.take_u64()?,
-            timestamp_ns: dec.take_u64()?,
-            reward: dec.take_f64()?,
-        }),
-        TAG_BATCH => {
-            let component = dec.take_str()?.to_string();
-            // Ids, stamp and the choice's fixed part: at least 20 bytes.
-            let n = dec.take_count(20)?;
-            let mut decisions = Vec::with_capacity(n);
-            for _ in 0..n {
-                let request_id = dec.take_u64()?;
-                let timestamp_ns = dec.take_u64()?;
-                let c = take_choice(&mut dec)?;
-                decisions.push(BatchDecision {
-                    request_id,
-                    timestamp_ns,
-                    shared_features: c.shared_features,
-                    action_features: c.action_features,
-                    num_actions: c.num_actions,
-                    action: c.action,
-                    propensity: c.propensity,
-                    reward: c.reward,
-                });
-            }
-            LogRecord::Batch(BatchRecord {
-                component,
-                decisions,
-            })
-        }
-        _ => return None,
-    };
-    dec.finish()?;
-    Some(record)
+    RecordRef::parse(payload).map(|r| r.to_record())
 }
 
 #[cfg(test)]
@@ -513,6 +677,7 @@ mod tests {
             reward: 3.0,
         });
         assert_eq!(encoded(&o).len(), 2 + 8 + 8 + 8);
+        assert_eq!(encoded(&o).len(), OUTCOME_PAYLOAD_LEN);
     }
 
     #[test]

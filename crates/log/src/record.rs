@@ -140,18 +140,6 @@ impl BatchRecord {
             .iter()
             .map(|d| d.clone().into_decision(&self.component))
     }
-
-    /// Like [`BatchRecord::flatten`], but consumes the batch, so only the
-    /// shared component is copied per decision.
-    pub fn into_decisions(self) -> impl Iterator<Item = DecisionRecord> {
-        let BatchRecord {
-            component,
-            decisions,
-        } = self;
-        decisions
-            .into_iter()
-            .map(move |d| d.into_decision(&component))
-    }
 }
 
 /// Either record kind, as found when replaying a mixed log stream.

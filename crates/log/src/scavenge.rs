@@ -5,6 +5,7 @@ use std::collections::HashMap;
 
 use harvest_core::{LoggedDecision, SimpleContext};
 
+use crate::codec::DecisionRef;
 use crate::record::{DecisionRecord, LogRecord};
 use crate::segment::{recover_segments, RecoveryStats};
 
@@ -53,122 +54,91 @@ pub struct ScavengeStats {
     pub quarantined: usize,
 }
 
+/// The one rule for rebuilding a logged decision's context: at least one
+/// action, the action in range, and — when the decision carries per-action
+/// features — one row per action, all of one length. `rows` is the row
+/// count and the rows' lengths.
+fn is_consistent(
+    num_actions: usize,
+    action: usize,
+    rows: Option<(usize, impl Iterator<Item = usize>)>,
+) -> bool {
+    if num_actions == 0 || action >= num_actions {
+        return false;
+    }
+    match rows {
+        None => true,
+        Some((count, mut lens)) => {
+            count == num_actions && lens.next().is_some_and(|dim| lens.all(|len| len == dim))
+        }
+    }
+}
+
 /// Rebuilds the [`SimpleContext`] a decision record was logged with, or
 /// `None` when its fields are inconsistent (action out of range, ragged
 /// action features). Shared with warm-restart replay, which must re-score
 /// the exact context the original incarnation saw.
 pub fn context_of(d: &DecisionRecord) -> Option<SimpleContext> {
-    if d.num_actions == 0 || d.action >= d.num_actions {
+    let rows = d
+        .action_features
+        .as_ref()
+        .map(|af| (af.len(), af.iter().map(Vec::len)));
+    if !is_consistent(d.num_actions, d.action, rows) {
         return None;
     }
-    match &d.action_features {
-        Some(af) => {
-            if af.len() != d.num_actions || af.is_empty() {
-                return None;
-            }
-            let dim = af[0].len();
-            if af.iter().any(|f| f.len() != dim) {
-                return None;
-            }
-            Some(SimpleContext::with_action_features(
-                d.shared_features.clone(),
-                af.clone(),
-            ))
+    Some(match &d.action_features {
+        Some(af) => SimpleContext::with_action_features(d.shared_features.clone(), af.clone()),
+        None => SimpleContext::new(d.shared_features.clone(), d.num_actions),
+    })
+}
+
+/// [`context_of`] for a decision read in place: refills `ctx` with the
+/// context `d` was logged with and returns `true`, or returns `false`
+/// (leaving `ctx` as it was) when the fields break the same rule.
+pub fn fill_context(d: &DecisionRef<'_>, ctx: &mut SimpleContext) -> bool {
+    let rows = d
+        .action_features
+        .map(|rows| (rows.len(), rows.iter().map(|row| row.len())));
+    if !is_consistent(d.num_actions, d.action, rows) {
+        return false;
+    }
+    match d.action_features {
+        Some(rows) => {
+            ctx.refill_with_action_features(d.shared_features.iter(), rows.iter().map(|r| r.iter()))
         }
-        None => Some(SimpleContext::new(d.shared_features.clone(), d.num_actions)),
+        None => ctx.refill(d.shared_features.iter(), d.num_actions),
     }
+    true
 }
 
-/// A cross-segment outcome join index: phase one of the two-phase
-/// scavenge that the portfolio evaluator parallelizes.
+/// Joins decision and outcome records by `request_id`.
 ///
-/// Rewards may land in a different (later) segment than the decision they
-/// terminate, so a per-segment join would lose them. Instead, feed every
-/// segment's recovered records through [`OutcomeIndex::index`] **in
-/// segment order** — a later insert for the same `request_id` wins,
-/// exactly like [`scavenge`]'s single-map build — and then join each
-/// segment's decisions against the finished index with
-/// [`scavenge_with_outcomes`], which is a pure function of
-/// `(segment, index)` and therefore safe to fan out across threads.
-#[derive(Debug, Clone, Default)]
-pub struct OutcomeIndex {
-    rewards: HashMap<u64, f64>,
-    decision_ids: HashMap<u64, ()>,
-}
-
-impl OutcomeIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        OutcomeIndex::default()
-    }
-
-    /// Folds one record stream (a recovered segment) into the index.
-    /// Call once per segment, in segment order: for duplicate outcome ids
-    /// the last call's record wins, matching the one-pass join.
-    pub fn index(&mut self, records: &[LogRecord]) {
-        for r in records {
-            match r {
-                LogRecord::Outcome(o) => {
-                    self.rewards.insert(o.request_id, o.reward);
-                }
-                LogRecord::Decision(d) => {
-                    self.decision_ids.insert(d.request_id, ());
-                }
-                LogRecord::Batch(b) => {
-                    for d in &b.decisions {
-                        self.decision_ids.insert(d.request_id, ());
-                    }
-                }
-            }
+/// A decision's reward comes from its own `reward` field when present,
+/// otherwise from the matching outcome record; decisions with neither are
+/// dropped (and counted). When both exist the outcome wins — it is the
+/// later, more authoritative measurement. For duplicate outcome ids the
+/// last one wins.
+pub fn scavenge(records: &[LogRecord]) -> (Vec<ScavengedSample>, ScavengeStats) {
+    // Each outcome's reward, and whether any decision claimed it: an
+    // outcome no decision claims is an orphan.
+    let mut outcomes: HashMap<u64, (f64, bool)> = HashMap::new();
+    for r in records {
+        if let LogRecord::Outcome(o) = r {
+            outcomes.insert(o.request_id, (o.reward, false));
         }
     }
-
-    /// The reward recorded for `request_id`, if any outcome mentioned it.
-    pub fn reward_of(&self, request_id: u64) -> Option<f64> {
-        self.rewards.get(&request_id).copied()
-    }
-
-    /// Outcomes whose decision never appeared in any indexed stream
-    /// (decision log rotated away under them).
-    pub fn orphan_outcomes(&self) -> usize {
-        self.rewards
-            .keys()
-            .filter(|id| !self.decision_ids.contains_key(id))
-            .count()
-    }
-
-    /// Distinct request ids with an indexed outcome.
-    pub fn len(&self) -> usize {
-        self.rewards.len()
-    }
-
-    /// True when no outcome has been indexed.
-    pub fn is_empty(&self) -> bool {
-        self.rewards.is_empty()
-    }
-}
-
-/// Phase two of the two-phase join: scavenges one record stream against a
-/// prebuilt [`OutcomeIndex`].
-///
-/// The returned stats cover only this stream, and `orphan_outcomes` is
-/// always zero here — orphanhood is a global property, reported once by
-/// [`OutcomeIndex::orphan_outcomes`]. Running this over each segment and
-/// concatenating (in segment order) yields exactly the samples and
-/// summed stats of a single [`scavenge`] pass over the concatenated
-/// records: [`scavenge`] itself is implemented as that composition.
-pub fn scavenge_with_outcomes(
-    records: &[LogRecord],
-    outcomes: &OutcomeIndex,
-) -> (Vec<ScavengedSample>, ScavengeStats) {
     let mut stats = ScavengeStats::default();
     let mut samples = Vec::new();
     let mut scavenge_one = |d: &DecisionRecord| {
+        let outcome = outcomes.get_mut(&d.request_id).map(|(reward, claimed)| {
+            *claimed = true;
+            *reward
+        });
         let Some(context) = context_of(d) else {
             stats.invalid += 1;
             return;
         };
-        let reward = match (outcomes.reward_of(d.request_id), d.reward) {
+        let reward = match (outcome, d.reward) {
             (Some(r), _) => r,
             (None, Some(r)) => r,
             (None, None) => {
@@ -202,20 +172,7 @@ pub fn scavenge_with_outcomes(
             }
         }
     }
-    (samples, stats)
-}
-
-/// Joins decision and outcome records by `request_id`.
-///
-/// A decision's reward comes from its own `reward` field when present,
-/// otherwise from the matching outcome record; decisions with neither are
-/// dropped (and counted). When both exist the outcome wins — it is the
-/// later, more authoritative measurement.
-pub fn scavenge(records: &[LogRecord]) -> (Vec<ScavengedSample>, ScavengeStats) {
-    let mut index = OutcomeIndex::new();
-    index.index(records);
-    let (samples, mut stats) = scavenge_with_outcomes(records, &index);
-    stats.orphan_outcomes = index.orphan_outcomes();
+    stats.orphan_outcomes = outcomes.values().filter(|(_, claimed)| !claimed).count();
     (samples, stats)
 }
 
@@ -379,40 +336,47 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_join_matches_one_phase() {
-        // Rewards land one segment later than their decisions, one decision
-        // never resolves, and one outcome is orphaned — the per-segment
-        // join against a prebuilt index must reproduce the single pass
-        // sample-for-sample.
-        let segments: Vec<Vec<LogRecord>> = vec![
-            vec![decision(1, None), decision(2, Some(0.5))],
-            vec![outcome(1, 0.9), decision(3, None), outcome(2, 0.7)],
-            vec![outcome(3, 0.2), outcome(99, 1.0), decision(4, None)],
+    fn fill_context_applies_the_rule_of_context_of() {
+        use crate::codec::{encode_record, RecordRef};
+        let base = match decision(3, Some(1.0)) {
+            LogRecord::Decision(d) => d,
+            _ => unreachable!(),
+        };
+        let with = |f: &dyn Fn(&mut DecisionRecord)| {
+            let mut d = base.clone();
+            f(&mut d);
+            d
+        };
+        let cases = [
+            base.clone(),
+            with(&|d| d.action = 2),
+            with(&|d| d.action_features = Some(vec![vec![1.0, 2.0], vec![3.0, 4.0]])),
+            with(&|d| d.action_features = Some(vec![vec![1.0], vec![2.0, 3.0]])),
+            with(&|d| d.action_features = Some(vec![vec![1.0]])),
+            with(&|d| d.shared_features = vec![0.5; 7]),
+            base.clone(),
         ];
-        let flat: Vec<LogRecord> = segments.iter().flatten().cloned().collect();
-        let (want_samples, want_stats) = scavenge(&flat);
-
-        let mut index = OutcomeIndex::new();
-        for seg in &segments {
-            index.index(seg);
+        // One context refilled across every shape, as a portfolio worker
+        // reuses it.
+        let mut ctx = SimpleContext::contextless(1);
+        for d in cases {
+            let mut payload = Vec::new();
+            encode_record(&LogRecord::Decision(d.clone()), &mut payload);
+            let Some(RecordRef::Decision(view)) = RecordRef::parse(&payload) else {
+                panic!("a decision payload parses as a decision");
+            };
+            let before = ctx.clone();
+            match context_of(&d) {
+                Some(want) => {
+                    assert!(fill_context(&view, &mut ctx));
+                    assert_eq!(ctx, want);
+                }
+                None => {
+                    assert!(!fill_context(&view, &mut ctx));
+                    assert_eq!(ctx, before);
+                }
+            }
         }
-        let mut got_samples = Vec::new();
-        let mut got_stats = ScavengeStats::default();
-        for seg in &segments {
-            let (s, st) = scavenge_with_outcomes(seg, &index);
-            got_samples.extend(s);
-            got_stats.joined += st.joined;
-            got_stats.missing_outcome += st.missing_outcome;
-            got_stats.invalid += st.invalid;
-            assert_eq!(st.orphan_outcomes, 0, "orphanhood is global");
-        }
-        got_stats.orphan_outcomes = index.orphan_outcomes();
-
-        assert_eq!(got_samples, want_samples);
-        assert_eq!(got_stats, want_stats);
-        assert_eq!(got_stats.orphan_outcomes, 1);
-        assert_eq!(got_stats.missing_outcome, 1);
-        assert_eq!(index.reward_of(2), Some(0.7), "outcome overrides inline");
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! segment := frame*          (rotated by record count / byte size)
 //! ```
 //!
-//! Recovery ([`recover_segment`]) replays the **longest valid prefix** of
-//! each segment — every frame up to the first length/checksum/parse failure —
-//! and *quarantines* the damaged tail: the remaining bytes are never parsed,
+//! Recovery ([`scan_segment`], and [`recover_segment`] built on it) replays
+//! the **longest valid prefix** of each segment — every frame up to the
+//! first length/checksum/parse failure — and *quarantines* the damaged
+//! tail: the remaining bytes are never parsed,
 //! but every record frame still identifiable in them is counted, so the
 //! accounting invariant `enqueued == written + dropped + quarantined` can be
 //! checked end-to-end. Corruption is counted, never silently skipped.
@@ -27,7 +28,7 @@ use std::fmt;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::codec;
+use crate::codec::{self, RecordRef};
 use crate::record::LogRecord;
 
 /// Frame header size: 4-byte length + 4-byte CRC32.
@@ -495,7 +496,7 @@ fn count_tail(tail: &[u8]) -> usize {
         let payload = &tail[start + FRAME_HEADER_LEN..start + len];
         let crc = u32::from_le_bytes(tail[start + 4..start + 8].try_into().unwrap());
         let parsed = (crc32(payload) == crc)
-            .then(|| codec::decode_record(payload))
+            .then(|| RecordRef::parse(payload))
             .flatten();
         count += parsed.map_or(1, |r| r.record_count());
         walked += len;
@@ -503,61 +504,107 @@ fn count_tail(tail: &[u8]) -> usize {
     count + usize::from(walked < tail.len())
 }
 
-/// Replays the longest valid prefix of one segment.
-///
-/// A frame is valid when its length header fits the remaining bytes, its
-/// payload matches its CRC32, and the payload decodes as a [`LogRecord`].
-/// Recovery stops at the first invalid frame; everything after it is
-/// quarantined and counted by its tail scan.
-///
-/// [`LogRecord::Batch`] frames are flattened into their individual
-/// [`crate::record::DecisionRecord`]s (each counted in `recovered`), so the
-/// recovered stream — and everything downstream of it: scavenging,
-/// training, replay comparison — is identical whether the writer framed
-/// records one at a time or in batches.
-pub fn recover_segment(bytes: &[u8]) -> (Vec<LogRecord>, SegmentRecovery) {
-    let mut records = Vec::new();
-    let mut stats = SegmentRecovery::default();
-    let mut off = 0;
-    while off < bytes.len() {
-        let frame_ok = (|| {
-            if bytes.len() - off < FRAME_HEADER_LEN {
-                return None;
-            }
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-            if len > MAX_FRAME_LEN || off + FRAME_HEADER_LEN + len > bytes.len() {
-                return None;
-            }
-            let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-            let payload = &bytes[off + FRAME_HEADER_LEN..off + FRAME_HEADER_LEN + len];
-            if crc32(payload) != crc {
-                return None;
-            }
-            let record = codec::decode_record(payload)?;
-            Some((record, FRAME_HEADER_LEN + len))
-        })();
-        match frame_ok {
-            Some((record, advance)) => {
-                match record {
-                    LogRecord::Batch(batch) => {
-                        stats.recovered += batch.decisions.len();
-                        records.extend(batch.into_decisions().map(LogRecord::Decision));
-                    }
-                    other => {
-                        stats.recovered += 1;
-                        records.push(other);
-                    }
-                }
-                off += advance;
-            }
-            None => {
-                let tail = &bytes[off..];
-                stats.quarantined_records = count_tail(tail);
-                stats.quarantined_bytes = tail.len();
-                break;
-            }
+/// The frame at `off`, parsed: its payload view and its total length, or
+/// `None` when its length header overruns the bytes, its payload fails
+/// its CRC32 (checked only when `verify`), or the payload does not parse.
+fn frame_at(bytes: &[u8], off: usize, verify: bool) -> Option<(RecordRef<'_>, usize)> {
+    if bytes.len() - off < FRAME_HEADER_LEN {
+        return None;
+    }
+    let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte field")) as usize;
+    if len > MAX_FRAME_LEN || off + FRAME_HEADER_LEN + len > bytes.len() {
+        return None;
+    }
+    let payload = &bytes[off + FRAME_HEADER_LEN..off + FRAME_HEADER_LEN + len];
+    if verify {
+        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4-byte field"));
+        if crc32(payload) != crc {
+            return None;
         }
     }
+    Some((RecordRef::parse(payload)?, FRAME_HEADER_LEN + len))
+}
+
+/// Walks frames from the start of `bytes` until one is invalid, visiting
+/// each valid frame's logical records in order — a batch as one
+/// [`RecordRef::Decision`] per decision — and returns how many records it
+/// visited and the length of the valid prefix. A frame's records are
+/// visited only once its whole payload has parsed.
+fn walk_frames<'a>(
+    bytes: &'a [u8],
+    verify: bool,
+    visit: &mut impl FnMut(RecordRef<'a>),
+) -> (usize, usize) {
+    let mut records = 0;
+    let mut off = 0;
+    while let Some((record, advance)) = frame_at(bytes, off, verify) {
+        match record {
+            RecordRef::Batch(batch) => {
+                records += batch.len();
+                batch
+                    .decisions()
+                    .for_each(|d| visit(RecordRef::Decision(d)));
+            }
+            other => {
+                records += 1;
+                visit(other);
+            }
+        }
+        off += advance;
+    }
+    (records, off)
+}
+
+/// Scans one segment in place: visits every record of its longest valid
+/// prefix and returns what recovery found plus the prefix's length in
+/// bytes.
+///
+/// A frame is valid when its length header fits the remaining bytes, its
+/// payload matches its CRC32, and the payload parses as a record. The scan
+/// stops at the first invalid frame; everything after it is quarantined
+/// and counted by its tail scan. [`LogRecord::Batch`] frames are visited
+/// as their individual decisions (each counted in `recovered`), and only
+/// after the whole batch has parsed: a batch that fails at its last
+/// decision visits none of them.
+///
+/// Nothing is allocated: the views borrow `bytes`.
+pub fn scan_segment<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(RecordRef<'a>),
+) -> (SegmentRecovery, usize) {
+    let (recovered, prefix) = walk_frames(bytes, true, &mut visit);
+    let mut stats = SegmentRecovery {
+        recovered,
+        ..SegmentRecovery::default()
+    };
+    let tail = &bytes[prefix..];
+    if !tail.is_empty() {
+        stats.quarantined_records = count_tail(tail);
+        stats.quarantined_bytes = tail.len();
+    }
+    (stats, prefix)
+}
+
+/// Visits the records of a prefix [`scan_segment`] already validated,
+/// without checking its CRCs again: the second pass of a reader that
+/// scans once to learn the prefix, then reads it again.
+///
+/// # Panics
+///
+/// Panics when `prefix` does not parse to its end — it was not a prefix
+/// [`scan_segment`] returned.
+pub fn replay_prefix<'a>(prefix: &'a [u8], mut visit: impl FnMut(RecordRef<'a>)) {
+    let (_, end) = walk_frames(prefix, false, &mut visit);
+    assert_eq!(end, prefix.len(), "not a prefix scan_segment validated");
+}
+
+/// Replays the longest valid prefix of one segment as owned records:
+/// [`scan_segment`], collecting. The recovered stream — and everything
+/// downstream of it: scavenging, training, replay comparison — is identical
+/// whether the writer framed records one at a time or in batches.
+pub fn recover_segment(bytes: &[u8]) -> (Vec<LogRecord>, SegmentRecovery) {
+    let mut records = Vec::new();
+    let (stats, _) = scan_segment(bytes, |r| records.push(r.to_record()));
     (records, stats)
 }
 
@@ -850,6 +897,50 @@ mod tests {
         assert_eq!(stats.recovered, 0);
         assert_eq!(stats.quarantined_records, 6);
         assert_eq!(stats.quarantined_bytes, bytes.len());
+    }
+
+    #[test]
+    fn a_batch_failing_at_its_last_decision_visits_none_of_them() {
+        use crate::record::{BatchDecision, BatchRecord};
+        let batch = LogRecord::Batch(BatchRecord {
+            component: "serve".to_string(),
+            decisions: (0..3)
+                .map(|id| BatchDecision {
+                    request_id: id,
+                    timestamp_ns: 0,
+                    shared_features: vec![id as f64; 2],
+                    action_features: None,
+                    num_actions: 2,
+                    action: 0,
+                    propensity: Some(0.5),
+                    reward: None,
+                })
+                .collect(),
+        });
+        // Cut the last byte of the last decision's last feature, then frame
+        // the payload with a matching CRC: the frame is intact, the record
+        // is not.
+        let mut payload = Vec::new();
+        codec::encode_record(&batch, &mut payload);
+        payload.pop();
+        assert!(codec::decode_record(&payload).is_none());
+        let mut bytes = encode_frame(&outcome(7)).unwrap();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        let bad_frame_at = bytes.len() - FRAME_HEADER_LEN - payload.len();
+        bytes.extend_from_slice(&encode_frame(&outcome(8)).unwrap());
+
+        let mut visited = Vec::new();
+        let (stats, prefix) = scan_segment(&bytes, |r| visited.push(r.to_record()));
+        assert_eq!(visited, vec![outcome(7)]);
+        assert_eq!(prefix, bad_frame_at);
+        assert_eq!(stats.recovered, 1);
+        // The bad frame counts as one record, the intact outcome after it
+        // as another.
+        assert_eq!(stats.quarantined_records, 2);
+        assert_eq!(stats.quarantined_bytes, bytes.len() - bad_frame_at);
+        assert_eq!(recover_segment(&bytes), (vec![outcome(7)], stats));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`MemorySegments`] store, so the same plan damages the same bytes no
 //! matter how many segments the run produced.
 
-use harvest_log::segment::{recover_segment, MemorySegments};
+use harvest_log::segment::{scan_segment, MemorySegments};
 use harvest_sim_net::fault::{AtRestFault, ChaosPlan};
 
 /// Resolves a fraction in `[0, 1]` to an index in `0..n`. Returns `None`
@@ -46,7 +46,7 @@ pub fn apply_at_rest_faults(plan: &ChaosPlan, store: &MemorySegments) -> usize {
                 };
                 // Count the complete frames actually in the target segment
                 // so the frame fraction lands inside it.
-                let (_, recovery) = recover_segment(&snapshot[seg]);
+                let (recovery, _) = scan_segment(&snapshot[seg], |_| {});
                 let Some(frame) = frac_index(frame_frac, recovery.recovered) else {
                     continue;
                 };

@@ -246,7 +246,8 @@ proptest! {
 
 use harvest::logs::record::{BatchDecision, BatchRecord, LogRecord, OutcomeRecord};
 use harvest::logs::segment::{
-    encode_frame, recover_segment, MemorySegments, SegmentConfig, SegmentedLogWriter,
+    encode_frame, recover_segment, replay_prefix, scan_segment, MemorySegments, SegmentConfig,
+    SegmentedLogWriter,
 };
 
 /// Strategy: one decision, with optional propensity, reward and per-action
@@ -420,6 +421,34 @@ proptest! {
         prop_assert_eq!(stats.recovered, expected.len());
         prop_assert!(stats.quarantined_records >= 1);
         prop_assert_eq!(stats.quarantined_bytes, bytes.len() - start_of[target]);
+    }
+
+    // The in-place scan is recovery without the copies: for any stream,
+    // truncation and flipped byte it visits exactly the records
+    // `recover_segment` returns, reports the same ledger, and its valid
+    // prefix replays (without CRCs) to the same records again.
+    #[test]
+    fn scan_visits_exactly_what_recovery_returns(
+        records in proptest::collection::vec(segment_record(), 0..20),
+        cut_frac in 0.0f64..=1.0,
+        flip in proptest::option::of((0.0f64..1.0, 1u8..=255)),
+    ) {
+        let (mut bytes, _) = framed(&records);
+        if let (Some((pos_frac, xor)), false) = (flip, bytes.is_empty()) {
+            let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();
+            bytes[pos] ^= xor;
+        }
+        bytes.truncate(((bytes.len() as f64) * cut_frac) as usize);
+
+        let (recovered, want) = recover_segment(&bytes);
+        let mut visited = Vec::new();
+        let (got, prefix) = scan_segment(&bytes, |r| visited.push(r.to_record()));
+        prop_assert_eq!(&visited, &recovered);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(prefix, bytes.len() - got.quarantined_bytes);
+        let mut replayed = Vec::new();
+        replay_prefix(&bytes[..prefix], |r| replayed.push(r.to_record()));
+        prop_assert_eq!(&replayed, &recovered);
     }
 }
 
