@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench_json;
 pub mod challenges;
 pub mod fig1;
 pub mod fig2;

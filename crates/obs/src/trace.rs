@@ -33,7 +33,7 @@ use std::sync::Mutex;
 pub enum Terminal {
     /// Durably appended to a log segment.
     Written,
-    /// Shed at enqueue (backpressure) or drained after writer death.
+    /// Never entered the log queue, or drained after writer death.
     Dropped,
     /// Entered the log but was corrupted/torn; excluded from harvest.
     Quarantined,
@@ -328,21 +328,6 @@ impl Tracer {
             },
             _ => shard.late_events += 1,
         }
-    }
-
-    /// Mark a decision as shed at the log-queue door: the record never
-    /// entered the queue, so the writer will never terminate it. Sets
-    /// `enqueued = false` and the `Dropped` terminal (if none yet).
-    /// Callers emit [`decided`](Self::decided) *before* offering the
-    /// record — so the writer can never race ahead of the trace — and
-    /// call this only on a refused offer.
-    pub fn shed(&self, id: u64) {
-        self.with_trace(id, |trace| {
-            trace.enqueued = false;
-            if trace.terminal.is_none() {
-                trace.terminal = Some(Terminal::Dropped);
-            }
-        });
     }
 
     /// Record that a reward joined this decision at logical `ns`.

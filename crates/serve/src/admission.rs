@@ -25,9 +25,9 @@ use std::sync::{Condvar, Mutex};
 ///
 /// Two acquire flavors serve the two admission stances:
 /// [`acquire_blocking`](QueueBudget::acquire_blocking) (lossless, adds
-/// latency — the logger's `Block` backpressure) and
-/// [`try_acquire`](QueueBudget::try_acquire) (refusing — `DropNewest`
-/// backpressure and wire-level load shedding). Callers release a
+/// latency — how the decision logger waits for its writer) and
+/// [`try_acquire`](QueueBudget::try_acquire) (refusing — wire-level load
+/// shedding, where every refusal is counted as a shed). Callers release a
 /// reservation when the work it covered leaves the queue — *before* the
 /// work is completed, so a mid-completion panic can never leak capacity
 /// and wedge blocked producers.

@@ -493,25 +493,11 @@ impl DecisionEngine {
             }
             obs.record_interarrival_n(shard, 0, n - 1);
         }
-        // Admission control before construction: reserve the frame's
-        // record-weighted queue capacity first, and only build the log
-        // entries for an admitted frame. A refused batch costs one failed
-        // reservation instead of n per-decision record builds.
-        let queued = if self.logger.reserve(n) {
-            self.logger
-                .send_reserved(self.log_frame(shard, now_ns, contexts, &out.decisions))
-        } else {
-            self.logger.refuse(n);
-            false
-        };
-        if !queued {
-            // The frame was refused whole: every decision in it is shed.
-            if let Some(obs) = self.metrics.obs() {
-                for d in &out.decisions {
-                    obs.tracer().shed(d.request_id);
-                }
-            }
-        }
+        // Reserve the frame's record-weighted queue capacity (blocking
+        // while the writer catches up), then build the log entries.
+        self.logger.reserve(n);
+        self.logger
+            .send_reserved(self.log_frame(shard, now_ns, contexts, &out.decisions));
         Ok(())
     }
 

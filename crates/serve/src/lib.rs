@@ -37,10 +37,11 @@
 //! 3. **Readers never wait on learners.** The serving path sees policy
 //!    updates through one atomic generation check; promotion is an `Arc`
 //!    flip, not a lock held across training.
-//! 4. **Bounded everywhere.** The log queue has a capacity and an explicit
-//!    backpressure policy; the reward joiner has a TTL; the writer has a
-//!    restart budget and capped backoff. Overload degrades measurably
-//!    (counted drops, counted timeouts), never silently.
+//! 4. **Bounded everywhere.** The log queue has a capacity and blocks the
+//!    decision path while full, so no record is refused because of load;
+//!    the reward joiner has a TTL; the writer has a restart budget and
+//!    capped backoff. Overload degrades measurably (added latency, counted
+//!    timeouts), never silently.
 //! 5. **Promotion is gated, not hoped.** A candidate ships only when its
 //!    finite-sample lower confidence bound beats the incumbent's point
 //!    estimate on the same harvested data.
@@ -97,7 +98,7 @@ pub use engine::{Decision, DecisionEngine, EngineConfig, EngineConfigBuilder, SE
 pub use error::ServeError;
 pub use export::{export_prometheus, obs_snapshot, ObsSnapshot};
 pub use joiner::{JoinOutcome, RewardJoiner};
-pub use logger::{Backpressure, DecisionLogger, LoggerConfig, LoggerConfigBuilder};
+pub use logger::{DecisionLogger, LoggerConfig, LoggerConfigBuilder};
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use obs::{ObsConfig, ObsConfigBuilder, ServeObs};
 pub use recovery::{RecoveryReport, ServiceCheckpoint};

@@ -6,14 +6,15 @@
 //! writer thread (see [`supervisor`](crate::supervisor)) drains the rings
 //! in global ticket order into crash-safe log segments
 //! ([`harvest_log::segment`]). The record-weighted [`QueueBudget`] bound
-//! forces an explicit [`Backpressure`] choice: block the decision path
-//! until the writer catches up (lossless, adds latency) or drop the newest
-//! record and count it (lossy, never stalls serving).
+//! blocks the decision path until the writer catches up: no record is
+//! refused at the door, so what the log loses can never depend on load.
+//! A permanently-failed writer still discards — and counts as `dropped` —
+//! what it cannot persist, so blocked callers are never wedged.
 //!
 //! Accounting invariant, checked by property and chaos tests: **every**
 //! record offered to the queue is counted `enqueued`, and
 //! once the pipeline drains, `enqueued == written + dropped + quarantined`.
-//! No fault class — backpressure, writer crash, torn write, permanent
+//! No fault class — a full queue, writer crash, torn write, permanent
 //! writer death — can make a record vanish from that ledger.
 //!
 //! [`QueueBudget`]: crate::admission::QueueBudget
@@ -29,7 +30,7 @@ use harvest_log::segment::SegmentConfig;
 // ring can fill before the budget does); the budget is the real bound. The
 // writer releases a frame's weight when it pops the frame — *before*
 // persisting it, so an injected mid-write panic can never leak capacity
-// and wedge Block-mode producers.
+// and wedge blocked producers.
 use crate::admission::QueueBudget;
 use crate::metrics::ServeMetrics;
 use crate::ring::LogRings;
@@ -37,19 +38,6 @@ use crate::ring::LogRings;
 /// A push wakes a parked writer once the queue holds this fraction
 /// (1 / `BELL_FRACTION`) of its capacity.
 const BELL_FRACTION: u64 = 8;
-
-/// What to do when the log queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Block the caller until the writer frees a slot. No record is ever
-    /// refused at the door, at the cost of decision latency under sustained
-    /// overload. (A permanently-failed writer still discards — and counts —
-    /// what it cannot persist, so blocking callers are never wedged.)
-    Block,
-    /// Drop the record being offered and bump the drop counter. Serving
-    /// never stalls; the harvested dataset thins out instead.
-    DropNewest,
-}
 
 /// Log queue and segment configuration.
 ///
@@ -64,8 +52,6 @@ pub struct LoggerConfig {
     /// and the memory it implies — is the same whether producers log
     /// singles or batches.
     pub capacity: usize,
-    /// Full-queue behavior.
-    pub backpressure: Backpressure,
     /// Rotation thresholds for the crash-safe segments the writer emits.
     pub segment: SegmentConfig,
     /// Index of the first segment the writer creates. Zero for a fresh
@@ -84,7 +70,6 @@ impl Default for LoggerConfig {
     fn default() -> Self {
         LoggerConfig {
             capacity: 4096,
-            backpressure: Backpressure::Block,
             segment: SegmentConfig::default(),
             first_segment: 0,
             shard_rings: 1,
@@ -107,12 +92,6 @@ impl LoggerConfigBuilder {
     /// Queue capacity in records.
     pub fn capacity(mut self, capacity: usize) -> Self {
         self.0.capacity = capacity;
-        self
-    }
-
-    /// Full-queue behavior.
-    pub fn backpressure(mut self, backpressure: Backpressure) -> Self {
-        self.0.backpressure = backpressure;
         self
     }
 
@@ -162,7 +141,6 @@ pub struct DecisionLogger {
     budget: Arc<QueueBudget>,
     /// Queued records at which a push wakes a parked writer.
     bell_at: u64,
-    backpressure: Backpressure,
     metrics: Arc<ServeMetrics>,
     _token: Arc<ProducerToken>,
 }
@@ -174,7 +152,6 @@ impl DecisionLogger {
     pub(crate) fn new(
         rings: Arc<LogRings>,
         budget: Arc<QueueBudget>,
-        backpressure: Backpressure,
         metrics: Arc<ServeMetrics>,
     ) -> Self {
         let token = Arc::new(ProducerToken {
@@ -184,49 +161,27 @@ impl DecisionLogger {
             bell_at: (budget.capacity() / BELL_FRACTION).max(1),
             rings,
             budget,
-            backpressure,
             metrics,
             _token: token,
         }
     }
 
     /// Offers one already-built record to the queue (the service logs
-    /// outcomes this way; the decide path reserves before it builds). Every
-    /// offer counts as `enqueued` — scaled by [`LogRecord::record_count`],
-    /// so a batch frame counts every decision it carries; offers refused by
-    /// a full queue (under [`Backpressure::DropNewest`]) additionally count
-    /// as `dropped` (again in logical records).
-    ///
-    /// Returns `true` when the record entered the queue, `false` when it
-    /// was refused at the door.
-    pub fn log(&self, record: LogRecord) -> bool {
-        let n = record.record_count() as u64;
-        if self.reserve(n) {
-            self.send_reserved(record)
-        } else {
-            self.refuse(n);
-            false
-        }
+    /// outcomes this way; the decide path reserves before it builds),
+    /// blocking while the queue is full. Every offer counts as `enqueued`,
+    /// scaled by [`LogRecord::record_count`], so a batch frame counts every
+    /// decision it carries.
+    pub fn log(&self, record: LogRecord) {
+        self.reserve(record.record_count() as u64);
+        self.send_reserved(record);
     }
 
     /// Reserves capacity for an `n`-record frame *before* the frame is
-    /// built. `true` means the frame is admitted and must be delivered via
-    /// [`send_reserved`](DecisionLogger::send_reserved); `false` (only
-    /// under [`Backpressure::DropNewest`]) means the frame is refused and
-    /// the caller should account for it via
-    /// [`refuse`](DecisionLogger::refuse) instead of building it at all.
-    ///
-    /// This is the decide path's admission control: a refused 256-decision
-    /// frame costs one failed reservation, not 256 feature clones plus a
-    /// record allocation that would be dropped at the door anyway.
-    pub(crate) fn reserve(&self, n: u64) -> bool {
-        match self.backpressure {
-            Backpressure::Block => {
-                self.budget.acquire_blocking(n);
-                true
-            }
-            Backpressure::DropNewest => self.budget.try_acquire(n),
-        }
+    /// built, blocking until the writer frees enough of the queue. The
+    /// frame must then be delivered via
+    /// [`send_reserved`](DecisionLogger::send_reserved).
+    pub(crate) fn reserve(&self, n: u64) {
+        self.budget.acquire_blocking(n);
     }
 
     /// Offers a frame whose capacity was reserved by
@@ -239,27 +194,18 @@ impl DecisionLogger {
     /// 1 / [`BELL_FRACTION`] of its capacity. Below that mark the writer
     /// wakes on its own liveness timeout, so a fast writer drains in bursts
     /// instead of costing every producer a futex wake.
-    pub(crate) fn send_reserved(&self, record: LogRecord) -> bool {
+    pub(crate) fn send_reserved(&self, record: LogRecord) {
         let n = record.record_count() as u64;
         self.metrics.record_enqueued_n(n);
         self.rings.push(record);
         if self.budget.in_use() >= self.bell_at {
             self.rings.ring_bell();
         }
-        true
     }
 
     /// A batch frame the writer has persisted and handed back to `shard`,
     /// for the engine to refill instead of allocating a new one.
     pub(crate) fn reclaim_frame(&self, shard: usize) -> Option<BatchRecord> {
         self.rings.reclaim(shard)
-    }
-
-    /// Accounts for an `n`-record frame refused by a failed
-    /// [`reserve`](DecisionLogger::reserve): the conservation ledger counts
-    /// it offered (`enqueued`) and shed (`dropped`).
-    pub(crate) fn refuse(&self, n: u64) {
-        self.metrics.record_enqueued_n(n);
-        self.metrics.record_dropped_n(n);
     }
 }

@@ -24,7 +24,7 @@
 //!   ([`spawn_supervised_writer`]): the thread is restarted with capped
 //!   exponential backoff, torn tails are sealed into their segment, and a
 //!   writer past its restart budget keeps draining the queue — counting
-//!   every record dropped — so `Block`-mode callers never wedge.
+//!   every record dropped — so callers blocked on a full queue never wedge.
 //! * **Wedged shards** (the chaos fault that replaced lock poisoning on
 //!   the lock-free decide path) are recovered and counted at the shard's
 //!   next acquisition, never propagated; poisoned mutexes elsewhere
@@ -74,7 +74,7 @@ use crate::trainer::{GateReport, Trainer, TrainerConfig};
 pub struct ServeConfig {
     /// Decision engine: shards, ε floor, master seed.
     pub engine: EngineConfig,
-    /// Log queue, backpressure, and segment rotation.
+    /// Log queue capacity and segment rotation.
     pub logger: LoggerConfig,
     /// Writer supervision: restart budget and backoff.
     pub supervisor: SupervisorConfig,

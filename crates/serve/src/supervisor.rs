@@ -11,7 +11,7 @@
 //!
 //! When the restart budget is exhausted the writer is declared permanently
 //! down: the supervisor keeps draining the queue, counting every record
-//! `dropped` — Block-mode producers are never wedged, and the conservation
+//! `dropped` — blocked producers are never wedged, and the conservation
 //! ledger (`enqueued == written + dropped + quarantined`) stays exact. The
 //! circuit breaker sees `alive() == false` and falls back to the safe
 //! policy.
@@ -307,7 +307,7 @@ fn supervise<S: SegmentSink + Send + 'static>(
                     }
                 }
                 if restarts >= cfg.max_restarts {
-                    // Permanently down. Keep draining so Block-mode
+                    // Permanently down. Keep draining so blocked
                     // producers never wedge; every queued or future record
                     // is counted dropped.
                     alive.store(false, SEQ);
@@ -415,7 +415,7 @@ pub fn spawn_supervised_writer<S: SegmentSink + Send + 'static>(
             .expect("spawn log writer supervisor")
     };
     (
-        DecisionLogger::new(rings, budget, cfg.backpressure, metrics),
+        DecisionLogger::new(rings, budget, metrics),
         WriterSupervisorHandle {
             supervisor,
             shared,
@@ -427,7 +427,6 @@ pub fn spawn_supervised_writer<S: SegmentSink + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logger::Backpressure;
     use harvest_log::record::OutcomeRecord;
     use harvest_log::segment::{MemorySegments, SegmentConfig};
 
@@ -439,10 +438,9 @@ mod tests {
         })
     }
 
-    fn cfg(capacity: usize, backpressure: Backpressure) -> LoggerConfig {
+    fn cfg(capacity: usize) -> LoggerConfig {
         LoggerConfig {
             capacity,
-            backpressure,
             segment: SegmentConfig {
                 max_records: 16,
                 max_bytes: usize::MAX,
@@ -457,7 +455,7 @@ mod tests {
     fn writes_everything_in_order_without_faults() {
         let metrics = Arc::new(ServeMetrics::new());
         let (logger, handle) = spawn_supervised_writer(
-            cfg(2, Backpressure::Block),
+            cfg(2),
             SupervisorConfig::default(),
             Arc::clone(&metrics),
             None,
@@ -487,7 +485,7 @@ mod tests {
         let metrics = Arc::new(ServeMetrics::new());
         let plan = Arc::new(ChaosPlan::none().kill_writer_at(10).kill_writer_at(40));
         let (logger, handle) = spawn_supervised_writer(
-            cfg(128, Backpressure::Block),
+            cfg(128),
             SupervisorConfig::default(),
             Arc::clone(&metrics),
             Some(plan),
@@ -515,7 +513,7 @@ mod tests {
         let metrics = Arc::new(ServeMetrics::new());
         let plan = Arc::new(ChaosPlan::none().tear_writer_at(7, 0.5));
         let (logger, handle) = spawn_supervised_writer(
-            cfg(128, Backpressure::Block),
+            cfg(128),
             SupervisorConfig::default(),
             Arc::clone(&metrics),
             Some(plan),
@@ -554,7 +552,7 @@ mod tests {
             plan = plan.kill_writer_at(i);
         }
         let (logger, handle) = spawn_supervised_writer(
-            cfg(4, Backpressure::Block),
+            cfg(4),
             SupervisorConfig {
                 max_restarts: 2,
                 backoff_base_ms: 1,
@@ -599,7 +597,7 @@ mod tests {
                     .kill_writer_at(30),
             );
             let (logger, handle) = spawn_supervised_writer(
-                cfg(256, Backpressure::Block),
+                cfg(256),
                 SupervisorConfig::default(),
                 metrics,
                 Some(plan),

@@ -11,7 +11,7 @@ use harvest_log::checkpoint::{CheckpointWriter, MemoryCheckpoints};
 use harvest_log::record::{LogRecord, OutcomeRecord};
 use harvest_log::segment::{MemorySegments, SegmentConfig};
 use harvest_serve::joiner::JoinerState;
-use harvest_serve::logger::{Backpressure, LoggerConfig};
+use harvest_serve::logger::LoggerConfig;
 use harvest_serve::supervisor::{spawn_supervised_writer, SupervisorConfig};
 use harvest_serve::{
     ChaosPlan, DecisionBatch, DecisionService, JoinOutcome, RewardJoiner, ServeConfig,
@@ -240,19 +240,17 @@ proptest! {
     // schedules: every record offered counts `enqueued`, and once drained
     // `enqueued == written + dropped + quarantined` — with recovery
     // agreeing exactly on the written and quarantined counts. A generous
-    // restart budget plus blocking backpressure means kills never drop.
+    // restart budget plus a blocking queue means kills never drop.
     #[test]
     fn log_pipeline_conserves_records_under_chaos(
         capacity in 1usize..8,
         n in 0usize..200,
-        block in any::<bool>(),
         kills in proptest::collection::btree_set(0u64..220, 0..3),
         tears in proptest::collection::vec((0u64..220, 0.0f64..1.0), 0..3),
     ) {
         let metrics = Arc::new(ServeMetrics::new());
         let cfg = LoggerConfig::builder()
             .capacity(capacity)
-            .backpressure(if block { Backpressure::Block } else { Backpressure::DropNewest })
             .segment(SegmentConfig { max_records: 16, max_bytes: usize::MAX, max_span_ns: u64::MAX })
             .build();
         let mut plan = ChaosPlan::none();
@@ -290,11 +288,9 @@ proptest! {
             snap.log_written + snap.log_dropped + snap.log_quarantined
         );
         prop_assert_eq!(snap.log_backlog, 0);
-        if block {
-            // The restart budget (16) exceeds any schedule here (≤ 6
-            // crashes), so a blocking queue never drops.
-            prop_assert_eq!(snap.log_dropped, 0);
-        }
+        // The restart budget (16) exceeds any schedule here (≤ 6
+        // crashes), so a blocking queue never drops.
+        prop_assert_eq!(snap.log_dropped, 0);
         // Recovery agrees with the runtime ledger record for record.
         let (records, stats) = store.recover();
         prop_assert_eq!(records.len() as u64, snap.log_written);

@@ -466,37 +466,65 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn many_connections_share_the_worker_pool() {
+    /// Four closed-loop connections, one per shard, each making `calls`
+    /// calls of `batch` decisions (`batch == 1` sends single `Decide`s).
+    /// Every decision must be served and the wire ledger must balance.
+    fn serve_from_four_connections(calls: u64, batch: usize) {
+        const CONNS: u32 = 4;
         let server = server(3);
         let mut handles = Vec::new();
-        for c in 0..4u32 {
+        for c in 0..CONNS {
             let addr = server.local_addr();
             handles.push(thread::spawn(move || {
                 let mut client = TcpClient::connect(addr).expect("connect");
                 let mut served = 0;
-                for i in 0..25u64 {
-                    let resp = client
-                        .call(&Request::Decide {
-                            shard: c % 4,
-                            now_ns: 1_000 + i,
+                for i in 0..calls {
+                    let (shard, now_ns) = (c % 4, 1_000 + i);
+                    let context = SimpleContext::contextless(2);
+                    let request = if batch == 1 {
+                        Request::Decide {
+                            shard,
+                            now_ns,
                             budget_ns: 0,
-                            context: SimpleContext::contextless(2),
-                        })
-                        .expect("decide");
-                    if matches!(resp, Response::Decision(_)) {
-                        served += 1;
-                    }
+                            context,
+                        }
+                    } else {
+                        Request::DecideBatch {
+                            shard,
+                            now_ns,
+                            budget_ns: 0,
+                            contexts: vec![context; batch],
+                        }
+                    };
+                    served += match client.call(&request).expect("decide") {
+                        Response::Decision(_) if batch == 1 => 1,
+                        Response::Batch(decisions) if batch > 1 => {
+                            assert_eq!(decisions.len(), batch);
+                            batch as u64
+                        }
+                        other => panic!("every call must be served, got {other:?}"),
+                    };
                 }
                 served
             }));
         }
         let served: u64 = handles.into_iter().map(|h| h.join().expect("client")).sum();
-        assert_eq!(served, 100);
+        let expected = u64::from(CONNS) * calls * batch as u64;
+        assert_eq!(served, expected);
         let snap = server.core().metrics().snapshot();
-        assert_eq!(snap.decisions_served, 100);
+        assert_eq!(snap.decisions_served, expected);
         assert!(snap.ledger_ok, "{snap:?}");
         server.shutdown();
+    }
+
+    #[test]
+    fn many_connections_share_the_worker_pool() {
+        serve_from_four_connections(25, 1);
+    }
+
+    #[test]
+    fn many_connections_serve_batches_over_the_worker_pool() {
+        serve_from_four_connections(10, 16);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   caller's thread under the logical clock — the deterministic seeded
 //!   test path.
 //!
-//! Code written against these traits (the equivalence test, the load
-//! generator in `benches/wire_throughput.rs`) runs unchanged over either.
+//! Code written against these traits (the wire equivalence test) runs
+//! unchanged over either.
 
 use std::io;
 

@@ -20,8 +20,8 @@
 use harvest::core::SimpleContext;
 use harvest::logs::segment::{MemorySegments, SegmentConfig};
 use harvest::serve::{
-    apply_at_rest_faults, Backpressure, ChaosHorizon, ChaosPlan, ChaosPlanConfig, DecisionService,
-    LoggerConfig, ServeConfig, ServeError, SupervisorConfig, TrainerConfig,
+    apply_at_rest_faults, ChaosHorizon, ChaosPlan, ChaosPlanConfig, DecisionService, LoggerConfig,
+    ServeConfig, ServeError, SupervisorConfig, TrainerConfig,
 };
 use harvest::simnet::rng::fork_rng;
 use rand::Rng;
@@ -57,7 +57,6 @@ fn main() {
         .logger(
             LoggerConfig::builder()
                 .capacity(256)
-                .backpressure(Backpressure::Block)
                 .segment(SegmentConfig {
                     max_records: 128,
                     max_bytes: 64 * 1024,

@@ -28,8 +28,8 @@ use harvest::logs::checkpoint::{CheckpointWriter, MemoryCheckpoints};
 use harvest::logs::record::LogRecord;
 use harvest::logs::segment::{MemorySegments, SegmentConfig};
 use harvest::serve::{
-    Backpressure, ChaosPlan, CheckpointFault, DecisionService, GateConfig, LoggerConfig,
-    MetricsSnapshot, RecoveryReport, ServeConfig, TrainerConfig,
+    ChaosPlan, CheckpointFault, DecisionService, GateConfig, LoggerConfig, MetricsSnapshot,
+    RecoveryReport, ServeConfig, TrainerConfig,
 };
 use harvest::simnet::rng::fork_rng;
 use rand::Rng;
@@ -48,7 +48,6 @@ fn config(seed: u64) -> ServeConfig {
         .logger(
             LoggerConfig::builder()
                 .capacity(256)
-                .backpressure(Backpressure::Block)
                 .segment(SegmentConfig {
                     max_records: 64,
                     max_bytes: usize::MAX,

@@ -30,9 +30,7 @@
 use harvest::core::SimpleContext;
 use harvest::logs::segment::{MemorySegments, SegmentConfig};
 use harvest::obs::{validate_exposition, AlertEvent, AlertPhase};
-use harvest::serve::{
-    Backpressure, DecisionService, LoggerConfig, ScopeConfig, ServeConfig, TrainerConfig,
-};
+use harvest::serve::{DecisionService, LoggerConfig, ScopeConfig, ServeConfig, TrainerConfig};
 use harvest::simnet::rng::fork_rng;
 use rand::Rng;
 
@@ -76,7 +74,6 @@ fn run(seed: u64, verbose: bool) -> RunOutput {
         .logger(
             LoggerConfig::builder()
                 .capacity(1024)
-                .backpressure(Backpressure::Block)
                 .segment(SegmentConfig {
                     max_records: 256,
                     max_bytes: 64 * 1024,

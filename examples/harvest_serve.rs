@@ -54,12 +54,7 @@ fn main() {
         .epsilon(EPSILON)
         .master_seed(SEED)
         .component("nginx-lb")
-        .logger(
-            LoggerConfig::builder()
-                .capacity(4096)
-                .backpressure(Backpressure::Block)
-                .build(),
-        )
+        .logger(LoggerConfig::builder().capacity(4096).build())
         .join_ttl_ns(5_000_000_000)
         .trainer(trainer_config(gate_config().build()))
         .build()

@@ -55,12 +55,7 @@ fn main() {
         .epsilon(0.2)
         .master_seed(seed)
         .component("wire-demo")
-        .logger(
-            LoggerConfig::builder()
-                .capacity(4096)
-                .backpressure(Backpressure::Block)
-                .build(),
-        )
+        .logger(LoggerConfig::builder().capacity(4096).build())
         .join_ttl_ns(60_000_000_000)
         .build()
         .expect("valid demo config");

@@ -21,7 +21,7 @@
 //!   in-process export.
 //!
 //! Everything is a deterministic function of the seed: logical clocks,
-//! forked RNGs, `Block` backpressure, and a drain before every render mean
+//! forked RNGs, a log queue that blocks instead of dropping, and a drain before every render mean
 //! two same-seed runs print byte-identical pages.
 //!
 //! Run with:
@@ -35,7 +35,7 @@ use std::sync::Arc;
 use harvest::core::SimpleContext;
 use harvest::logs::segment::{MemorySegments, SegmentConfig};
 use harvest::obs::HistogramSummary;
-use harvest::serve::{Backpressure, DecisionService, LoggerConfig, ServeConfig, TrainerConfig};
+use harvest::serve::{DecisionService, LoggerConfig, ServeConfig, TrainerConfig};
 use harvest::simnet::rng::fork_rng;
 use harvest::wire::{OpsQuery, OpsResponse, TcpClient, TcpServer, WireConfig, WireCore};
 use rand::Rng;
@@ -181,7 +181,6 @@ fn main() {
         .logger(
             LoggerConfig::builder()
                 .capacity(512)
-                .backpressure(Backpressure::Block)
                 .segment(SegmentConfig {
                     max_records: 256,
                     max_bytes: 64 * 1024,

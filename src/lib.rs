@@ -191,9 +191,9 @@ pub mod prelude {
     pub use harvest_log::record::LogRecord;
     pub use harvest_log::segment::MemorySegments;
     pub use harvest_serve::{
-        Backpressure, BreakerConfig, ChaosPlan, Decision, DecisionBatch, DecisionService,
-        EngineConfig, GateConfig, GateEstimator, JoinOutcome, LoggerConfig, ObsConfig, ServeConfig,
-        ServeError, ServePolicy, SupervisorConfig, TrainerConfig,
+        BreakerConfig, ChaosPlan, Decision, DecisionBatch, DecisionService, EngineConfig,
+        GateConfig, GateEstimator, JoinOutcome, LoggerConfig, ObsConfig, ServeConfig, ServeError,
+        ServePolicy, SupervisorConfig, TrainerConfig,
     };
     pub use harvest_wire::{
         Connection, Request, Response, TcpClient, TcpServer, Transport, WireConfig, WireCore,

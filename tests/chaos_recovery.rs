@@ -16,9 +16,9 @@ use harvest::core::SimpleContext;
 use harvest::logs::record::LogRecord;
 use harvest::logs::segment::{MemorySegments, SegmentConfig};
 use harvest::serve::{
-    apply_at_rest_faults, Backpressure, BreakerConfig, ChaosHorizon, ChaosPlan, ChaosPlanConfig,
-    DecisionService, JoinOutcome, LoggerConfig, MetricsSnapshot, ServeConfig, ServeError,
-    SupervisorConfig, TrainerConfig,
+    apply_at_rest_faults, BreakerConfig, ChaosHorizon, ChaosPlan, ChaosPlanConfig, DecisionService,
+    JoinOutcome, LoggerConfig, MetricsSnapshot, ServeConfig, ServeError, SupervisorConfig,
+    TrainerConfig,
 };
 use harvest::simnet::rng::fork_rng;
 use rand::Rng;
@@ -35,7 +35,6 @@ fn service_config(seed: u64) -> ServeConfig {
         .logger(
             LoggerConfig::builder()
                 .capacity(256)
-                .backpressure(Backpressure::Block)
                 .segment(SegmentConfig {
                     max_records: 64,
                     max_bytes: 64 * 1024,

@@ -37,9 +37,9 @@ use harvest::core::SimpleContext;
 use harvest::logs::record::LogRecord;
 use harvest::logs::segment::MemorySegments;
 use harvest::serve::{
-    spawn_supervised_writer, Backpressure, DecisionBatch, DecisionEngine, DecisionService,
-    EngineConfig, LoggerConfig, PolicyRegistry, ServeConfig, ServeMetrics, ServePolicy,
-    SupervisorConfig, SEQ_BITS,
+    spawn_supervised_writer, DecisionBatch, DecisionEngine, DecisionService, EngineConfig,
+    LoggerConfig, PolicyRegistry, ServeConfig, ServeMetrics, ServePolicy, SupervisorConfig,
+    SEQ_BITS,
 };
 
 const SHARDS: usize = 4;
@@ -56,12 +56,11 @@ struct Harness {
     metrics: Arc<ServeMetrics>,
 }
 
-fn harness(backpressure: Backpressure, capacity: usize) -> (Harness, impl FnOnce() -> (u64, u64)) {
+fn harness(capacity: usize) -> (Harness, impl FnOnce() -> (u64, u64)) {
     let metrics = Arc::new(ServeMetrics::new());
     let registry = Arc::new(PolicyRegistry::new(ServePolicy::Uniform, "v0"));
     let logger_cfg = LoggerConfig::builder()
         .capacity(capacity)
-        .backpressure(backpressure)
         .shard_rings(SHARDS)
         .build();
     let (logger, writer) = spawn_supervised_writer(
@@ -103,9 +102,10 @@ fn harness(backpressure: Backpressure, capacity: usize) -> (Harness, impl FnOnce
     )
 }
 
-/// Every thread class at once; exact conservation afterward.
-fn run_storm(backpressure: Backpressure, capacity: usize) {
-    let (h, finish) = harness(backpressure, capacity);
+/// Every thread class at once; exact conservation afterward. The log
+/// queue blocks while full, so every served decision must persist.
+fn run_storm(capacity: usize) {
+    let (h, finish) = harness(capacity);
     let ctx = SimpleContext::new(vec![0.5, -0.25], ACTIONS);
     let contexts: Vec<SimpleContext> = (0..BATCH).map(|_| ctx.clone()).collect();
     let served = AtomicU64::new(0);
@@ -229,6 +229,11 @@ fn run_storm(backpressure: Backpressure, capacity: usize) {
         "ledger must balance once drained: {s:?}"
     );
     assert_eq!(s.log_backlog, 0);
+    assert_eq!(s.log_dropped, 0, "a blocking queue refuses nothing: {s:?}");
+    assert_eq!(
+        s.log_written, served_total,
+        "every served decision persists"
+    );
     assert_eq!(
         recovered, s.log_written,
         "recovered stream == written count"
@@ -260,15 +265,14 @@ fn run_storm(backpressure: Backpressure, capacity: usize) {
 
 #[test]
 fn storm_with_blocking_backpressure_loses_nothing() {
-    run_storm(Backpressure::Block, 128);
-    // Block mode refuses nothing at the door; with a healthy writer the
-    // whole stream persists. (Asserted inside run_storm via the ledger:
-    // dropped can only be nonzero in DropNewest mode.)
+    run_storm(128);
 }
 
+/// A queue of 32 records against batches of 8 keeps the budget nearly
+/// full, so producers contend on the blocking acquire the whole time.
 #[test]
-fn storm_with_drop_newest_sheds_measurably_not_silently() {
-    run_storm(Backpressure::DropNewest, 32);
+fn storm_on_a_nearly_full_queue_blocks_and_loses_nothing() {
+    run_storm(32);
 }
 
 const STORM_BATCHES: usize = 400; // per shard-affine caller

@@ -24,8 +24,8 @@ use harvest::logs::checkpoint::{CheckpointWriter, MemoryCheckpoints};
 use harvest::logs::segment::{MemorySegments, SegmentConfig};
 use harvest::obs::{validate_exposition, AlertEvent, AlertPhase};
 use harvest::serve::{
-    Backpressure, ChaosHorizon, ChaosPlan, ChaosPlanConfig, DecisionService, GateConfig,
-    LoggerConfig, ScopeConfig, ServeConfig, TrainerConfig,
+    ChaosHorizon, ChaosPlan, ChaosPlanConfig, DecisionService, GateConfig, LoggerConfig,
+    ScopeConfig, ServeConfig, TrainerConfig,
 };
 use harvest::simnet::rng::fork_rng;
 use harvest::wire::{Duplex, OpsQuery, OpsResponse, WireConfig, WireCore};
@@ -56,7 +56,6 @@ fn config(seed: u64) -> ServeConfig {
         .logger(
             LoggerConfig::builder()
                 .capacity(512)
-                .backpressure(Backpressure::Block)
                 .segment(SegmentConfig {
                     max_records: 128,
                     max_bytes: 64 * 1024,

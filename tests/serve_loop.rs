@@ -5,8 +5,8 @@
 use harvest::lb::{ClusterConfig, LbContext};
 use harvest::serve::PromotionReport;
 use harvest::serve::{
-    Backpressure, DecisionService, GateConfig, GateConfigBuilder, GateEstimator, JoinOutcome,
-    LoggerConfig, ServeConfig, ServePolicy, Trainer, TrainerConfig,
+    DecisionService, GateConfig, GateConfigBuilder, GateEstimator, JoinOutcome, LoggerConfig,
+    ServeConfig, ServePolicy, Trainer, TrainerConfig,
 };
 use harvest::simnet::rng::fork_rng;
 use harvest_estimators::bounds::BoundConfig;
@@ -42,12 +42,7 @@ fn service_config(seed: u64, shards: usize) -> ServeConfig {
         .epsilon(EPSILON)
         .master_seed(seed)
         .component("lb-test")
-        .logger(
-            LoggerConfig::builder()
-                .capacity(1024)
-                .backpressure(Backpressure::Block)
-                .build(),
-        )
+        .logger(LoggerConfig::builder().capacity(1024).build())
         .join_ttl_ns(5_000_000_000)
         .trainer(trainer_config(gate_config().build()))
         .build()

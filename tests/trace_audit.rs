@@ -13,8 +13,8 @@
 use harvest::core::SimpleContext;
 use harvest::logs::segment::{MemorySegments, SegmentConfig};
 use harvest::serve::{
-    Backpressure, ChaosHorizon, ChaosPlan, ChaosPlanConfig, DecisionService, LoggerConfig,
-    ServeConfig, SupervisorConfig, Terminal, TrainerConfig,
+    ChaosHorizon, ChaosPlan, ChaosPlanConfig, DecisionService, LoggerConfig, ServeConfig,
+    SupervisorConfig, Terminal, TrainerConfig,
 };
 use harvest::simnet::rng::fork_rng;
 use rand::Rng;
@@ -32,7 +32,6 @@ fn service_config(seed: u64) -> ServeConfig {
         .logger(
             LoggerConfig::builder()
                 .capacity(256)
-                .backpressure(Backpressure::Block)
                 .segment(SegmentConfig {
                     max_records: 64,
                     max_bytes: 64 * 1024,

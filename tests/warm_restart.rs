@@ -22,8 +22,8 @@ use harvest::logs::checkpoint::{CheckpointWriter, MemoryCheckpoints};
 use harvest::logs::record::LogRecord;
 use harvest::logs::segment::{MemorySegments, SegmentConfig};
 use harvest::serve::{
-    Backpressure, ChaosPlan, CheckpointFault, DecisionService, GateConfig, LoggerConfig,
-    MetricsSnapshot, ServeConfig, TrainerConfig,
+    ChaosPlan, CheckpointFault, DecisionService, GateConfig, LoggerConfig, MetricsSnapshot,
+    ServeConfig, TrainerConfig,
 };
 use harvest::simnet::rng::fork_rng;
 use rand::Rng;
@@ -41,7 +41,6 @@ fn config(seed: u64) -> ServeConfig {
         .logger(
             LoggerConfig::builder()
                 .capacity(256)
-                .backpressure(Backpressure::Block)
                 .segment(SegmentConfig {
                     max_records: 64,
                     max_bytes: usize::MAX,

@@ -22,8 +22,8 @@ use std::sync::Arc;
 use harvest::core::{Context, SimpleContext};
 use harvest::logs::segment::{MemorySegments, SegmentConfig};
 use harvest::serve::{
-    Backpressure, BreakerConfig, ChaosPlan, DecisionBatch, DecisionService, GateConfig,
-    LoggerConfig, ServeConfig, SupervisorConfig, TrainerConfig,
+    BreakerConfig, ChaosPlan, DecisionBatch, DecisionService, GateConfig, LoggerConfig,
+    ServeConfig, SupervisorConfig, TrainerConfig,
 };
 use harvest::simnet::rng::fork_rng;
 use harvest::wire::{
@@ -47,7 +47,6 @@ fn config(seed: u64) -> ServeConfig {
         .logger(
             LoggerConfig::builder()
                 .capacity(256)
-                .backpressure(Backpressure::Block)
                 .segment(SegmentConfig {
                     max_records: 96,
                     max_bytes: 64 * 1024,
