@@ -5,8 +5,9 @@
 //! contexts, collapsed propensities, a handful of samples carrying all
 //! the weight). This module condenses those failure signatures into one
 //! serializable [`HarvestQuality`] gauge set, computed per training
-//! round from the same importance weights the gate uses — so a refusal
-//! or a breaker trip can cite *why* the data was distrusted.
+//! round from the weight moments the gate's portfolio pass already folded
+//! — so a refusal or a breaker trip can cite *why* the data was
+//! distrusted.
 //!
 //! Every rate is zero-guarded: an empty harvest yields all-zero, finite
 //! gauges, never NaN.
@@ -173,19 +174,19 @@ impl HarvestQuality {
     }
 }
 
-/// Computes the quality gauges for `data` under importance `weights`
-/// (one per sample, `π(aₜ|xₜ)/pₜ` as the gate computes them).
+/// Computes the quality gauges for `data` under the importance-weight
+/// moments `stats` folded over it (one weight per sample, `π(aₜ|xₜ)/pₜ`,
+/// as a portfolio pass folds them; clipped mass counts against
+/// `stats.clip`).
 ///
 /// `epsilon` is the exploration floor the data was served with (the
-/// floor propensity for a context with `K` actions is `ε/K`); `clip` is
-/// the weight threshold above which mass counts as clipped. Weight
-/// gauges fall back to [`HarvestQuality::empty`] values when `weights`
-/// is empty or its length disagrees with `data`.
+/// floor propensity for a context with `K` actions is `ε/K`). Weight
+/// gauges fall back to [`HarvestQuality::empty`] values when `stats` is
+/// empty or its count disagrees with `data`.
 pub fn harvest_quality<C: Context + Clone>(
     data: &Dataset<C>,
-    weights: &[f64],
+    stats: &WeightStats,
     epsilon: f64,
-    clip: f64,
 ) -> HarvestQuality {
     let n = data.len();
     let mut q = HarvestQuality {
@@ -193,16 +194,9 @@ pub fn harvest_quality<C: Context + Clone>(
         ..HarvestQuality::empty()
     };
 
-    if n > 0 && weights.len() == n {
-        // One streaming pass over the weights feeds every weight gauge.
-        let mut stats = WeightStats::new(clip);
-        for &w in weights {
-            stats.observe(w);
-        }
-        if stats.sum_sq > 0.0 {
-            q.effective_sample_size = stats.ess();
-            q.ess_fraction = q.effective_sample_size / n as f64;
-        }
+    if n > 0 && stats.n == n as u64 {
+        q.effective_sample_size = stats.ess();
+        q.ess_fraction = q.effective_sample_size / n as f64;
         q.min_weight = stats.min_or_zero();
         q.max_weight = stats.max_or_zero();
         q.clipped_weight_mass = stats.clipped_mass();
@@ -260,17 +254,26 @@ mod tests {
         .unwrap()
     }
 
+    /// The moments of `weights` under a clip of 10.
+    fn stats(weights: &[f64]) -> WeightStats {
+        let mut s = WeightStats::new(10.0);
+        for &w in weights {
+            s.observe(w);
+        }
+        s
+    }
+
     #[test]
     fn empty_harvest_is_all_finite_zeros() {
         let data: Dataset<SimpleContext> = Dataset::new();
-        let q = harvest_quality(&data, &[], 0.1, 10.0);
+        let q = harvest_quality(&data, &stats(&[]), 0.1);
         assert_eq!(q, HarvestQuality::empty());
     }
 
     #[test]
     fn uniform_weights_have_full_ess() {
         let data = dataset(&[(0.1, 0.5), (0.2, 0.5), (0.3, 0.5), (0.4, 0.5)]);
-        let q = harvest_quality(&data, &[1.0; 4], 0.1, 10.0);
+        let q = harvest_quality(&data, &stats(&[1.0; 4]), 0.1);
         assert!((q.effective_sample_size - 4.0).abs() < 1e-12);
         assert!((q.ess_fraction - 1.0).abs() < 1e-12);
         assert_eq!(q.min_weight, 1.0);
@@ -281,7 +284,7 @@ mod tests {
     #[test]
     fn one_dominant_weight_collapses_ess() {
         let data = dataset(&[(0.1, 0.5), (0.2, 0.5), (0.3, 0.5), (0.4, 0.5)]);
-        let q = harvest_quality(&data, &[100.0, 0.01, 0.01, 0.01], 0.1, 10.0);
+        let q = harvest_quality(&data, &stats(&[100.0, 0.01, 0.01, 0.01]), 0.1);
         assert!(q.effective_sample_size < 1.1, "{q:?}");
         assert!(q.clipped_weight_mass > 0.99, "{q:?}");
         assert_eq!(q.max_weight, 100.0);
@@ -291,7 +294,7 @@ mod tests {
     fn floor_hits_are_counted_exactly() {
         // ε = 0.2, K = 2 → floor propensity 0.1.
         let data = dataset(&[(0.1, 0.1), (0.2, 0.9), (0.3, 0.1), (0.4, 0.9)]);
-        let q = harvest_quality(&data, &[1.0; 4], 0.2, 10.0);
+        let q = harvest_quality(&data, &stats(&[1.0; 4]), 0.2);
         assert!((q.floor_hit_rate - 0.5).abs() < 1e-12);
     }
 
@@ -304,7 +307,7 @@ mod tests {
         for i in 0..50 {
             points.push(((i % 5) as f64 + 100.0, 0.5));
         }
-        let q = harvest_quality(&dataset(&points), &vec![1.0; 100], 0.1, 10.0);
+        let q = harvest_quality(&dataset(&points), &stats(&[1.0; 100]), 0.1);
         assert!(q.drift_suspected, "{q:?}");
         assert!(q.drift_max_effect_size > 3.0);
     }
@@ -355,7 +358,7 @@ mod tests {
     #[test]
     fn mismatched_weights_leave_weight_gauges_zero() {
         let data = dataset(&[(0.1, 0.5), (0.2, 0.5)]);
-        let q = harvest_quality(&data, &[1.0], 0.1, 10.0);
+        let q = harvest_quality(&data, &stats(&[1.0]), 0.1);
         assert_eq!(q.effective_sample_size, 0.0);
         assert_eq!(q.max_weight, 0.0);
         // Non-weight gauges still computed.

@@ -39,9 +39,9 @@
 //!    segment than their decision, which is why this map is global.
 //! 3. **Fold** (parallel, per segment): [`replay_prefix`] walks each
 //!    validated prefix again without a second CRC, and every decision is
-//!    checked by the rule [`fill_context`] shares with
-//!    [`harvest_log::scavenge::context_of`], joined, and folded into that
-//!    segment's accumulators.
+//!    checked by the rules the owned-record harvest applies —
+//!    [`fill_context`] for its context, [`evaluable`] for its reward and
+//!    propensity — joined, and folded into that segment's accumulators.
 //!
 //! The merge then folds per-segment accumulators **in segment-index
 //! order**, so the only thing parallelism changes is *which thread*
@@ -56,7 +56,7 @@ use std::sync::Mutex;
 use harvest_core::scorer::{ActionPanel, LinearScorer};
 use harvest_core::{Context, Dataset, HarvestError, Scorer, SimpleContext, StochasticPolicy};
 use harvest_log::codec::{RecordRef, OUTCOME_PAYLOAD_LEN};
-use harvest_log::scavenge::fill_context;
+use harvest_log::scavenge::{evaluable, fill_context};
 use harvest_log::segment::{
     replay_prefix, scan_segment, RecoveryStats, SegmentRecovery, FRAME_HEADER_LEN,
 };
@@ -200,11 +200,6 @@ impl IpsAccumulator {
             weights: WeightStats::new(cfg.clip),
         }
     }
-
-    /// The weight diagnostics this accumulator has gathered.
-    pub fn weight_stats(&self) -> &WeightStats {
-        &self.weights
-    }
 }
 
 impl Estimator for IpsAccumulator {
@@ -252,11 +247,6 @@ impl SnipsAccumulator {
             terms: TermMoments::new(),
             weights: WeightStats::new(cfg.clip),
         }
-    }
-
-    /// The weight diagnostics this accumulator has gathered.
-    pub fn weight_stats(&self) -> &WeightStats {
-        &self.weights
     }
 }
 
@@ -308,11 +298,6 @@ impl DrAccumulator {
             terms: TermMoments::new(),
             weights: WeightStats::new(cfg.clip),
         }
-    }
-
-    /// The weight diagnostics this accumulator has gathered.
-    pub fn weight_stats(&self) -> &WeightStats {
-        &self.weights
     }
 }
 
@@ -526,7 +511,7 @@ impl EvaluatorConfigBuilder {
 }
 
 /// One leaderboard row: every estimator's view of one candidate.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeaderboardEntry {
     /// 1-based rank after sorting by the ranking estimator's LCB.
     pub rank: usize,
@@ -538,10 +523,29 @@ pub struct LeaderboardEntry {
     pub snips: PolicyEstimate,
     /// Doubly-robust estimate.
     pub dr: PolicyEstimate,
-    /// Kish effective sample size of this candidate's weights.
-    pub ess: f64,
-    /// Fraction of this candidate's weight mass above the clip.
-    pub clipped_mass: f64,
+    /// The moments of this candidate's importance weights, which its three
+    /// estimators share: its Kish effective sample size, its weight mass
+    /// above the clip, and the harvest-quality gauges.
+    pub weights: WeightStats,
+}
+
+/// Serializes the weight moments as the two gauges a leaderboard reader
+/// needs: `ess` and `clipped_mass`.
+impl Serialize for LeaderboardEntry {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("rank".to_string(), self.rank.to_value()),
+            ("name".to_string(), self.name.to_value()),
+            ("ips".to_string(), self.ips.to_value()),
+            ("snips".to_string(), self.snips.to_value()),
+            ("dr".to_string(), self.dr.to_value()),
+            ("ess".to_string(), self.weights.ess().to_value()),
+            (
+                "clipped_mass".to_string(),
+                self.weights.clipped_mass().to_value(),
+            ),
+        ])
+    }
 }
 
 /// The ranked result of one portfolio pass.
@@ -553,7 +557,8 @@ pub struct PortfolioReport {
     pub segments: usize,
     /// Record frames quarantined by segment recovery.
     pub quarantined: usize,
-    /// Decisions skipped (missing outcome or invalid fields).
+    /// Decisions skipped: no reward, a non-finite reward, a propensity
+    /// outside `(0, 1]`, or inconsistent fields.
     pub skipped: usize,
     /// One row per candidate, best LCB first.
     pub entries: Vec<LeaderboardEntry>,
@@ -600,7 +605,7 @@ struct JoinedDecision<'c> {
     context: &'c SimpleContext,
     action: usize,
     reward: f64,
-    propensity: Option<f64>,
+    propensity: f64,
 }
 
 /// A worker's reusable buffers: the context each decision's features are
@@ -740,8 +745,7 @@ impl PortfolioEvaluator {
     ) {
         let ctx = sample.context;
         let num_actions = ctx.num_actions();
-        let propensity = sample.propensity.unwrap_or(1.0 / num_actions as f64);
-        let inv_p = 1.0 / propensity;
+        let inv_p = 1.0 / sample.propensity;
         match &self.model {
             Some(model) => model.score_all(ctx, scores),
             None => scores.clear(),
@@ -816,20 +820,20 @@ impl PortfolioEvaluator {
                 skipped += 1;
                 return;
             }
-            // An outcome overrides the inline reward.
-            let reward = match rewards.get(&d.request_id).copied().or(d.reward) {
-                Some(r) if r.is_finite() => r,
-                _ => {
-                    skipped += 1;
-                    return;
-                }
+            // A decision logged without a propensity was drawn uniformly.
+            let uniform = || 1.0 / d.num_actions as f64;
+            let outcome = rewards.get(&d.request_id).copied();
+            let Ok((reward, propensity)) = evaluable(outcome, d.reward, d.propensity, uniform)
+            else {
+                skipped += 1;
+                return;
             };
             joined += 1;
             let sample = JoinedDecision {
                 context,
                 action: d.action,
                 reward,
-                propensity: d.propensity,
+                propensity,
             };
             self.observe_sample(&mut states, &sample, probs, scores);
         });
@@ -923,7 +927,7 @@ impl PortfolioEvaluator {
                 context: &s.context,
                 action: s.action,
                 reward: s.reward,
-                propensity: Some(s.propensity),
+                propensity: s.propensity,
             };
             self.observe_sample(&mut states, &sample, &mut probs, &mut scores);
         }
@@ -945,17 +949,13 @@ impl PortfolioEvaluator {
             .candidates
             .iter()
             .zip(states.iter())
-            .map(|(candidate, state)| {
-                let weights = state.snips.weight_stats();
-                LeaderboardEntry {
-                    rank: 0,
-                    name: candidate.name.clone(),
-                    ips: state.ips.estimate(),
-                    snips: state.snips.estimate(),
-                    dr: state.dr.estimate(),
-                    ess: weights.ess(),
-                    clipped_mass: weights.clipped_mass(),
-                }
+            .map(|(candidate, state)| LeaderboardEntry {
+                rank: 0,
+                name: candidate.name.clone(),
+                ips: state.ips.estimate(),
+                snips: state.snips.estimate(),
+                dr: state.dr.estimate(),
+                weights: state.snips.weights,
             })
             .collect();
         entries.sort_by(|a, b| b.snips.lcb.total_cmp(&a.snips.lcb));
@@ -1227,7 +1227,7 @@ mod tests {
         assert_eq!(report.entries.len(), 12);
         for e in &report.entries {
             assert_eq!(e.snips.n, 500);
-            assert!(e.ess > 0.0);
+            assert!(e.weights.ess() > 0.0);
             assert!(e.snips.lcb <= e.snips.point && e.snips.point <= e.snips.ucb);
         }
     }

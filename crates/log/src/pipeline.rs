@@ -4,12 +4,11 @@ use harvest_core::{Dataset, HarvestError, LoggedDecision, SimpleContext};
 
 use crate::propensity::PropensityModel;
 use crate::record::LogRecord;
-use crate::scavenge::{scavenge, ScavengeStats};
-use crate::segment::recover_segments;
+use crate::scavenge::{evaluable, scavenge, ScavengeStats};
 
 /// What the pipeline produced, with provenance counters for the report a
 /// real deployment would want.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HarvestReport {
     /// Scavenging counters (step 1).
     pub scavenge: ScavengeStats,
@@ -21,6 +20,9 @@ pub struct HarvestReport {
     pub dropped_invalid_propensity: usize,
     /// The minimum propensity in the final dataset — the `ε` of Eq. 1.
     pub min_propensity: f64,
+    /// The request id of each dataset sample, in dataset order: exactly the
+    /// decisions this harvest made usable.
+    pub request_ids: Vec<u64>,
 }
 
 /// The harvesting methodology as a reusable component: give it raw log
@@ -57,50 +59,31 @@ impl<M: PropensityModel<SimpleContext>> HarvestPipeline<M> {
         };
         let mut dataset = Dataset::new();
         for s in samples {
-            let p = match (self.prefer_logged, s.propensity) {
-                (true, Some(p)) => {
-                    report.logged_propensities += 1;
-                    p
-                }
-                _ => {
-                    report.inferred_propensities += 1;
-                    self.propensity_model.propensity(&s.context, s.action)
-                }
+            let logged = s.propensity.filter(|_| self.prefer_logged);
+            if logged.is_some() {
+                report.logged_propensities += 1;
+            } else {
+                report.inferred_propensities += 1;
+            }
+            // The reward was joined by `scavenge`; the rule's propensity
+            // half decides whether the sample counts.
+            let fallback = || self.propensity_model.propensity(&s.context, s.action);
+            let Ok((reward, p)) = evaluable(None, Some(s.reward), logged, fallback) else {
+                report.dropped_invalid_propensity += 1;
+                continue;
             };
-            let decision = LoggedDecision {
+            report.min_propensity = report.min_propensity.min(p);
+            report.request_ids.push(s.request_id);
+            dataset.push(LoggedDecision {
                 context: s.context,
                 action: s.action,
-                reward: s.reward,
+                reward,
                 propensity: p,
-            };
-            match decision.validate() {
-                Ok(()) => {
-                    report.min_propensity = report.min_propensity.min(p);
-                    dataset.push(decision)?;
-                }
-                Err(HarvestError::InvalidPropensity { .. }) => {
-                    report.dropped_invalid_propensity += 1;
-                }
-                Err(e) => return Err(e),
-            }
+            })?;
         }
         if dataset.is_empty() {
             report.min_propensity = 0.0;
         }
-        Ok((dataset, report))
-    }
-
-    /// Runs the pipeline on crash-safe log segments: recovers the longest
-    /// valid prefix of each, then harvests the surviving records. Damage is
-    /// carried into `report.scavenge.quarantined` — a corrupted log yields a
-    /// smaller dataset and says so, never a silently wrong one.
-    pub fn run_segments(
-        &self,
-        segments: &[Vec<u8>],
-    ) -> Result<(Dataset<SimpleContext>, HarvestReport), HarvestError> {
-        let (records, recovery) = recover_segments(segments);
-        let (dataset, mut report) = self.run(&records)?;
-        report.scavenge.quarantined = recovery.quarantined_records;
         Ok((dataset, report))
     }
 }
@@ -148,6 +131,7 @@ mod tests {
         assert_eq!(report.scavenge.joined, 2);
         assert_eq!(report.inferred_propensities, 2);
         assert_eq!(report.min_propensity, 0.25);
+        assert_eq!(report.request_ids, vec![1, 2]);
         for s in &data {
             assert_eq!(s.propensity, 0.25);
         }
@@ -174,6 +158,7 @@ mod tests {
         assert!(data.is_empty());
         assert_eq!(report.dropped_invalid_propensity, 1);
         assert_eq!(report.min_propensity, 0.0);
+        assert!(report.request_ids.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use harvest_core::{LoggedDecision, SimpleContext};
+use harvest_core::SimpleContext;
 
 use crate::codec::DecisionRef;
 use crate::record::{DecisionRecord, LogRecord};
@@ -13,6 +13,8 @@ use crate::segment::{recover_segments, RecoveryStats};
 /// possibly unknown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScavengedSample {
+    /// The decision's request id.
+    pub request_id: u64,
     /// The reconstructed context.
     pub context: SimpleContext,
     /// The logged action.
@@ -21,19 +23,6 @@ pub struct ScavengedSample {
     pub reward: f64,
     /// The propensity, if the decision site logged it.
     pub propensity: Option<f64>,
-}
-
-impl ScavengedSample {
-    /// Finalizes into a [`LoggedDecision`] using `propensity` when the log
-    /// lacked one.
-    pub fn with_propensity(self, fallback: f64) -> LoggedDecision<SimpleContext> {
-        LoggedDecision {
-            context: self.context,
-            action: self.action,
-            reward: self.reward,
-            propensity: self.propensity.unwrap_or(fallback),
-        }
-    }
 }
 
 /// Counters describing what the scavenger kept and dropped.
@@ -71,6 +60,55 @@ fn is_consistent(
         Some((count, mut lens)) => {
             count == num_actions && lens.next().is_some_and(|dim| lens.all(|len| len == dim))
         }
+    }
+}
+
+/// Why a logged decision does not count toward an estimate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unusable {
+    /// Neither an outcome nor an inline reward.
+    MissingReward,
+    /// The reward is not finite.
+    InvalidReward,
+    /// The propensity is outside `(0, 1]` (zero, negative, above one, or
+    /// NaN).
+    InvalidPropensity,
+}
+
+/// The reward a decision is scored with: its outcome's reward if there is
+/// one (the later, more authoritative measurement), otherwise its inline
+/// reward, and finite either way.
+fn joined_reward(outcome: Option<f64>, inline: Option<f64>) -> Result<f64, Unusable> {
+    match outcome.or(inline) {
+        None => Err(Unusable::MissingReward),
+        Some(r) if r.is_finite() => Ok(r),
+        Some(_) => Err(Unusable::InvalidReward),
+    }
+}
+
+/// The one rule for which logged decisions count, shared by the
+/// owned-record harvest ([`scavenge`] then
+/// [`HarvestPipeline::run`](crate::pipeline::HarvestPipeline::run)) and the
+/// portfolio's in-place segment join. Returns the `(reward, propensity)` a
+/// decision is scored with:
+///
+/// * the reward is the outcome's if there is one, otherwise the inline
+///   reward, and it must be finite;
+/// * the propensity is the logged one, otherwise `fallback()`, and it must
+///   be in `(0, 1]` — the importance weight `π(a|x)/p` is defined only
+///   there.
+pub fn evaluable(
+    outcome: Option<f64>,
+    inline: Option<f64>,
+    propensity: Option<f64>,
+    fallback: impl FnOnce() -> f64,
+) -> Result<(f64, f64), Unusable> {
+    let reward = joined_reward(outcome, inline)?;
+    let p = propensity.unwrap_or_else(fallback);
+    if p > 0.0 && p <= 1.0 {
+        Ok((reward, p))
+    } else {
+        Err(Unusable::InvalidPropensity)
     }
 }
 
@@ -113,11 +151,11 @@ pub fn fill_context(d: &DecisionRef<'_>, ctx: &mut SimpleContext) -> bool {
 
 /// Joins decision and outcome records by `request_id`.
 ///
-/// A decision's reward comes from its own `reward` field when present,
-/// otherwise from the matching outcome record; decisions with neither are
-/// dropped (and counted). When both exist the outcome wins — it is the
-/// later, more authoritative measurement. For duplicate outcome ids the
-/// last one wins.
+/// A decision's reward follows the reward half of [`evaluable`]: the
+/// matching outcome's when there is one, otherwise the decision's own
+/// `reward` field; decisions with neither, or with a non-finite reward, are
+/// dropped (and counted). The propensity is left as logged. For duplicate
+/// outcome ids the last one wins.
 pub fn scavenge(records: &[LogRecord]) -> (Vec<ScavengedSample>, ScavengeStats) {
     // Each outcome's reward, and whether any decision claimed it: an
     // outcome no decision claims is an orphan.
@@ -138,20 +176,20 @@ pub fn scavenge(records: &[LogRecord]) -> (Vec<ScavengedSample>, ScavengeStats) 
             stats.invalid += 1;
             return;
         };
-        let reward = match (outcome, d.reward) {
-            (Some(r), _) => r,
-            (None, Some(r)) => r,
-            (None, None) => {
+        let reward = match joined_reward(outcome, d.reward) {
+            Ok(r) => r,
+            Err(Unusable::MissingReward) => {
                 stats.missing_outcome += 1;
                 return;
             }
+            Err(_) => {
+                stats.invalid += 1;
+                return;
+            }
         };
-        if !reward.is_finite() {
-            stats.invalid += 1;
-            return;
-        }
         stats.joined += 1;
         samples.push(ScavengedSample {
+            request_id: d.request_id,
             context,
             action: d.action,
             reward,
@@ -377,21 +415,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn with_propensity_prefers_logged_value() {
-        let s = ScavengedSample {
-            context: SimpleContext::contextless(2),
-            action: 0,
-            reward: 1.0,
-            propensity: Some(0.3),
-        };
-        assert_eq!(s.clone().with_propensity(0.9).propensity, 0.3);
-        let s2 = ScavengedSample {
-            propensity: None,
-            ..s
-        };
-        assert_eq!(s2.with_propensity(0.9).propensity, 0.9);
     }
 }

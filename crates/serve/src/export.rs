@@ -227,7 +227,7 @@ pub(crate) fn prometheus_page(
                 } else {
                     0.0
                 },
-                w.ess,
+                w.weights.ess(),
             ),
             None => (0.0, 0.0, 0.0, 0.0),
         };

@@ -122,6 +122,6 @@ pub use harvest_obs::{
 
 // Re-exported so chaos tests and examples need only this crate.
 pub use harvest_sim_net::fault::{
-    AtRestFault, ChaosHorizon, ChaosPlan, ChaosPlanBuilder, ChaosPlanConfig, CheckpointFault,
-    RewardFault, WriterFault,
+    AtRestFault, ChaosHorizon, ChaosPlan, ChaosPlanConfig, CheckpointFault, RewardFault,
+    WriterFault,
 };

@@ -21,6 +21,7 @@
 //!   (rotation points are record-indexed, so seals replay; the final
 //!   never-sealed segment is not recorded).
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -126,7 +127,7 @@ pub struct ServeObs {
     /// class — stage latency measured at a *deterministic* point of the
     /// logical clock, because asynchronous writer progress is invisible
     /// in logical time. Bounded; overflow drops oldest, counted.
-    stage_journal: Mutex<Vec<(u64, Terminal)>>,
+    stage_journal: Mutex<VecDeque<(u64, Terminal)>>,
     stage_journal_dropped: AtomicU64,
     /// Logical span (last − first record stamp) of each training round's
     /// harvest — the gate→promote stage of the timeline.
@@ -160,7 +161,7 @@ impl ServeObs {
             segment_bytes: AtomicHistogram::new(),
             quality: Mutex::new(None),
             leaderboard: Mutex::new(None),
-            stage_journal: Mutex::new(Vec::new()),
+            stage_journal: Mutex::new(VecDeque::new()),
             stage_journal_dropped: AtomicU64::new(0),
             gate_span_ns: AtomicHistogram::new(),
         }
@@ -174,15 +175,16 @@ impl ServeObs {
     pub fn journal_stage_terminal(&self, decided_ns: u64, terminal: Terminal) {
         let mut journal = self.stage_journal.lock().unwrap_or_else(|e| e.into_inner());
         if journal.len() >= STAGE_JOURNAL_CAP {
-            journal.remove(0);
+            journal.pop_front();
             self.stage_journal_dropped.fetch_add(1, Ordering::Relaxed);
         }
-        journal.push((decided_ns, terminal));
+        journal.push_back((decided_ns, terminal));
     }
 
     /// Drains every journaled terminal, in writer (global ticket) order.
     pub fn drain_stage_journal(&self) -> Vec<(u64, Terminal)> {
-        std::mem::take(&mut *self.stage_journal.lock().unwrap_or_else(|e| e.into_inner()))
+        let mut journal = self.stage_journal.lock().unwrap_or_else(|e| e.into_inner());
+        Vec::from(std::mem::take(&mut *journal))
     }
 
     /// Stage-journal entries dropped to the ring bound.
@@ -300,4 +302,23 @@ impl SealObserver for ServeObs {
 /// Convenience: the observer handle the segment writer wants.
 pub fn seal_observer(obs: &Arc<ServeObs>) -> Arc<dyn SealObserver> {
     Arc::clone(obs) as Arc<dyn SealObserver>
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_full_stage_journal_drops_its_oldest_entries_counted() {
+        let obs = ServeObs::new(&ObsConfig::default());
+        let pushed = STAGE_JOURNAL_CAP as u64 + 3;
+        for ns in 0..pushed {
+            obs.journal_stage_terminal(ns, Terminal::Written);
+        }
+        assert_eq!(obs.stage_journal_dropped(), 3);
+        let drained = obs.drain_stage_journal();
+        assert_eq!(drained.len(), STAGE_JOURNAL_CAP);
+        assert!(drained.iter().map(|&(ns, _)| ns).eq(3..pushed));
+        assert!(obs.drain_stage_journal().is_empty());
+    }
 }

@@ -509,18 +509,10 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
                     .unwrap_or(first);
                 obs.record_gate_span(last.saturating_sub(first));
             }
-            // Stamp `trained` on every decision trace whose record actually
-            // contributed a (decision, outcome) pair to this round — the
-            // same join rule the harvest pipeline applies.
-            let outcome_ids: std::collections::HashSet<u64> = records
-                .iter()
-                .filter(|r| !r.is_decision())
-                .map(|r| r.request_id())
-                .collect();
-            for r in records {
-                if r.is_decision() && outcome_ids.contains(&r.request_id()) {
-                    obs.tracer().trained(r.request_id(), round_index);
-                }
+            // Stamp `trained` on exactly the decisions that entered this
+            // round's dataset.
+            for &id in &round.harvest.request_ids {
+                obs.tracer().trained(id, round_index);
             }
         }
         if round.gate.promoted {

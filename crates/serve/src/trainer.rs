@@ -20,18 +20,22 @@
 //! variants, all scored in one pass over the harvested data by
 //! [`PortfolioEvaluator`]. The winner by lower confidence bound (under the
 //! configured [`GateEstimator`]) challenges the incumbent; the full ranked
-//! leaderboard rides along on the [`TrainRound`] for export. Gate knobs —
-//! portfolio size, LCB margin, minimum effective sample size, confidence
-//! constants — live on [`GateConfig`].
+//! leaderboard rides along on the [`TrainRound`] for export. The incumbent
+//! is scored the same way, as a one-candidate pass, and the winner's
+//! quality gauges come from the weight moments the main pass folded, so
+//! every number the gate reads comes from the portfolio's accumulators.
+//! Gate knobs — portfolio size, LCB margin, minimum effective sample size,
+//! confidence constants — live on [`GateConfig`].
 
 use harvest_core::learner::{ModelingMode, RegressionCbLearner, SampleWeighting};
 use harvest_core::policy::UniformPolicy;
 use harvest_core::scorer::LinearScorer;
-use harvest_core::{Dataset, HarvestError, Scorer, SimpleContext};
+use harvest_core::{Dataset, HarvestError, SimpleContext};
 use harvest_estimators::bounds::BoundConfig;
 use harvest_estimators::{
-    harvest_quality, Candidate, EvaluatorConfig, GreedyScorerCandidate, HarvestQuality,
-    LeaderboardEntry, PolicyEstimate, PortfolioEvaluator, PortfolioReport,
+    harvest_quality, portfolio::StochasticCandidate, Candidate, EvaluatorConfig,
+    GreedyScorerCandidate, HarvestQuality, LeaderboardEntry, PolicyEstimate, PortfolioEvaluator,
+    PortfolioReport,
 };
 use harvest_log::pipeline::{HarvestPipeline, HarvestReport};
 use harvest_log::record::LogRecord;
@@ -291,14 +295,6 @@ pub struct Trainer {
     cfg: TrainerConfig,
 }
 
-/// Per-policy single-pass evaluation: the as-served value and the
-/// importance weights, both derived from **one** `served_probabilities`
-/// call per record and shared by the estimate and the quality gauges.
-struct EstimateParts {
-    value: f64,
-    weights: Vec<f64>,
-}
-
 impl Trainer {
     /// Creates a trainer.
     ///
@@ -342,7 +338,8 @@ impl Trainer {
 
     /// Step 4: shadow-evaluates the fitted scorer plus a
     /// deterministic fan of tilted variants in **one pass** over the
-    /// harvested data, then gates the LCB-winner against the incumbent.
+    /// harvested data, then gates the LCB-winner against the incumbent,
+    /// scored by a one-candidate pass under the same configuration.
     ///
     /// Returns the verdict, the winner as a servable policy, and the full
     /// ranked leaderboard.
@@ -353,6 +350,21 @@ impl Trainer {
         fitted: &LinearScorer,
     ) -> (GateReport, ServePolicy, PortfolioReport) {
         let g = &self.cfg.gate;
+        let eps = self.cfg.epsilon;
+        let evaluate = |candidates: Vec<Candidate>| {
+            PortfolioEvaluator::builder()
+                .config(
+                    EvaluatorConfig::builder()
+                        .clip(WEIGHT_CLIP)
+                        .bound(g.bound)
+                        .build(),
+                )
+                .candidates(candidates)
+                .model(fitted.clone())
+                .build()
+                .expect("portfolio has at least one candidate")
+                .evaluate_dataset(data)
+        };
         let named: Vec<(String, LinearScorer)> = (0..g.portfolio.max(1))
             .map(|j| {
                 if j == 0 {
@@ -362,29 +374,29 @@ impl Trainer {
                 }
             })
             .collect();
-        let evaluator = PortfolioEvaluator::builder()
-            .config(
-                EvaluatorConfig::builder()
-                    .clip(WEIGHT_CLIP)
-                    .bound(g.bound)
-                    .build(),
-            )
-            .candidates(named.iter().map(|(name, s)| {
-                Candidate::new(
-                    name.clone(),
-                    GreedyScorerCandidate::new(s.clone(), self.cfg.epsilon),
-                )
-            }))
-            .model(fitted.clone())
-            .build()
-            .expect("portfolio has at least one candidate");
-        let leaderboard = evaluator.evaluate_dataset(data);
+        let leaderboard = evaluate(
+            named
+                .iter()
+                .map(|(name, s)| {
+                    Candidate::new(name.clone(), GreedyScorerCandidate::new(s.clone(), eps))
+                })
+                .collect(),
+        );
+        let incumbent = match incumbent {
+            ServePolicy::Uniform => {
+                Candidate::new("incumbent", StochasticCandidate(UniformPolicy::new()))
+            }
+            ServePolicy::Greedy(s) => {
+                Candidate::new("incumbent", GreedyScorerCandidate::new(s.clone(), eps))
+            }
+        };
         let pick = |e: &LeaderboardEntry| -> PolicyEstimate {
             match g.estimator {
                 GateEstimator::Snips => e.snips,
                 GateEstimator::Dr => e.dr,
             }
         };
+        let incumbent_value = pick(&evaluate(vec![incumbent]).entries[0]).point;
         // Winner under the *configured* estimator's LCB; the leaderboard
         // itself stays ranked by SNIPS LCB. First-wins on exact ties keeps
         // the choice deterministic.
@@ -402,46 +414,15 @@ impl Trainer {
             .find(|(n, _)| *n == winner.name)
             .map(|(_, s)| s.clone())
             .expect("winner came from this portfolio");
-        let winner_policy = ServePolicy::Greedy(winner_scorer);
-        let incumbent_value = self.estimate(data, incumbent, fitted).value;
-        // One extra pass over the winner only — the quality gauges need the
-        // full weight vector (percentiles, drift), not just the moments the
-        // streaming accumulators kept.
-        let weights = self.estimate(data, &winner_policy, fitted).weights;
-        let quality = harvest_quality(data, &weights, self.cfg.epsilon, WEIGHT_CLIP);
-        let report = self.verdict(
-            data.len(),
-            named.len(),
-            winner.name.clone(),
-            winner.ess,
-            winner_est.point,
-            winner_est.point - winner_est.lcb,
-            incumbent_value,
-            quality,
-        );
-        (report, winner_policy, leaderboard)
-    }
-
-    /// The shared promotion rule: enough samples, enough effective sample
-    /// size, and an LCB clearing the incumbent by the margin.
-    #[allow(clippy::too_many_arguments)]
-    fn verdict(
-        &self,
-        n: usize,
-        portfolio: usize,
-        winner: String,
-        winner_ess: f64,
-        candidate_value: f64,
-        candidate_radius: f64,
-        incumbent_value: f64,
-        quality: HarvestQuality,
-    ) -> GateReport {
-        let g = &self.cfg.gate;
-        let candidate_lcb = candidate_value - candidate_radius;
+        // The promotion rule: enough samples, enough effective sample
+        // size, and an LCB clearing the incumbent by the margin.
+        let n = data.len();
+        let winner_ess = winner.weights.ess();
+        let candidate_radius = winner_est.point - winner_est.lcb;
+        let candidate_lcb = winner_est.point - candidate_radius;
         let enough = n >= g.min_samples;
         let ess_ok = winner_ess >= g.min_ess;
-        let beats = candidate_lcb > incumbent_value + g.lcb_margin;
-        let promoted = enough && ess_ok && beats;
+        let promoted = enough && ess_ok && candidate_lcb > incumbent_value + g.lcb_margin;
         let reason = if promoted {
             "promoted"
         } else if !enough {
@@ -451,19 +432,20 @@ impl Trainer {
         } else {
             "lcb_not_above_incumbent"
         };
-        GateReport {
+        let report = GateReport {
             n,
-            portfolio,
-            winner,
+            portfolio: named.len(),
+            winner: winner.name.clone(),
             winner_ess,
-            candidate_value,
+            candidate_value: winner_est.point,
             candidate_radius,
             candidate_lcb,
             incumbent_value,
             promoted,
             reason: reason.to_string(),
-            quality,
-        }
+            quality: harvest_quality(data, &winner.weights, eps),
+        };
+        (report, ServePolicy::Greedy(winner_scorer), leaderboard)
     }
 
     /// Runs a full round: harvest → train → portfolio gate. Does **not**
@@ -486,58 +468,6 @@ impl Trainer {
             harvest,
             gate,
         })
-    }
-
-    /// The as-served estimate of `policy` on `data`, with importance
-    /// weights from the same pass.
-    ///
-    /// Targets here are stochastic (the served ε-floored distribution), so
-    /// the importance weight is `π(aₜ|xₜ)/pₜ` rather than an indicator:
-    ///
-    /// * SNIPS: `Σ wₜ rₜ / Σ wₜ`;
-    /// * DR: `mean[ Σₐ π(a|xₜ) r̂(xₜ,a) + wₜ (rₜ − r̂(xₜ,aₜ)) ]`.
-    fn estimate(
-        &self,
-        data: &Dataset<SimpleContext>,
-        policy: &ServePolicy,
-        model: &LinearScorer,
-    ) -> EstimateParts {
-        let eps = self.cfg.epsilon;
-        let mut weights = Vec::with_capacity(data.len());
-        match self.cfg.gate.estimator {
-            GateEstimator::Snips => {
-                let mut num = 0.0;
-                let mut den = 0.0;
-                for s in data {
-                    let probs = policy.served_probabilities(&s.context, eps);
-                    let w = probs[s.action] / s.propensity;
-                    num += w * s.reward;
-                    den += w;
-                    weights.push(w);
-                }
-                let value = if den > 0.0 { num / den } else { 0.0 };
-                EstimateParts { value, weights }
-            }
-            GateEstimator::Dr => {
-                let mut scores = Vec::new();
-                let mut total = 0.0;
-                for s in data {
-                    let probs = policy.served_probabilities(&s.context, eps);
-                    model.score_all(&s.context, &mut scores);
-                    let baseline: f64 = probs.iter().zip(&scores).map(|(p, r)| p * r).sum();
-                    let w = probs[s.action] / s.propensity;
-                    let correction = w * (s.reward - scores[s.action]);
-                    total += baseline + correction;
-                    weights.push(w);
-                }
-                let value = if data.is_empty() {
-                    0.0
-                } else {
-                    total / data.len() as f64
-                };
-                EstimateParts { value, weights }
-            }
-        }
     }
 }
 
@@ -850,6 +780,102 @@ mod tests {
         assert_eq!(cfg.gate.portfolio, 8);
         assert_eq!(cfg.gate.lcb_margin, 0.01);
         assert_eq!(cfg.gate.min_ess, 50.0);
+    }
+
+    /// The greedy incumbent the pinned gates run against.
+    fn greedy_incumbent() -> ServePolicy {
+        ServePolicy::Greedy(LinearScorer::PerAction {
+            weights: vec![
+                vec![1.0, 0.0, 0.0],
+                vec![0.0, 1.0, 0.0],
+                vec![0.3, 0.3, 0.1],
+            ],
+        })
+    }
+
+    /// Three-action data logged the way the service logs after a
+    /// promotion: ε-greedy (ε = 0.1) over the incumbent, so propensities
+    /// are `0.1/3 + 0.9` on its greedy arm and `0.1/3` elsewhere.
+    fn served_data(n: usize, seed: u64) -> Dataset<SimpleContext> {
+        let mut rng = fork_rng(seed, "trainer-pinned");
+        let mut data = Dataset::new();
+        for _ in 0..n {
+            let x: [f64; 2] = [rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)];
+            let context = SimpleContext::new(x.to_vec(), 3);
+            let probs = greedy_incumbent().served_probabilities(&context, 0.1);
+            let u: f64 = rng.gen_range(0.0..1.0);
+            let action = if u < probs[0] {
+                0
+            } else if u < probs[0] + probs[1] {
+                1
+            } else {
+                2
+            };
+            let reward = [x[0], 1.0 - x[1], 0.5 * (x[0] + x[1])][action] + rng.gen_range(-0.1..0.1);
+            let propensity = probs[action];
+            data.push(LoggedDecision {
+                context,
+                action,
+                reward,
+                propensity,
+            })
+            .unwrap();
+        }
+        data
+    }
+
+    /// Every gate report field, floats as raw bits.
+    fn report_bits(r: &GateReport) -> String {
+        let q = &r.quality;
+        let floats = [
+            r.winner_ess,
+            r.candidate_value,
+            r.candidate_radius,
+            r.candidate_lcb,
+            r.incumbent_value,
+            q.effective_sample_size,
+            q.ess_fraction,
+            q.min_weight,
+            q.max_weight,
+            q.clipped_weight_mass,
+            q.floor_hit_rate,
+            q.drift_max_effect_size,
+            q.drift_max_ks,
+        ];
+        let (flags, bits) = (
+            (r.promoted, q.n, q.drift_suspected),
+            floats.map(f64::to_bits),
+        );
+        format!(
+            "{} {} {} {} {flags:?} {bits:x?}",
+            r.n, r.portfolio, r.winner, r.reason
+        )
+    }
+
+    /// Gate reports on fixed data, captured before the gate read its numbers
+    /// from the portfolio accumulators: SNIPS and DR against the greedy
+    /// incumbent, then SNIPS against the uniform one.
+    const PINNED: [&str; 3] = [
+        "1200 16 cb-tilt-006 lcb_not_above_incumbent (false, 1200, false) [40530203ee26e663, 3fe6e0461b7c375d, 3fea55a605df7fbb, bfbbaaff531a42f0, 3fded87c3f8b743a, 40530203ee26e663, 3fb03855461a5e32, 3fa2492492492492, 403c000000000000, 3fe21d12065bb4c6, 3fb2c5f92c5f92c6, 3f7b50937ac1cbae, 3fb1111111111110]",
+        "1200 16 cb-tilt-012 promoted (true, 1200, false) [40530bfd7b2b0060, 3fe697705ccfe6ae, 3fc0544bcbae79fc, 3fe2825d69e4482f, 3fdee4c583b4f914, 40530bfd7b2b0060, 3fb040d84dcbf2ab, 3fa2492492492492, 403c000000000000, 3fe276b981dae5fc, 3fb2c5f92c5f92c6, 3f7b50937ac1cbae, 3fb1111111111110]",
+        "1200 16 cb-tilt-006 lcb_not_above_incumbent (false, 1200, false) [40530203ee26e663, 3fe6e0461b7c375d, 3fea55a605df7fbb, bfbbaaff531a42f0, 3fe0523e602792fe, 40530203ee26e663, 3fb03855461a5e32, 3fa2492492492492, 403c000000000000, 3fe21d12065bb4c6, 3fb2c5f92c5f92c6, 3f7b50937ac1cbae, 3fb1111111111110]",
+    ];
+
+    #[test]
+    fn gate_reports_are_pinned_bit_for_bit() {
+        let data = served_data(1200, 21);
+        let cases = [
+            (GateEstimator::Snips, greedy_incumbent()),
+            (GateEstimator::Dr, greedy_incumbent()),
+            (GateEstimator::Snips, ServePolicy::Uniform),
+        ];
+        let got = cases.map(|(estimator, incumbent)| {
+            let gate = GateConfig::builder().estimator(estimator).build();
+            let t = Trainer::new(TrainerConfig::builder().gate(gate).build());
+            let fitted = t.train(&data).unwrap();
+            report_bits(&t.portfolio_gate(&data, &incumbent, &fitted).0)
+        });
+        assert_eq!(got, PINNED);
     }
 
     #[test]

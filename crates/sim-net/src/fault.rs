@@ -377,13 +377,6 @@ impl ChaosPlan {
         ChaosPlan::default()
     }
 
-    /// A builder starting from the empty plan — the composable way to
-    /// write chaos schedules (the per-fault methods on `ChaosPlan` itself
-    /// remain for existing call sites).
-    pub fn builder() -> ChaosPlanBuilder {
-        ChaosPlanBuilder(ChaosPlan::none())
-    }
-
     /// Schedules a writer kill before record `index` is processed.
     pub fn kill_writer_at(mut self, index: u64) -> Self {
         self.writer.insert(index, WriterFault::Kill);
@@ -590,67 +583,6 @@ impl ChaosPlan {
             self.at_rest.len(),
             self.checkpoints.len()
         )
-    }
-}
-
-/// Builder for [`ChaosPlan`]: schedule faults by operation index, then
-/// [`build`](ChaosPlanBuilder::build).
-#[derive(Debug, Clone, Default)]
-pub struct ChaosPlanBuilder(ChaosPlan);
-
-impl ChaosPlanBuilder {
-    /// Schedules a writer kill before record `index` is processed.
-    pub fn kill_writer_at(mut self, index: u64) -> Self {
-        self.0 = self.0.kill_writer_at(index);
-        self
-    }
-
-    /// Schedules a torn write of record `index`.
-    pub fn tear_writer_at(mut self, index: u64, keep_frac: f64) -> Self {
-        self.0 = self.0.tear_writer_at(index, keep_frac);
-        self
-    }
-
-    /// Schedules reward delivery `index` to be lost.
-    pub fn drop_reward_at(mut self, index: u64) -> Self {
-        self.0 = self.0.drop_reward_at(index);
-        self
-    }
-
-    /// Schedules reward delivery `index` to arrive `by_ns` late.
-    pub fn delay_reward_at(mut self, index: u64, by_ns: u64) -> Self {
-        self.0 = self.0.delay_reward_at(index, by_ns);
-        self
-    }
-
-    /// Schedules the serving shard of decision `index` to be lock-poisoned
-    /// immediately before that decision.
-    pub fn poison_shard_at(mut self, index: u64) -> Self {
-        self.0 = self.0.poison_shard_at(index);
-        self
-    }
-
-    /// Schedules training round `round` to crash mid-fit.
-    pub fn crash_trainer_at(mut self, round: u64) -> Self {
-        self.0 = self.0.crash_trainer_at(round);
-        self
-    }
-
-    /// Adds an at-rest damage entry, applied by the harness between waves.
-    pub fn damage_at_rest(mut self, fault: AtRestFault) -> Self {
-        self.0 = self.0.damage_at_rest(fault);
-        self
-    }
-
-    /// Schedules a checkpoint fault at checkpoint call `index`.
-    pub fn fault_checkpoint_at(mut self, index: u64, fault: CheckpointFault) -> Self {
-        self.0 = self.0.fault_checkpoint_at(index, fault);
-        self
-    }
-
-    /// Returns the composed plan.
-    pub fn build(self) -> ChaosPlan {
-        self.0
     }
 }
 

@@ -188,7 +188,14 @@ fn main() {
     for e in sequential.entries.iter().take(8) {
         println!(
             "  #{:<4} {:<10} {:>+9.4} [{:>+8.4}, {:>+8.4}] {:>+9.4} {:>+9.4} {:>8.0}",
-            e.rank, e.name, e.snips.point, e.snips.lcb, e.snips.ucb, e.ips.point, e.dr.point, e.ess
+            e.rank,
+            e.name,
+            e.snips.point,
+            e.snips.lcb,
+            e.snips.ucb,
+            e.ips.point,
+            e.dr.point,
+            e.weights.ess()
         );
     }
 

@@ -146,7 +146,7 @@ fn frame(svc: &DecisionService<MemorySegments>, label: &str) {
             w.name,
             w.snips.point,
             w.snips.lcb,
-            w.ess
+            w.weights.ess()
         );
     } else {
         println!("  portfolio: (no gate round yet)");
@@ -232,7 +232,13 @@ fn main() {
             for e in board.entries.iter().take(5) {
                 println!(
                     "  #{:<3} {:<12} snips={:+.4} [{:+.4}, {:+.4}] ess={:.0} clipped={:.3}",
-                    e.rank, e.name, e.snips.point, e.snips.lcb, e.snips.ucb, e.ess, e.clipped_mass
+                    e.rank,
+                    e.name,
+                    e.snips.point,
+                    e.snips.lcb,
+                    e.snips.ucb,
+                    e.weights.ess(),
+                    e.weights.clipped_mass()
                 );
             }
         }

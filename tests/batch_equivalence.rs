@@ -84,7 +84,7 @@ fn config(seed: u64) -> ServeConfig {
 /// in batch 2, 400 in batch 25) so both runs pay exactly one lock recovery
 /// per poison. Deliberately no tears and no at-rest damage.
 fn chaos_plan() -> ChaosPlan {
-    ChaosPlan::builder()
+    ChaosPlan::none()
         .kill_writer_at(100)
         .kill_writer_at(700)
         .drop_reward_at(50)
@@ -92,7 +92,6 @@ fn chaos_plan() -> ChaosPlan {
         .delay_reward_at(200, 250_000)
         .poison_shard_at(40)
         .poison_shard_at(400)
-        .build()
 }
 
 /// How a run serves each group of [`BATCH`] same-instant contexts.

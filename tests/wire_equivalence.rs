@@ -87,7 +87,7 @@ fn config(seed: u64) -> ServeConfig {
 /// kills survived by the supervisor, reward drops and a delay, and two
 /// shard poisonings. No tears, no at-rest damage.
 fn chaos_plan() -> ChaosPlan {
-    ChaosPlan::builder()
+    ChaosPlan::none()
         .kill_writer_at(100)
         .kill_writer_at(700)
         .drop_reward_at(50)
@@ -95,7 +95,6 @@ fn chaos_plan() -> ChaosPlan {
         .delay_reward_at(200, 250_000)
         .poison_shard_at(40)
         .poison_shard_at(400)
-        .build()
 }
 
 struct RunResult {
