@@ -380,6 +380,21 @@ mod tests {
     }
 
     #[test]
+    fn zero_sizes_clamp_to_one() {
+        let mut series = WindowSeries::new(SeriesConfig {
+            window_ns: 0,
+            capacity: 0,
+        });
+        assert_eq!(series.window_ns(), 1);
+        for t in 0..3 {
+            series.observe(t, sample(t + 1, 0.5, &[]));
+        }
+        // Two windows sealed into a one-frame ring: the older is evicted.
+        assert_eq!(series.frames().count(), 1);
+        assert_eq!(series.evicted(), 1);
+    }
+
+    #[test]
     fn gap_windows_seal_empty_with_carried_gauges() {
         let mut series = WindowSeries::new(SeriesConfig {
             window_ns: 100,

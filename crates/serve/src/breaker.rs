@@ -25,7 +25,7 @@
 use std::fmt;
 use std::sync::Mutex;
 
-use crate::error::lock_recovering;
+use crate::error::{lock_recovering, ServeError};
 use crate::metrics::ServeMetrics;
 
 /// Why the breaker last tripped. Retained until the next trip (surviving
@@ -43,7 +43,7 @@ pub enum TripReason {
     /// The trainer panicked mid-round.
     TrainerCrash,
     /// The promotion gate's confidence radius collapsed (non-finite or
-    /// over the configured ceiling) on real data.
+    /// over a ceiling of 100) on real data.
     GateCollapsed {
         /// The offending confidence radius.
         radius: f64,
@@ -81,10 +81,11 @@ pub struct BreakerConfig {
     pub trip_faults: u64,
     /// Consecutive healthy decisions required to re-arm.
     pub rearm_healthy: u64,
-    /// Gate confidence radii above this (or non-finite, with enough
-    /// samples) count as estimator collapse and trip the breaker.
-    pub max_gate_radius: f64,
 }
+
+/// Gate confidence radii above this (or non-finite, with enough samples)
+/// count as estimator collapse and trip the breaker.
+const MAX_GATE_RADIUS: f64 = 100.0;
 
 impl Default for BreakerConfig {
     fn default() -> Self {
@@ -92,7 +93,6 @@ impl Default for BreakerConfig {
             window: 64,
             trip_faults: 8,
             rearm_healthy: 128,
-            max_gate_radius: 100.0,
         }
     }
 }
@@ -101,6 +101,24 @@ impl BreakerConfig {
     /// A builder starting from the defaults.
     pub fn builder() -> BreakerConfigBuilder {
         BreakerConfigBuilder(BreakerConfig::default())
+    }
+
+    /// What [`CircuitBreaker::new`] would otherwise panic on: `window`,
+    /// `trip_faults`, and `rearm_healthy` must all be nonzero (a zero
+    /// window or re-arm streak would divide the health check into nothing).
+    pub(crate) fn validate(&self) -> Result<(), ServeError> {
+        for (name, v) in [
+            ("window", self.window),
+            ("trip_faults", self.trip_faults),
+            ("rearm_healthy", self.rearm_healthy),
+        ] {
+            if v == 0 {
+                return Err(ServeError::InvalidConfig {
+                    reason: format!("breaker {name} must be nonzero"),
+                });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -128,27 +146,11 @@ impl BreakerConfigBuilder {
         self
     }
 
-    /// Gate confidence radius treated as estimator collapse.
-    pub fn max_gate_radius(mut self, radius: f64) -> Self {
-        self.0.max_gate_radius = radius;
-        self
-    }
-
     /// Validates and returns the config: `window`, `trip_faults`, and
     /// `rearm_healthy` must all be nonzero (a zero window or re-arm
     /// streak would divide the health check into nothing).
-    pub fn build(self) -> Result<BreakerConfig, crate::error::ServeError> {
-        for (name, v) in [
-            ("window", self.0.window),
-            ("trip_faults", self.0.trip_faults),
-            ("rearm_healthy", self.0.rearm_healthy),
-        ] {
-            if v == 0 {
-                return Err(crate::error::ServeError::InvalidConfig {
-                    reason: format!("breaker {name} must be nonzero"),
-                });
-            }
-        }
+    pub fn build(self) -> Result<BreakerConfig, ServeError> {
+        self.0.validate()?;
         Ok(self.0)
     }
 }
@@ -248,8 +250,8 @@ impl CircuitBreaker {
     /// collapsed — the incumbent's pedigree is no longer trustworthy, so
     /// the breaker trips.
     pub fn note_gate(&self, n: usize, candidate_radius: f64, metrics: &ServeMetrics) {
-        let collapsed = n > 1
-            && !(candidate_radius.is_finite() && candidate_radius <= self.cfg.max_gate_radius);
+        let collapsed =
+            n > 1 && !(candidate_radius.is_finite() && candidate_radius <= MAX_GATE_RADIUS);
         if collapsed {
             let mut s = lock_recovering(&self.state, Some(metrics));
             if !s.open {
@@ -312,7 +314,6 @@ mod tests {
                 window,
                 trip_faults,
                 rearm_healthy: rearm,
-                max_gate_radius: 10.0,
             }),
             Arc::new(ServeMetrics::new()),
         )
@@ -391,6 +392,19 @@ mod tests {
         // A second report while open does not double-trip.
         b.note_gate(500, 1e9, &m);
         assert_eq!(m.snapshot().breaker_trips, 1);
+    }
+
+    #[test]
+    fn a_finite_gate_radius_trips_only_above_the_ceiling() {
+        let (b, m) = breaker(64, 1000, 4);
+        b.note_gate(500, 100.0, &m);
+        assert!(!b.is_open(), "a radius of exactly the ceiling is healthy");
+        b.note_gate(500, 100.5, &m);
+        assert!(b.is_open());
+        assert_eq!(
+            b.last_trip(),
+            Some(TripReason::GateCollapsed { radius: 100.5 })
+        );
     }
 
     #[test]

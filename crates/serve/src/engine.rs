@@ -63,6 +63,23 @@ impl EngineConfig {
     pub fn builder() -> EngineConfigBuilder {
         EngineConfigBuilder(EngineConfig::default())
     }
+
+    /// What [`DecisionEngine::new`] would otherwise panic on: `shards ≥ 1`
+    /// and ε in `(0, 1]` (a zero floor would log unharvestable
+    /// propensity-0 decisions).
+    pub(crate) fn validate(&self) -> Result<(), ServeError> {
+        if self.shards == 0 {
+            return Err(ServeError::InvalidConfig {
+                reason: "engine needs at least one shard".to_string(),
+            });
+        }
+        if !(self.epsilon > 0.0 && self.epsilon <= 1.0) {
+            return Err(ServeError::InvalidConfig {
+                reason: format!("epsilon must be in (0, 1], got {}", self.epsilon),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Builder for [`EngineConfig`]; [`build`](EngineConfigBuilder::build)
@@ -98,16 +115,7 @@ impl EngineConfigBuilder {
     /// Validates and returns the config: `shards ≥ 1` and ε in `(0, 1]`
     /// (a zero floor would log unharvestable propensity-0 decisions).
     pub fn build(self) -> Result<EngineConfig, ServeError> {
-        if self.0.shards == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: "engine needs at least one shard".to_string(),
-            });
-        }
-        if !(self.0.epsilon > 0.0 && self.0.epsilon <= 1.0) {
-            return Err(ServeError::InvalidConfig {
-                reason: format!("epsilon must be in (0, 1], got {}", self.0.epsilon),
-            });
-        }
+        self.0.validate()?;
         Ok(self.0)
     }
 }
@@ -625,6 +633,7 @@ mod tests {
         let (logger, writer) = spawn_supervised_writer(
             LoggerConfig::default(),
             SupervisorConfig::default(),
+            1,
             Arc::clone(&metrics),
             None,
             MemorySegments::new(),

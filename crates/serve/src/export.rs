@@ -350,7 +350,7 @@ pub(crate) fn prometheus_page(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{ObsConfig, ServeObs};
+    use crate::obs::ServeObs;
     use std::sync::Arc;
 
     #[test]
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn exposition_is_stable_and_carries_quality_families() {
-        let m = ServeMetrics::with_obs(Arc::new(ServeObs::new(&ObsConfig::default())));
+        let m = ServeMetrics::with_obs(Arc::new(ServeObs::new()));
         m.record_decision(10, true);
         let page_a = export_prometheus(&m, false, None);
         let page_b = export_prometheus(&m, false, None);

@@ -54,16 +54,6 @@ pub struct LoggerConfig {
     pub capacity: usize,
     /// Rotation thresholds for the crash-safe segments the writer emits.
     pub segment: SegmentConfig,
-    /// Index of the first segment the writer creates. Zero for a fresh
-    /// service; a warm restart sets it past the segments already on disk so
-    /// the new incarnation appends instead of overwriting history.
-    pub first_segment: u64,
-    /// How many per-shard SPSC rings to spread producers across — set this
-    /// to the engine's shard count (the service does so automatically) so
-    /// each shard owns a ring and pushes are uncontended by construction.
-    /// Records route by deciding shard (`request_id >> SEQ_BITS`), so any
-    /// value ≥ 1 is correct; fewer rings than shards just shares them.
-    pub shard_rings: usize,
 }
 
 impl Default for LoggerConfig {
@@ -71,8 +61,6 @@ impl Default for LoggerConfig {
         LoggerConfig {
             capacity: 4096,
             segment: SegmentConfig::default(),
-            first_segment: 0,
-            shard_rings: 1,
         }
     }
 }
@@ -98,19 +86,6 @@ impl LoggerConfigBuilder {
     /// Segment rotation thresholds.
     pub fn segment(mut self, segment: SegmentConfig) -> Self {
         self.0.segment = segment;
-        self
-    }
-
-    /// First segment index the writer creates (warm restarts resume past
-    /// the segments already persisted).
-    pub fn first_segment(mut self, first_segment: u64) -> Self {
-        self.0.first_segment = first_segment;
-        self
-    }
-
-    /// Number of per-shard SPSC rings (match the engine's shard count).
-    pub fn shard_rings(mut self, shard_rings: usize) -> Self {
-        self.0.shard_rings = shard_rings;
         self
     }
 

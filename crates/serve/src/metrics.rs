@@ -461,8 +461,7 @@ mod tests {
 
     #[test]
     fn with_obs_carries_the_bundle() {
-        use crate::obs::{ObsConfig, ServeObs};
-        let m = ServeMetrics::with_obs(Arc::new(ServeObs::new(&ObsConfig::default())));
+        let m = ServeMetrics::with_obs(Arc::new(ServeObs::new()));
         assert!(m.obs().is_some());
         assert!(ServeMetrics::new().obs().is_none());
     }

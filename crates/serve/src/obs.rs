@@ -35,7 +35,15 @@ use harvest_obs::{AtomicHistogram, Histogram, StripedHistogram, Terminal, Tracer
 /// examples or tests run at.
 const STAGE_JOURNAL_CAP: usize = 65_536;
 
-/// Observability sizing and switches for the service.
+/// Trace ring shards (each independently locked), and the stripes of the
+/// per-shard histograms.
+const TRACE_SHARDS: usize = 16;
+
+/// Trace ring capacity per shard; oldest traces are evicted (counted)
+/// beyond it.
+const TRACE_CAPACITY_PER_SHARD: usize = 4096;
+
+/// Observability switch for the service.
 ///
 /// Construct via [`ObsConfig::builder`] or from [`ObsConfig::default`];
 /// `#[non_exhaustive]`, so out-of-crate literal construction no longer
@@ -43,23 +51,15 @@ const STAGE_JOURNAL_CAP: usize = 65_536;
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct ObsConfig {
-    /// Master switch: `false` builds the service with no tracer and no
-    /// histograms (zero overhead beyond the plain counters).
+    /// Master switch: `false` builds the service with no tracer, no
+    /// histograms and no ops-plane scope (zero overhead beyond the plain
+    /// counters).
     pub enabled: bool,
-    /// Trace ring shards (each independently locked).
-    pub trace_shards: usize,
-    /// Trace ring capacity per shard; oldest traces evicted (counted)
-    /// beyond it.
-    pub trace_capacity_per_shard: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig {
-            enabled: true,
-            trace_shards: 16,
-            trace_capacity_per_shard: 4096,
-        }
+        ObsConfig { enabled: true }
     }
 }
 
@@ -75,31 +75,16 @@ impl ObsConfig {
 pub struct ObsConfigBuilder(ObsConfig);
 
 impl ObsConfigBuilder {
-    /// Master switch: `false` builds the service with no tracer and no
-    /// histograms.
+    /// Master switch: `false` builds the service with no tracer, no
+    /// histograms and no scope.
     pub fn enabled(mut self, enabled: bool) -> Self {
         self.0.enabled = enabled;
         self
     }
 
-    /// Trace ring shards (must stay ≥ 1).
-    pub fn trace_shards(mut self, shards: usize) -> Self {
-        self.0.trace_shards = shards;
-        self
-    }
-
-    /// Trace ring capacity per shard.
-    pub fn trace_capacity_per_shard(mut self, capacity: usize) -> Self {
-        self.0.trace_capacity_per_shard = capacity;
-        self
-    }
-
-    /// Returns the config; `trace_shards` is clamped to at least 1 so the
-    /// striped histograms always have a stripe to land on.
+    /// Returns the config.
     pub fn build(self) -> ObsConfig {
-        let mut cfg = self.0;
-        cfg.trace_shards = cfg.trace_shards.max(1);
-        cfg
+        self.0
     }
 }
 
@@ -145,18 +130,18 @@ impl fmt::Debug for ServeObs {
 }
 
 impl ServeObs {
-    /// Builds the bundle from `cfg` (the `enabled` flag is the caller's
-    /// concern — constructing implies enabled).
-    pub fn new(cfg: &ObsConfig) -> Self {
+    /// Builds the bundle ([`ObsConfig::enabled`] is the caller's concern —
+    /// constructing implies enabled).
+    pub(crate) fn new() -> Self {
         ServeObs {
             tracer: Tracer::new(TracerConfig {
-                shards: cfg.trace_shards,
-                capacity_per_shard: cfg.trace_capacity_per_shard,
+                shards: TRACE_SHARDS,
+                capacity_per_shard: TRACE_CAPACITY_PER_SHARD,
                 seq_bits: crate::engine::SEQ_BITS,
             }),
-            decision_interarrival_ns: StripedHistogram::new(cfg.trace_shards),
-            join_delay_ns: StripedHistogram::new(cfg.trace_shards),
-            join_queue_depth: StripedHistogram::new(cfg.trace_shards),
+            decision_interarrival_ns: StripedHistogram::new(TRACE_SHARDS),
+            join_delay_ns: StripedHistogram::new(TRACE_SHARDS),
+            join_queue_depth: StripedHistogram::new(TRACE_SHARDS),
             segment_records: AtomicHistogram::new(),
             segment_bytes: AtomicHistogram::new(),
             quality: Mutex::new(None),
@@ -310,7 +295,7 @@ mod tests {
 
     #[test]
     fn a_full_stage_journal_drops_its_oldest_entries_counted() {
-        let obs = ServeObs::new(&ObsConfig::default());
+        let obs = ServeObs::new();
         let pushed = STAGE_JOURNAL_CAP as u64 + 3;
         for ns in 0..pushed {
             obs.journal_stage_terminal(ns, Terminal::Written);

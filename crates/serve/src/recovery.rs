@@ -62,6 +62,7 @@ use crate::joiner::{JoinOutcome, JoinerState};
 use crate::metrics::MetricsState;
 use crate::registry::PolicyVersion;
 use crate::service::{DecisionService, ServeConfig};
+use crate::supervisor::WriterResume;
 
 /// The durable control-plane state: everything a warm restart needs that
 /// config cannot rederive. Serialized as JSON inside a CRC-framed
@@ -215,7 +216,7 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
     /// damaged checkpoints are counted discarded and the entire log is
     /// replayed from the fresh state — slower, never wrong.
     pub fn resume<C: CheckpointStore>(
-        mut cfg: ServeConfig,
+        cfg: ServeConfig,
         sink: S,
         chaos: Option<ChaosPlan>,
         checkpoints: &C,
@@ -244,11 +245,12 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         // clock starts at the number of records the old incarnations
         // already pushed through (written + quarantined at rest), so
         // consumed writer faults stay consumed.
-        cfg.logger.first_segment = segments.len() as u64;
-        cfg.supervisor.first_record_index =
-            (log_stats.recovered + log_stats.quarantined_records) as u64;
+        let resume = WriterResume {
+            first_segment: segments.len() as u64,
+            first_record_index: (log_stats.recovered + log_stats.quarantined_records) as u64,
+        };
 
-        let svc = Self::build(cfg, sink, chaos.map(Arc::new));
+        let svc = Self::build(cfg, sink, chaos.map(Arc::new), resume);
 
         // Restore the checkpointed cut (a cold start keeps the fresh state).
         let mut shard_next_seq: Vec<u64> = Vec::new();

@@ -15,9 +15,9 @@
 //! 3. evaluates the watchdogs over each sealed window — an **SLO
 //!    burn-rate** over the shed/dropped/quarantined share of offered
 //!    work, and a **harvest-quality** floor over `min(ess_fraction,
-//!    1 − floor_hit_rate)` — with hysteresis on both edges, raising
-//!    typed [`AlertEvent`]s and (optionally) feeding the breaker's
-//!    fault signal via
+//!    1 − floor_hit_rate)` — with hysteresis on both edges (two windows
+//!    to fire, two to clear), raising typed [`AlertEvent`]s and
+//!    (optionally) feeding the breaker's fault signal via
 //!    [`ServeMetrics::record_watchdog_fault`](crate::metrics::ServeMetrics::record_watchdog_fault).
 //!
 //! Everything here is a pure function of the `(tick, sample)` sequence,
@@ -32,6 +32,12 @@ use harvest_obs::{
 
 use crate::metrics::ServeMetrics;
 
+/// Consecutive breaching windows before a watchdog fires.
+const FIRE_AFTER: u32 = 2;
+
+/// Consecutive healthy windows before a firing watchdog clears.
+const CLEAR_AFTER: u32 = 2;
+
 /// Sizing, cadence, and watchdog thresholds for the scope.
 ///
 /// Construct via [`ScopeConfig::builder`] or [`ScopeConfig::default`];
@@ -39,31 +45,19 @@ use crate::metrics::ServeMetrics;
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct ScopeConfig {
-    /// Master switch: `false` builds the service without a scope (the
-    /// obs master switch being off also disables it, since the scope
-    /// reads the stage journal and quality gauges the bundle owns).
-    pub enabled: bool,
-    /// Window width in logical nanoseconds.
+    /// Window width in logical nanoseconds; the series treats 0 as 1.
     pub window_ns: u64,
-    /// Window frames retained in the ring.
+    /// Window frames retained in the ring; the series treats 0 as 1.
     pub windows: usize,
     /// SLO burn-rate threshold: the watchdog breaches when
     /// `(dropped + quarantined + shed) / (decisions + shed)` over a
     /// window reaches this fraction.
     pub slo_threshold: f64,
-    /// Consecutive breaching windows before the SLO alert fires.
-    pub slo_fire_after: u32,
-    /// Consecutive healthy windows before the SLO alert clears.
-    pub slo_clear_after: u32,
     /// Harvest-quality floor: the watchdog breaches when
     /// `min(ess_fraction, 1 − floor_hit_rate)` drops to this value or
     /// below. Windows with no trained round yet are skipped (streaks
     /// hold), so the alert never fires on absence of evidence.
     pub quality_threshold: f64,
-    /// Consecutive breaching windows before the quality alert fires.
-    pub quality_fire_after: u32,
-    /// Consecutive healthy windows before the quality alert clears.
-    pub quality_clear_after: u32,
     /// When `true`, each watchdog *firing* bumps the metrics'
     /// `watchdog_faults` counter, which the circuit breaker's fault
     /// signal includes — a sustained SLO burn can then trip the breaker
@@ -74,15 +68,10 @@ pub struct ScopeConfig {
 impl Default for ScopeConfig {
     fn default() -> Self {
         ScopeConfig {
-            enabled: true,
             window_ns: 1_000_000_000,
             windows: 64,
             slo_threshold: 0.2,
-            slo_fire_after: 2,
-            slo_clear_after: 2,
             quality_threshold: 0.2,
-            quality_fire_after: 2,
-            quality_clear_after: 2,
             feed_breaker: false,
         }
     }
@@ -100,19 +89,13 @@ impl ScopeConfig {
 pub struct ScopeConfigBuilder(ScopeConfig);
 
 impl ScopeConfigBuilder {
-    /// Master switch.
-    pub fn enabled(mut self, enabled: bool) -> Self {
-        self.0.enabled = enabled;
-        self
-    }
-
-    /// Window width in logical nanoseconds (clamped to ≥ 1 at build).
+    /// Window width in logical nanoseconds (0 is treated as 1).
     pub fn window_ns(mut self, window_ns: u64) -> Self {
         self.0.window_ns = window_ns;
         self
     }
 
-    /// Window frames retained in the ring (clamped to ≥ 1 at build).
+    /// Window frames retained in the ring (0 is treated as 1).
     pub fn windows(mut self, windows: usize) -> Self {
         self.0.windows = windows;
         self
@@ -124,23 +107,9 @@ impl ScopeConfigBuilder {
         self
     }
 
-    /// SLO hysteresis: windows to fire, windows to clear.
-    pub fn slo_hysteresis(mut self, fire_after: u32, clear_after: u32) -> Self {
-        self.0.slo_fire_after = fire_after;
-        self.0.slo_clear_after = clear_after;
-        self
-    }
-
     /// Harvest-quality floor in [0, 1].
     pub fn quality_threshold(mut self, threshold: f64) -> Self {
         self.0.quality_threshold = threshold;
-        self
-    }
-
-    /// Quality hysteresis: windows to fire, windows to clear.
-    pub fn quality_hysteresis(mut self, fire_after: u32, clear_after: u32) -> Self {
-        self.0.quality_fire_after = fire_after;
-        self.0.quality_clear_after = clear_after;
         self
     }
 
@@ -150,12 +119,9 @@ impl ScopeConfigBuilder {
         self
     }
 
-    /// Returns the config with sizes clamped to sane floors.
+    /// Returns the config.
     pub fn build(self) -> ScopeConfig {
-        let mut cfg = self.0;
-        cfg.window_ns = cfg.window_ns.max(1);
-        cfg.windows = cfg.windows.max(1);
-        cfg
+        self.0
     }
 }
 
@@ -183,8 +149,8 @@ impl HarvestScope {
         HarvestScope {
             feed_breaker: cfg.feed_breaker,
             series: WindowSeries::new(SeriesConfig {
-                window_ns: cfg.window_ns.max(1),
-                capacity: cfg.windows.max(1),
+                window_ns: cfg.window_ns,
+                capacity: cfg.windows,
             }),
             stage_write_ns: Histogram::new(),
             stage_drop_ns: Histogram::new(),
@@ -194,8 +160,8 @@ impl HarvestScope {
                 WatchdogConfig {
                     threshold: cfg.slo_threshold,
                     direction: BreachDirection::Above,
-                    fire_after: cfg.slo_fire_after,
-                    clear_after: cfg.slo_clear_after,
+                    fire_after: FIRE_AFTER,
+                    clear_after: CLEAR_AFTER,
                 },
             ),
             quality: Watchdog::new(
@@ -203,8 +169,8 @@ impl HarvestScope {
                 WatchdogConfig {
                     threshold: cfg.quality_threshold,
                     direction: BreachDirection::Below,
-                    fire_after: cfg.quality_fire_after,
-                    clear_after: cfg.quality_clear_after,
+                    fire_after: FIRE_AFTER,
+                    clear_after: CLEAR_AFTER,
                 },
             ),
             events: Vec::new(),
@@ -404,12 +370,12 @@ impl HarvestScope {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{ObsConfig, ServeObs};
+    use crate::obs::ServeObs;
     use harvest_obs::AlertPhase;
     use std::sync::Arc;
 
     fn scoped_metrics() -> ServeMetrics {
-        ServeMetrics::with_obs(Arc::new(ServeObs::new(&ObsConfig::default())))
+        ServeMetrics::with_obs(Arc::new(ServeObs::new()))
     }
 
     #[test]
@@ -436,7 +402,6 @@ mod tests {
         let cfg = ScopeConfig::builder()
             .window_ns(100)
             .slo_threshold(0.5)
-            .slo_hysteresis(2, 2)
             .build();
         let mut scope = HarvestScope::new(&cfg);
         // Two burning windows (every offered record dropped), then
@@ -472,7 +437,6 @@ mod tests {
         let cfg = ScopeConfig::builder()
             .window_ns(100)
             .quality_threshold(0.5)
-            .quality_hysteresis(1, 1)
             .build();
         let mut scope = HarvestScope::new(&cfg);
         // No quality published: windows seal, watchdog stays silent.
@@ -480,16 +444,18 @@ mod tests {
             assert!(scope.tick(w * 100, &m, false).is_empty());
         }
         assert!(!scope.alerts()[1].firing);
-        // Publish a collapsed-quality round: fires on the next sealed
-        // window.
+        // Publish a collapsed-quality round: fires once two sealed
+        // windows carry it.
         let mut q = harvest_estimators::HarvestQuality::empty();
         q.ess_fraction = 0.1;
         q.floor_hit_rate = 0.0;
         m.obs().unwrap().set_quality(q);
         // The t=400 observation carries the gauges into window 4; the
-        // next tick seals that window and the watchdog fires.
+        // next two ticks seal windows 4 and 5, and the watchdog fires on
+        // the second breach.
         assert!(scope.tick(400, &m, false).is_empty());
-        let events = scope.tick(500, &m, false);
+        assert!(scope.tick(500, &m, false).is_empty());
+        let events = scope.tick(600, &m, false);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].alert, "harvest_quality");
         assert_eq!(events[0].phase, AlertPhase::Fired);
@@ -501,39 +467,41 @@ mod tests {
         let cfg = ScopeConfig::builder()
             .window_ns(100)
             .slo_threshold(0.5)
-            .slo_hysteresis(1, 1)
             .feed_breaker(true)
             .build();
         let mut scope = HarvestScope::new(&cfg);
-        m.record_decision(50, false);
-        m.record_enqueued();
-        m.record_dropped();
-        scope.tick(100, &m, false); // opens window 1, seals nothing yet
-        m.record_decision(150, false);
-        m.record_enqueued();
-        m.record_written();
-        scope.tick(200, &m, false); // seals the burning window 1: fires
-                                    // One drop + one watchdog firing.
-        assert_eq!(m.fault_signal(), 2);
-        // The clear (healthy window 2) does not bump it.
-        scope.tick(300, &m, false);
+        // Two burning windows (every offered record dropped), then two
+        // healthy ones. Each tick seals the window before it.
+        let mut signal = Vec::new();
+        for w in 1..=5u64 {
+            m.record_decision(w * 100 - 50, false);
+            m.record_enqueued();
+            if w <= 2 {
+                m.record_dropped();
+            } else {
+                m.record_written();
+            }
+            scope.tick(w * 100, &m, false);
+            signal.push(m.fault_signal());
+        }
+        // Sealing the second burning window (t=300) fires: two drops plus
+        // one watchdog firing. The clear (t=500) does not bump it.
+        assert_eq!(signal, vec![1, 2, 3, 3, 3]);
         assert!(!scope.alerts()[0].firing);
-        assert_eq!(m.fault_signal(), 2);
+        assert_eq!(scope.alerts()[0].cleared_total, 1);
     }
 
     #[test]
     fn exports_are_deterministic_and_prometheus_validates() {
         let run = || {
             let m = scoped_metrics();
-            let cfg = ScopeConfig::builder()
-                .window_ns(100)
-                .slo_hysteresis(1, 1)
-                .build();
+            let cfg = ScopeConfig::builder().window_ns(100).build();
             let mut scope = HarvestScope::new(&cfg);
-            for w in 1..=4u64 {
+            // Windows 2 and 3 burn: the SLO alert fires, then clears.
+            for w in 1..=6u64 {
                 m.record_decision(w * 100 - 10, w % 2 == 0);
                 m.record_enqueued();
-                if w == 2 {
+                if w == 2 || w == 3 {
                     m.record_dropped();
                 } else {
                     m.record_written();
@@ -556,6 +524,7 @@ mod tests {
         let b = run();
         assert_eq!(a, b);
         harvest_obs::validate_exposition(&a.3).expect("scope prometheus page validates");
+        assert_eq!(a.2.lines().count(), 2, "one fire and one clear event");
         assert!(a
             .3
             .contains("harvest_alert_firing{alert=\"slo_burn_rate\"}"));

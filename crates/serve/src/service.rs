@@ -21,17 +21,18 @@
 //! [`ChaosPlan`] can inject (and their real-world counterparts):
 //!
 //! * **Writer crashes** are absorbed by the supervisor
-//!   ([`spawn_supervised_writer`]): the thread is restarted with capped
-//!   exponential backoff, torn tails are sealed into their segment, and a
-//!   writer past its restart budget keeps draining the queue — counting
-//!   every record dropped — so callers blocked on a full queue never wedge.
+//!   ([`spawn_supervised_writer`](crate::supervisor::spawn_supervised_writer)):
+//!   the thread is restarted with capped exponential backoff, torn tails
+//!   are sealed into their segment, and a writer past its restart budget
+//!   keeps draining the queue — counting every record dropped — so callers
+//!   blocked on a full queue never wedge.
 //! * **Wedged shards** (the chaos fault that replaced lock poisoning on
 //!   the lock-free decide path) are recovered and counted at the shard's
 //!   next acquisition, never propagated; poisoned mutexes elsewhere
 //!   (joiner, breaker, writer) are likewise recovered and counted.
 //! * **Degraded mode**: the [`CircuitBreaker`] watches the fault signal,
 //!   the writer's liveness, and the promotion gate's confidence radius.
-//!   While open, decisions are served by the configured *safe policy*
+//!   While open, decisions are served by the uniform *safe policy*
 //!   (paper §3's safe arm), stamped [`Decision::degraded`], and still log
 //!   exact propensities — degraded traffic remains harvestable.
 //! * **Trainer crashes** surface as [`ServeError::TrainerCrashed`], trip
@@ -59,8 +60,15 @@ use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::obs::{ObsConfig, ServeObs};
 use crate::registry::{PolicyRegistry, ServePolicy};
 use crate::scope::{HarvestScope, ScopeConfig};
-use crate::supervisor::{spawn_supervised_writer, SupervisorConfig, WriterSupervisorHandle};
+use crate::supervisor::{
+    spawn_resumed_writer, SupervisorConfig, WriterResume, WriterSupervisorHandle,
+};
 use crate::trainer::{GateReport, Trainer, TrainerConfig};
+
+/// The safe arm served while the breaker is open: uniform, so its
+/// per-action propensity is exactly `1/K` and even degraded traffic yields
+/// unbiased harvestable data.
+const SAFE_POLICY: ServePolicy = ServePolicy::Uniform;
 
 /// Everything configurable about the service.
 ///
@@ -80,19 +88,15 @@ pub struct ServeConfig {
     pub supervisor: SupervisorConfig,
     /// Degraded-mode circuit breaker thresholds.
     pub breaker: BreakerConfig,
-    /// The safe arm served while the breaker is open. Uniform by default:
-    /// its per-action propensity is exactly `1/K`, so even degraded traffic
-    /// yields unbiased harvestable data.
-    pub safe_policy: ServePolicy,
     /// Reward-join TTL in logical nanoseconds.
     pub join_ttl_ns: u64,
-    /// Trainer and promotion gate. Its `epsilon` is ignored: the service
-    /// gates candidates as served, under [`EngineConfig::epsilon`].
+    /// Trainer and promotion gate. The gate evaluates candidates as
+    /// served, under [`EngineConfig::epsilon`].
     pub trainer: TrainerConfig,
     /// Observability: decision tracer and telemetry histograms.
     pub obs: ObsConfig,
     /// The ops plane: windowed time series, stage-latency timeline, and
-    /// deterministic watchdogs. Requires [`ObsConfig::enabled`].
+    /// deterministic watchdogs. Built exactly when [`ObsConfig::enabled`].
     pub scope: ScopeConfig,
 }
 
@@ -104,7 +108,6 @@ impl Default for ServeConfig {
             logger: LoggerConfig::default(),
             supervisor: SupervisorConfig::default(),
             breaker: BreakerConfig::default(),
-            safe_policy: ServePolicy::Uniform,
             join_ttl_ns: 10_000_000_000, // 10 logical seconds
             obs: ObsConfig::default(),
             scope: ScopeConfig::default(),
@@ -121,12 +124,11 @@ impl ServeConfig {
 
 /// Builder for [`ServeConfig`].
 ///
-/// The engine's everyday knobs — [`shards`](ServeConfigBuilder::shards),
+/// The engine's knobs — [`shards`](ServeConfigBuilder::shards),
 /// [`epsilon`](ServeConfigBuilder::epsilon),
 /// [`master_seed`](ServeConfigBuilder::master_seed),
 /// [`component`](ServeConfigBuilder::component) — are flattened onto the
-/// builder; whole sub-configs can still be swapped in via
-/// [`engine`](ServeConfigBuilder::engine) and friends.
+/// builder; the other sub-configs are swapped in whole.
 /// [`build`](ServeConfigBuilder::build) validates everything the service
 /// would otherwise panic on at construction.
 #[derive(Debug, Clone)]
@@ -158,12 +160,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Replaces the whole engine config.
-    pub fn engine(mut self, engine: EngineConfig) -> Self {
-        self.0.engine = engine;
-        self
-    }
-
     /// Replaces the log queue / segment config.
     pub fn logger(mut self, logger: LoggerConfig) -> Self {
         self.0.logger = logger;
@@ -179,12 +175,6 @@ impl ServeConfigBuilder {
     /// Replaces the circuit-breaker thresholds.
     pub fn breaker(mut self, breaker: BreakerConfig) -> Self {
         self.0.breaker = breaker;
-        self
-    }
-
-    /// The safe arm served while the breaker is open.
-    pub fn safe_policy(mut self, policy: ServePolicy) -> Self {
-        self.0.safe_policy = policy;
         self
     }
 
@@ -216,27 +206,8 @@ impl ServeConfigBuilder {
     /// in `(0, 1]`, and the breaker's window, trip, and re-arm thresholds
     /// must be nonzero.
     pub fn build(self) -> Result<ServeConfig, ServeError> {
-        if self.0.engine.shards == 0 {
-            return Err(ServeError::InvalidConfig {
-                reason: "engine needs at least one shard".to_string(),
-            });
-        }
-        if !(self.0.engine.epsilon > 0.0 && self.0.engine.epsilon <= 1.0) {
-            return Err(ServeError::InvalidConfig {
-                reason: format!("epsilon must be in (0, 1], got {}", self.0.engine.epsilon),
-            });
-        }
-        for (name, v) in [
-            ("window", self.0.breaker.window),
-            ("trip_faults", self.0.breaker.trip_faults),
-            ("rearm_healthy", self.0.breaker.rearm_healthy),
-        ] {
-            if v == 0 {
-                return Err(ServeError::InvalidConfig {
-                    reason: format!("breaker {name} must be nonzero"),
-                });
-            }
-        }
+        self.0.engine.validate()?;
+        self.0.breaker.validate()?;
         Ok(self.0)
     }
 }
@@ -275,14 +246,13 @@ pub struct DecisionService<S: SegmentSink + Send + 'static> {
     /// Training-round index for chaos crash scheduling; advances per call.
     pub(crate) train_rounds: AtomicU64,
     pub(crate) breaker: CircuitBreaker,
-    safe_policy: ServePolicy,
     pub(crate) chaos: Option<Arc<ChaosPlan>>,
     /// Global decision index for chaos scheduling (poison faults).
     pub(crate) decision_seq: AtomicU64,
     /// Global reward-call index for chaos scheduling (drop/delay faults).
     pub(crate) reward_seq: AtomicU64,
-    /// The ops plane, when both obs and scope are enabled. Ticked behind a
-    /// mutex — ticks are control-plane cadence, never the hot path.
+    /// The ops plane, when obs is enabled. Ticked behind a mutex — ticks
+    /// are control-plane cadence, never the hot path.
     scope: Option<Mutex<HarvestScope>>,
 }
 
@@ -290,19 +260,26 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
     /// Boots the service with a uniform (explore-only) generation-0
     /// incumbent, logging segments into `sink`.
     pub fn new(cfg: ServeConfig, sink: S) -> Self {
-        Self::build(cfg, sink, None)
+        Self::build(cfg, sink, None, WriterResume::default())
     }
 
     /// Like [`DecisionService::new`], with a deterministic fault schedule.
     /// The same `(config, plan, call sequence)` triple reproduces the same
     /// faults, the same decisions, and byte-identical log segments.
     pub fn with_chaos(cfg: ServeConfig, sink: S, plan: ChaosPlan) -> Self {
-        Self::build(cfg, sink, Some(Arc::new(plan)))
+        Self::build(cfg, sink, Some(Arc::new(plan)), WriterResume::default())
     }
 
-    pub(crate) fn build(cfg: ServeConfig, sink: S, chaos: Option<Arc<ChaosPlan>>) -> Self {
+    /// Assembles the service; its writer continues the durable history
+    /// `resume` describes (a fresh log for [`WriterResume::default`]).
+    pub(crate) fn build(
+        cfg: ServeConfig,
+        sink: S,
+        chaos: Option<Arc<ChaosPlan>>,
+        resume: WriterResume,
+    ) -> Self {
         let metrics = if cfg.obs.enabled {
-            Arc::new(ServeMetrics::with_obs(Arc::new(ServeObs::new(&cfg.obs))))
+            Arc::new(ServeMetrics::with_obs(Arc::new(ServeObs::new())))
         } else {
             Arc::new(ServeMetrics::new())
         };
@@ -313,14 +290,14 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         // One SPSC ring per engine shard: each shard pushes to its own ring
         // and the writer merges in ticket order, so log hand-off never
         // contends across shards.
-        let mut logger_cfg = cfg.logger;
-        logger_cfg.shard_rings = cfg.engine.shards.max(1);
-        let (logger, writer) = spawn_supervised_writer(
-            logger_cfg,
+        let (logger, writer) = spawn_resumed_writer(
+            cfg.logger,
             cfg.supervisor,
+            cfg.engine.shards,
             Arc::clone(&metrics),
             chaos.clone(),
             sink,
+            resume,
         );
         let engine = DecisionEngine::new(
             &cfg.engine,
@@ -331,7 +308,9 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         let joiners = (0..engine.num_shards())
             .map(|_| Mutex::new(RewardJoiner::new(cfg.join_ttl_ns, Arc::clone(&metrics))))
             .collect();
-        let scope = (cfg.obs.enabled && cfg.scope.enabled)
+        let scope = cfg
+            .obs
+            .enabled
             .then(|| Mutex::new(HarvestScope::new(&cfg.scope)));
         DecisionService {
             registry,
@@ -342,14 +321,10 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
             metrics,
             // One ε: the gate evaluates candidates exactly as the engine
             // will serve them.
-            trainer: Trainer::new(TrainerConfig {
-                epsilon: cfg.engine.epsilon,
-                ..cfg.trainer
-            }),
+            trainer: Trainer::new(cfg.trainer, cfg.engine.epsilon),
             rounds: Mutex::new(0),
             train_rounds: AtomicU64::new(0),
             breaker: CircuitBreaker::new(cfg.breaker),
-            safe_policy: cfg.safe_policy,
             chaos,
             decision_seq: AtomicU64::new(0),
             reward_seq: AtomicU64::new(0),
@@ -415,7 +390,7 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
                 .push(self.breaker.on_decision(writer_alive, &self.metrics));
         }
         self.engine
-            .decide_batch_with(shard, now_ns, contexts, Some(&self.safe_policy), out)?;
+            .decide_batch_with(shard, now_ns, contexts, Some(&SAFE_POLICY), out)?;
         // The engine has range-checked `shard`.
         lock_recovering(&self.joiners[shard], Some(&self.metrics))
             .track_many(out.decisions.iter().map(|d| d.request_id), now_ns);
@@ -730,7 +705,6 @@ mod tests {
             ServeConfig {
                 trainer: TrainerConfig {
                     lambda: 1e-3,
-                    epsilon: 0.2,
                     ..TrainerConfig::default()
                 },
                 ..config(11)
@@ -767,15 +741,13 @@ mod tests {
 
     #[test]
     fn the_trainer_gates_under_the_serving_epsilon() {
-        // Replacing the trainer config after setting ε must not leave the
-        // gate evaluating candidates under a different floor than serving.
         let cfg = ServeConfig::builder()
             .epsilon(0.3)
             .trainer(TrainerConfig::default())
             .build()
             .unwrap();
         let svc = DecisionService::new(cfg, MemorySegments::new());
-        assert_eq!(svc.trainer.config().epsilon, 0.3);
+        assert_eq!(svc.trainer.epsilon(), 0.3);
         svc.shutdown().unwrap();
     }
 

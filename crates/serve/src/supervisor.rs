@@ -67,12 +67,6 @@ pub struct SupervisorConfig {
     pub backoff_base_ms: u64,
     /// Backoff ceiling in milliseconds.
     pub backoff_cap_ms: u64,
-    /// Starting value of the fault-index clock (records popped so far).
-    /// Zero for a fresh service; a warm restart sets it to the records the
-    /// previous incarnation durably accounted (`written + quarantined`), so
-    /// a seeded [`ChaosPlan`]'s writer faults keyed below it — already
-    /// consumed before the crash — can never re-fire.
-    pub first_record_index: u64,
 }
 
 impl Default for SupervisorConfig {
@@ -81,7 +75,6 @@ impl Default for SupervisorConfig {
             max_restarts: 8,
             backoff_base_ms: 1,
             backoff_cap_ms: 50,
-            first_record_index: 0,
         }
     }
 }
@@ -113,13 +106,6 @@ impl SupervisorConfigBuilder {
     /// Backoff ceiling in milliseconds.
     pub fn backoff_cap_ms(mut self, ms: u64) -> Self {
         self.0.backoff_cap_ms = ms;
-        self
-    }
-
-    /// Starting value of the fault-index clock (warm restarts resume it at
-    /// the previous incarnation's `written + quarantined`).
-    pub fn first_record_index(mut self, index: u64) -> Self {
-        self.0.first_record_index = index;
         self
     }
 
@@ -370,23 +356,64 @@ impl<S: SegmentSink> WriterSupervisorHandle<S> {
     }
 }
 
+/// Where a new writer incarnation starts. Zero for a fresh service; a warm
+/// restart resumes past the durable history the previous incarnations left.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WriterResume {
+    /// Index of the first segment the writer creates: past the segments
+    /// already on disk, so the new incarnation appends instead of
+    /// overwriting history.
+    pub(crate) first_segment: u64,
+    /// Starting value of the fault-index clock (records popped so far): the
+    /// records the previous incarnations durably accounted (`written +
+    /// quarantined`), so a seeded [`ChaosPlan`]'s writer faults keyed below
+    /// it — already consumed before the crash — can never re-fire.
+    pub(crate) first_record_index: u64,
+}
+
 /// Spawns the supervised writer over `sink` and returns the producer half
-/// plus the supervisor handle. `chaos` is the deterministic fault schedule
-/// (`None` in production).
+/// plus the supervisor handle. `shard_rings` is the number of per-shard
+/// SPSC rings producers push into — the engine's shard count, so each
+/// shard owns a ring; records route by deciding shard, so any value ≥ 1 is
+/// correct and fewer rings than shards just shares them. `chaos` is the
+/// deterministic fault schedule (`None` in production).
 pub fn spawn_supervised_writer<S: SegmentSink + Send + 'static>(
     cfg: LoggerConfig,
     sup: SupervisorConfig,
+    shard_rings: usize,
     metrics: Arc<ServeMetrics>,
     chaos: Option<Arc<ChaosPlan>>,
     sink: S,
 ) -> (DecisionLogger, WriterSupervisorHandle<S>) {
+    spawn_resumed_writer(
+        cfg,
+        sup,
+        shard_rings,
+        metrics,
+        chaos,
+        sink,
+        WriterResume::default(),
+    )
+}
+
+/// [`spawn_supervised_writer`] for a writer that continues the durable
+/// history described by `resume`.
+pub(crate) fn spawn_resumed_writer<S: SegmentSink + Send + 'static>(
+    cfg: LoggerConfig,
+    sup: SupervisorConfig,
+    shard_rings: usize,
+    metrics: Arc<ServeMetrics>,
+    chaos: Option<Arc<ChaosPlan>>,
+    sink: S,
+    resume: WriterResume,
+) -> (DecisionLogger, WriterSupervisorHandle<S>) {
     // The rings are sized in frames only as a backstop; the record-
     // weighted QueueBudget is the real bound (frames ≤ records, so no ring
     // can fill while the budget has room).
-    let rings = Arc::new(LogRings::new(cfg.shard_rings.max(1), cfg.capacity.max(1)));
+    let rings = Arc::new(LogRings::new(shard_rings.max(1), cfg.capacity.max(1)));
     let budget = Arc::new(QueueBudget::new(cfg.capacity.max(1) as u64));
     let kills = chaos.as_ref().map(|c| c.writer_kills()).unwrap_or_default();
-    let mut writer = SegmentedLogWriter::with_start(sink, cfg.segment, cfg.first_segment);
+    let mut writer = SegmentedLogWriter::with_start(sink, cfg.segment, resume.first_segment);
     if let Some(obs) = metrics.obs() {
         writer.set_observer(seal_observer(obs));
     }
@@ -394,12 +421,12 @@ pub fn spawn_supervised_writer<S: SegmentSink + Send + 'static>(
     // left it: kills keyed strictly below it already fired before the
     // crash, so the cursor starts past them; a kill keyed exactly at the
     // resume index targets a record not yet popped and stays armed.
-    let kill_cursor = kills.partition_point(|&k| k < sup.first_record_index);
+    let kill_cursor = kills.partition_point(|&k| k < resume.first_record_index);
     let shared = Arc::new(WriterShared {
         rings: Arc::clone(&rings),
         budget: Arc::clone(&budget),
         writer: Mutex::new(Some(writer)),
-        attempted: AtomicU64::new(sup.first_record_index),
+        attempted: AtomicU64::new(resume.first_record_index),
         kills,
         kill_cursor: AtomicUsize::new(kill_cursor),
         chaos,
@@ -446,8 +473,6 @@ mod tests {
                 max_bytes: usize::MAX,
                 max_span_ns: u64::MAX,
             },
-            first_segment: 0,
-            shard_rings: 1,
         }
     }
 
@@ -457,6 +482,7 @@ mod tests {
         let (logger, handle) = spawn_supervised_writer(
             cfg(2),
             SupervisorConfig::default(),
+            1,
             Arc::clone(&metrics),
             None,
             MemorySegments::new(),
@@ -487,6 +513,7 @@ mod tests {
         let (logger, handle) = spawn_supervised_writer(
             cfg(128),
             SupervisorConfig::default(),
+            1,
             Arc::clone(&metrics),
             Some(plan),
             MemorySegments::new(),
@@ -515,6 +542,7 @@ mod tests {
         let (logger, handle) = spawn_supervised_writer(
             cfg(128),
             SupervisorConfig::default(),
+            1,
             Arc::clone(&metrics),
             Some(plan),
             MemorySegments::new(),
@@ -557,8 +585,8 @@ mod tests {
                 max_restarts: 2,
                 backoff_base_ms: 1,
                 backoff_cap_ms: 2,
-                first_record_index: 0,
             },
+            1,
             Arc::clone(&metrics),
             Some(Arc::new(plan)),
             MemorySegments::new(),
@@ -599,6 +627,7 @@ mod tests {
             let (logger, handle) = spawn_supervised_writer(
                 cfg(256),
                 SupervisorConfig::default(),
+                1,
                 metrics,
                 Some(plan),
                 MemorySegments::new(),

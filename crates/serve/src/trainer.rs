@@ -24,8 +24,8 @@
 //! is scored the same way, as a one-candidate pass, and the winner's
 //! quality gauges come from the weight moments the main pass folded, so
 //! every number the gate reads comes from the portfolio's accumulators.
-//! Gate knobs — portfolio size, LCB margin, minimum effective sample size,
-//! confidence constants — live on [`GateConfig`].
+//! Gate knobs — portfolio size, confidence constants, estimator, sample
+//! floor — live on [`GateConfig`].
 
 use harvest_core::learner::{ModelingMode, RegressionCbLearner, SampleWeighting};
 use harvest_core::policy::UniformPolicy;
@@ -67,12 +67,6 @@ pub struct GateConfig {
     /// Candidates scored per round: the fitted scorer plus `portfolio − 1`
     /// deterministic tilted variants. Must be at least 1.
     pub portfolio: usize,
-    /// The winner's LCB must exceed the incumbent's point estimate by this
-    /// much. Zero restores the classic `lcb > incumbent` rule.
-    pub lcb_margin: f64,
-    /// Refuse to promote a winner whose effective sample size (Kish) on the
-    /// harvested data is below this floor.
-    pub min_ess: f64,
     /// Constants for the confidence radius.
     pub bound: BoundConfig,
     /// The gate's estimator.
@@ -85,8 +79,6 @@ impl Default for GateConfig {
     fn default() -> Self {
         GateConfig {
             portfolio: 16,
-            lcb_margin: 0.0,
-            min_ess: 0.0,
             bound: BoundConfig {
                 c: 2.0,
                 delta: 0.05,
@@ -115,18 +107,6 @@ impl GateConfigBuilder {
         self
     }
 
-    /// How far above the incumbent the winner's LCB must land.
-    pub fn lcb_margin(mut self, lcb_margin: f64) -> Self {
-        self.0.lcb_margin = lcb_margin;
-        self
-    }
-
-    /// Minimum effective sample size behind a promotable winner.
-    pub fn min_ess(mut self, min_ess: f64) -> Self {
-        self.0.min_ess = min_ess;
-        self
-    }
-
     /// Constants for the confidence radius.
     pub fn bound(mut self, bound: BoundConfig) -> Self {
         self.0.bound = bound;
@@ -149,18 +129,9 @@ impl GateConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `portfolio` is zero, or `lcb_margin` / `min_ess` are not
-    /// finite and non-negative.
+    /// Panics if `portfolio` is zero.
     pub fn build(self) -> GateConfig {
         assert!(self.0.portfolio >= 1, "portfolio must be at least 1");
-        assert!(
-            self.0.lcb_margin.is_finite() && self.0.lcb_margin >= 0.0,
-            "lcb_margin must be finite and non-negative"
-        );
-        assert!(
-            self.0.min_ess.is_finite() && self.0.min_ess >= 0.0,
-            "min_ess must be finite and non-negative"
-        );
         self.0
     }
 }
@@ -170,28 +141,22 @@ impl GateConfigBuilder {
 /// Construct via [`TrainerConfig::builder`] or from
 /// [`TrainerConfig::default`]; `#[non_exhaustive]`, so out-of-crate
 /// literal construction no longer compiles. Gate knobs live on
-/// [`GateConfig`] under [`TrainerConfig::gate`].
+/// [`GateConfig`] under [`TrainerConfig::gate`]. The exploration floor is
+/// not here: it is the serving ε, passed to [`Trainer::new`].
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct TrainerConfig {
-    /// The exploration floor the engine serves with; candidate and
-    /// incumbent are both evaluated as served (ε-floored). A
-    /// [`DecisionService`](crate::service::DecisionService) overrides it
-    /// with its own [`EngineConfig::epsilon`](crate::engine::EngineConfig::epsilon),
-    /// so only a standalone trainer reads this value.
-    pub epsilon: f64,
     /// Ridge regularizer for the candidate reward model.
     pub lambda: f64,
     /// How (context, action) pairs are featurized.
     pub modeling: ModelingMode,
-    /// The promotion gate: portfolio size, margins, and confidence knobs.
+    /// The promotion gate: portfolio size, estimator, and confidence knobs.
     pub gate: GateConfig,
 }
 
 impl Default for TrainerConfig {
     fn default() -> Self {
         TrainerConfig {
-            epsilon: 0.1,
             lambda: 1.0,
             modeling: ModelingMode::PerAction,
             gate: GateConfig::default(),
@@ -211,13 +176,6 @@ impl TrainerConfig {
 pub struct TrainerConfigBuilder(TrainerConfig);
 
 impl TrainerConfigBuilder {
-    /// The exploration floor candidates are evaluated under. A service
-    /// overrides it with the engine's ε.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.0.epsilon = epsilon;
-        self
-    }
-
     /// Ridge regularizer for the candidate reward model.
     pub fn lambda(mut self, lambda: f64) -> Self {
         self.0.lambda = lambda;
@@ -264,8 +222,7 @@ pub struct GateReport {
     /// Whether the winner cleared the bar.
     pub promoted: bool,
     /// Why the gate ruled the way it did: `"promoted"`,
-    /// `"insufficient_samples"`, `"below_min_ess"`, or
-    /// `"lcb_not_above_incumbent"`.
+    /// `"insufficient_samples"`, or `"lcb_not_above_incumbent"`.
     pub reason: String,
     /// Harvest-quality diagnostics (ESS, weight concentration, propensity
     /// floor hits, drift) over the winner's importance weights — the
@@ -293,31 +250,37 @@ pub struct TrainRound {
 #[derive(Debug, Clone)]
 pub struct Trainer {
     cfg: TrainerConfig,
+    epsilon: f64,
 }
 
 impl Trainer {
-    /// Creates a trainer.
+    /// Creates a trainer that evaluates candidate and incumbent as served
+    /// under the exploration floor `epsilon` — a
+    /// [`DecisionService`](crate::service::DecisionService) passes its own
+    /// [`EngineConfig::epsilon`](crate::engine::EngineConfig::epsilon).
     ///
     /// # Panics
     ///
     /// Panics if `epsilon` is outside `(0, 1]`, `lambda` is not positive,
     /// or the gate's portfolio is empty.
-    pub fn new(cfg: TrainerConfig) -> Self {
-        assert!(
-            cfg.epsilon > 0.0 && cfg.epsilon <= 1.0,
-            "epsilon must be in (0, 1]"
-        );
+    pub fn new(cfg: TrainerConfig, epsilon: f64) -> Self {
+        assert!(epsilon > 0.0 && epsilon <= 1.0, "epsilon must be in (0, 1]");
         assert!(
             cfg.lambda.is_finite() && cfg.lambda > 0.0,
             "lambda must be positive"
         );
         assert!(cfg.gate.portfolio >= 1, "gate portfolio must be at least 1");
-        Trainer { cfg }
+        Trainer { cfg, epsilon }
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &TrainerConfig {
         &self.cfg
+    }
+
+    /// The exploration floor candidates are evaluated under.
+    pub fn epsilon(&self) -> f64 {
+        self.epsilon
     }
 
     /// Step 1–2: joins decisions with outcomes and validates propensities.
@@ -350,7 +313,7 @@ impl Trainer {
         fitted: &LinearScorer,
     ) -> (GateReport, ServePolicy, PortfolioReport) {
         let g = &self.cfg.gate;
-        let eps = self.cfg.epsilon;
+        let eps = self.epsilon;
         let evaluate = |candidates: Vec<Candidate>| {
             PortfolioEvaluator::builder()
                 .config(
@@ -414,21 +377,17 @@ impl Trainer {
             .find(|(n, _)| *n == winner.name)
             .map(|(_, s)| s.clone())
             .expect("winner came from this portfolio");
-        // The promotion rule: enough samples, enough effective sample
-        // size, and an LCB clearing the incumbent by the margin.
+        // The promotion rule: enough samples, and an LCB above the
+        // incumbent.
         let n = data.len();
-        let winner_ess = winner.weights.ess();
         let candidate_radius = winner_est.point - winner_est.lcb;
         let candidate_lcb = winner_est.point - candidate_radius;
         let enough = n >= g.min_samples;
-        let ess_ok = winner_ess >= g.min_ess;
-        let promoted = enough && ess_ok && candidate_lcb > incumbent_value + g.lcb_margin;
+        let promoted = enough && candidate_lcb > incumbent_value;
         let reason = if promoted {
             "promoted"
         } else if !enough {
             "insufficient_samples"
-        } else if !ess_ok {
-            "below_min_ess"
         } else {
             "lcb_not_above_incumbent"
         };
@@ -436,7 +395,7 @@ impl Trainer {
             n,
             portfolio: named.len(),
             winner: winner.name.clone(),
-            winner_ess,
+            winner_ess: winner.weights.ess(),
             candidate_value: winner_est.point,
             candidate_radius,
             candidate_lcb,
@@ -549,12 +508,13 @@ mod tests {
     }
 
     /// A trainer whose gate scores a single candidate — the scorer it is
-    /// handed, untilted — under `gate`'s other knobs.
+    /// handed, untilted — under `gate`'s other knobs, at ε = 0.1.
     fn single_candidate(gate: GateConfigBuilder) -> Trainer {
         Trainer::new(
             TrainerConfig::builder()
                 .gate(gate.portfolio(1).build())
                 .build(),
+            0.1,
         )
     }
 
@@ -606,24 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_refuses_below_the_ess_floor() {
-        let data = crossing_data(4000, 6);
-        let t = single_candidate(GateConfig::builder().min_ess(1e9));
-        let report = verdict(&t, &data, good_scorer());
-        assert!(!report.promoted, "{report:?}");
-        assert_eq!(report.reason, "below_min_ess");
-    }
-
-    #[test]
-    fn lcb_margin_raises_the_bar() {
-        let data = crossing_data(4000, 7);
-        let t = single_candidate(GateConfig::builder().lcb_margin(10.0));
-        let report = verdict(&t, &data, good_scorer());
-        assert!(!report.promoted, "{report:?}");
-        assert_eq!(report.reason, "lcb_not_above_incumbent");
-    }
-
-    #[test]
     fn dr_gate_agrees_on_the_easy_cases() {
         let data = crossing_data(4000, 4);
         let t = single_candidate(GateConfig::builder().estimator(GateEstimator::Dr));
@@ -661,10 +603,13 @@ mod tests {
     #[test]
     fn run_round_learns_the_crossing_policy_from_raw_records() {
         let records = crossing_records(3000, 5);
-        let t = Trainer::new(TrainerConfig {
-            lambda: 1e-3,
-            ..TrainerConfig::default()
-        });
+        let t = Trainer::new(
+            TrainerConfig {
+                lambda: 1e-3,
+                ..TrainerConfig::default()
+            },
+            0.1,
+        );
         let round = t.run_round(&records, &ServePolicy::Uniform).unwrap();
         assert_eq!(round.harvest.scavenge.joined, 3000);
         assert!(round.gate.promoted, "{:?}", round.gate);
@@ -696,10 +641,13 @@ mod tests {
     #[test]
     fn run_round_scores_the_whole_portfolio() {
         let records = crossing_records(2000, 8);
-        let t = Trainer::new(TrainerConfig {
-            lambda: 1e-3,
-            ..TrainerConfig::default()
-        });
+        let t = Trainer::new(
+            TrainerConfig {
+                lambda: 1e-3,
+                ..TrainerConfig::default()
+            },
+            0.1,
+        );
         let round = t.run_round(&records, &ServePolicy::Uniform).unwrap();
         // Default portfolio: the fitted scorer plus 15 tilts.
         assert_eq!(round.gate.portfolio, 16);
@@ -728,7 +676,7 @@ mod tests {
     #[test]
     fn portfolio_gate_is_deterministic() {
         let data = crossing_data(1500, 9);
-        let t = Trainer::new(TrainerConfig::default());
+        let t = Trainer::new(TrainerConfig::default(), 0.1);
         let (g1, p1, l1) = t.portfolio_gate(&data, &ServePolicy::Uniform, &good_scorer());
         let (g2, p2, l2) = t.portfolio_gate(&data, &ServePolicy::Uniform, &good_scorer());
         assert_eq!(g1, g2);
@@ -768,8 +716,6 @@ mod tests {
                     .estimator(GateEstimator::Dr)
                     .min_samples(42)
                     .portfolio(8)
-                    .lcb_margin(0.01)
-                    .min_ess(50.0)
                     .build(),
             )
             .build();
@@ -778,8 +724,6 @@ mod tests {
         assert_eq!(cfg.gate.estimator, GateEstimator::Dr);
         assert_eq!(cfg.gate.min_samples, 42);
         assert_eq!(cfg.gate.portfolio, 8);
-        assert_eq!(cfg.gate.lcb_margin, 0.01);
-        assert_eq!(cfg.gate.min_ess, 50.0);
     }
 
     /// The greedy incumbent the pinned gates run against.
@@ -871,7 +815,7 @@ mod tests {
         ];
         let got = cases.map(|(estimator, incumbent)| {
             let gate = GateConfig::builder().estimator(estimator).build();
-            let t = Trainer::new(TrainerConfig::builder().gate(gate).build());
+            let t = Trainer::new(TrainerConfig::builder().gate(gate).build(), 0.1);
             let fitted = t.train(&data).unwrap();
             report_bits(&t.portfolio_gate(&data, &incumbent, &fitted).0)
         });

@@ -100,6 +100,7 @@ fn second_batch_allocations(n: usize) -> u64 {
     let (logger, writer) = spawn_supervised_writer(
         LoggerConfig::default(),
         SupervisorConfig::default(),
+        1,
         Arc::clone(&metrics),
         None,
         MemorySegments::new(),

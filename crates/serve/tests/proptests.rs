@@ -267,6 +267,7 @@ proptest! {
                 .backoff_base_ms(1)
                 .backoff_cap_ms(2)
                 .build(),
+            1,
             Arc::clone(&metrics),
             Some(Arc::new(plan)),
             MemorySegments::new(),

@@ -71,12 +71,7 @@ fn main() {
                 .backoff_cap_ms(4)
                 .build(),
         )
-        .trainer(
-            TrainerConfig::builder()
-                .lambda(1e-3)
-                .epsilon(EPSILON)
-                .build(),
-        )
+        .trainer(TrainerConfig::builder().lambda(1e-3).build())
         .build()
         .expect("valid demo config");
     let svc = DecisionService::with_chaos(cfg, store.clone(), plan.clone());

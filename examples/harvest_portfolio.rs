@@ -251,10 +251,10 @@ fn main() {
     // harvested dataset and gates the LCB-winner against the incumbent.
     let trainer = Trainer::new(
         TrainerConfig::builder()
-            .epsilon(EPSILON)
             .lambda(1e-3)
             .gate(GateConfig::builder().portfolio(32).min_samples(500).build())
             .build(),
+        EPSILON,
     );
     let store = MemorySegments::new();
     store.replace_all(segments);

@@ -81,20 +81,13 @@ fn run(seed: u64, verbose: bool) -> RunOutput {
                 })
                 .build(),
         )
-        .trainer(
-            TrainerConfig::builder()
-                .lambda(1e-3)
-                .epsilon(EPSILON)
-                .build(),
-        )
+        .trainer(TrainerConfig::builder().lambda(1e-3).build())
         .scope(
             ScopeConfig::builder()
                 .window_ns(WINDOW_NS)
                 .windows(64)
                 .slo_threshold(0.3)
-                .slo_hysteresis(2, 2)
                 .quality_threshold(0.05)
-                .quality_hysteresis(2, 2)
                 .build(),
         )
         .build()

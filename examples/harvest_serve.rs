@@ -39,7 +39,6 @@ fn gate_config() -> GateConfigBuilder {
 
 fn trainer_config(gate: GateConfig) -> TrainerConfig {
     TrainerConfig::builder()
-        .epsilon(EPSILON)
         .lambda(1e-3)
         .modeling(harvest::core::learner::ModelingMode::Pooled)
         .gate(gate)
@@ -150,7 +149,7 @@ fn main() {
     let incumbent = svc.registry().current();
     if let ServePolicy::Greedy(scorer) = &incumbent.policy {
         let sabotaged = negate(scorer);
-        let trainer = Trainer::new(trainer_config(gate_config().portfolio(1).build()));
+        let trainer = Trainer::new(trainer_config(gate_config().portfolio(1).build()), EPSILON);
         let (records, _) = store.recover();
         let (data, _) = trainer.harvest(&records).unwrap();
         let (verdict, _, _) = trainer.portfolio_gate(&data, &incumbent.policy, &sabotaged);

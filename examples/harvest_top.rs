@@ -188,12 +188,7 @@ fn main() {
                 })
                 .build(),
         )
-        .trainer(
-            TrainerConfig::builder()
-                .lambda(1e-3)
-                .epsilon(EPSILON)
-                .build(),
-        )
+        .trainer(TrainerConfig::builder().lambda(1e-3).build())
         .build()
         .expect("valid demo config");
     let svc = Arc::new(DecisionService::new(cfg, store.clone()));

@@ -59,13 +59,11 @@ struct Harness {
 fn harness(capacity: usize) -> (Harness, impl FnOnce() -> (u64, u64)) {
     let metrics = Arc::new(ServeMetrics::new());
     let registry = Arc::new(PolicyRegistry::new(ServePolicy::Uniform, "v0"));
-    let logger_cfg = LoggerConfig::builder()
-        .capacity(capacity)
-        .shard_rings(SHARDS)
-        .build();
+    let logger_cfg = LoggerConfig::builder().capacity(capacity).build();
     let (logger, writer) = spawn_supervised_writer(
         logger_cfg,
         SupervisorConfig::default(),
+        SHARDS,
         Arc::clone(&metrics),
         None,
         MemorySegments::new(),

@@ -490,7 +490,7 @@ proptest! {
             .epsilon(0.2)
             .master_seed(seed)
             .component("prom-conformance")
-            .trainer(TrainerConfig::builder().lambda(1e-3).epsilon(0.2).build())
+            .trainer(TrainerConfig::builder().lambda(1e-3).build())
             .scope(
                 ScopeConfig::builder()
                     .window_ns(10_000_000)

@@ -66,7 +66,6 @@ fn config(seed: u64) -> ServeConfig {
         .trainer(
             TrainerConfig::builder()
                 .lambda(1e-3)
-                .epsilon(EPSILON)
                 // Single-candidate gate: the seeded gate round must promote
                 // (the swap is what makes different seeds' series differ),
                 // and the k=16 simultaneous CI would (correctly) refuse on
@@ -79,9 +78,7 @@ fn config(seed: u64) -> ServeConfig {
                 .window_ns(WINDOW_NS)
                 .windows(64)
                 .slo_threshold(0.3)
-                .slo_hysteresis(2, 2)
                 .quality_threshold(0.05)
-                .quality_hysteresis(2, 2)
                 .build(),
         )
         .build()

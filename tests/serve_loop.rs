@@ -29,7 +29,6 @@ fn gate_config() -> GateConfigBuilder {
 
 fn trainer_config(gate: GateConfig) -> TrainerConfig {
     TrainerConfig::builder()
-        .epsilon(EPSILON)
         .lambda(1e-3)
         .modeling(harvest::core::learner::ModelingMode::Pooled)
         .gate(gate)
@@ -179,7 +178,7 @@ fn gate_refuses_a_degraded_candidate() {
     let (records, _) = store.recover();
 
     // One candidate per verdict: the scorer under test, untilted.
-    let trainer = Trainer::new(trainer_config(gate_config().portfolio(1).build()));
+    let trainer = Trainer::new(trainer_config(gate_config().portfolio(1).build()), EPSILON);
     let (data, _) = trainer.harvest(&records).unwrap();
     let good = trainer.train(&data).unwrap();
     let degraded = match &good {

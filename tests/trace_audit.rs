@@ -46,12 +46,7 @@ fn service_config(seed: u64) -> ServeConfig {
                 .backoff_cap_ms(4)
                 .build(),
         )
-        .trainer(
-            TrainerConfig::builder()
-                .lambda(1e-3)
-                .epsilon(EPSILON)
-                .build(),
-        )
+        .trainer(TrainerConfig::builder().lambda(1e-3).build())
         .build()
         .expect("valid test config")
 }

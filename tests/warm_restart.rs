@@ -54,7 +54,6 @@ fn config(seed: u64) -> ServeConfig {
         .trainer(
             TrainerConfig::builder()
                 .lambda(1e-3)
-                .epsilon(0.2)
                 .gate(
                     GateConfig::builder()
                         .bound(BoundConfig { c: 2.0, delta: 0.2 })

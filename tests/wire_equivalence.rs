@@ -72,7 +72,6 @@ fn config(seed: u64) -> ServeConfig {
         .trainer(
             TrainerConfig::builder()
                 .lambda(1e-3)
-                .epsilon(EPSILON)
                 // Single-candidate gate: the k=16 simultaneous CI would
                 // (correctly) refuse to promote on this small a midpoint
                 // harvest, and the second half needs the swapped policy.
