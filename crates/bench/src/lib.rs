@@ -2,8 +2,8 @@
 //!
 //! Each module implements one experiment as a pure function from an
 //! [`ExperimentConfig`] to typed rows, so the same code backs the `repro`
-//! binary (which prints the rows), the Criterion benches (which time them),
-//! and the integration tests (which assert the paper's shape).
+//! binary (which prints the rows) and the tests (which assert the paper's
+//! shape).
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -36,7 +36,7 @@ pub struct ExperimentConfig {
     /// Master seed.
     pub seed: u64,
     /// Scale factor: 1.0 = paper-scale runs; smaller values shrink dataset
-    /// sizes and trial counts proportionally for quick runs and benches.
+    /// sizes and trial counts proportionally for quick runs and tests.
     pub scale: f64,
 }
 
@@ -50,14 +50,6 @@ impl Default for ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// A fast configuration for tests and benches.
-    pub fn fast() -> Self {
-        ExperimentConfig {
-            seed: 0x55EED,
-            scale: 0.1,
-        }
-    }
-
     /// Scales an integer quantity, keeping a floor so tiny scales still
     /// produce meaningful runs.
     pub fn scaled(&self, n: usize, floor: usize) -> usize {

@@ -29,14 +29,13 @@
 //! * [`evaluator`] — one entry point over all estimators with bootstrap
 //!   confidence intervals and data diagnostics (match rate, effective
 //!   sample size).
-//! * [`portfolio`] — the streaming portfolio evaluator: one pass over
+//! * [`portfolio`] — the streaming portfolio evaluator and the one policy
+//!   search ("optimize over a large class of policies" §1): one pass over
 //!   recovered segment logs scores 100+ candidate policies in parallel
 //!   behind the [`portfolio::Estimator`] trait, byte-identical at any
 //!   worker count.
 //! * [`drift`] — context-drift detection (standardized mean shifts and KS
 //!   distances), the operational tripwire for assumption-A1 violations.
-//! * [`search`] — exhaustive policy search over finite policy classes
-//!   ("optimize over a large class of policies" §1).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +49,6 @@ pub mod drift;
 pub mod evaluator;
 pub mod ips;
 pub mod portfolio;
-pub mod search;
 pub mod snips;
 pub mod trajectory;
 

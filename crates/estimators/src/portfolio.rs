@@ -844,10 +844,10 @@ impl PortfolioEvaluator {
         }
     }
 
-    /// One pass over crash-safe log segments (raw or compacted lifecycle
-    /// shards): recovers each segment's valid prefix, joins rewards
-    /// across segment boundaries, scores every candidate, and returns
-    /// the ranked leaderboard plus the recovery ledger.
+    /// One pass over crash-safe log segments: recovers each segment's
+    /// valid prefix, joins rewards across segment boundaries, scores every
+    /// candidate, and returns the ranked leaderboard plus the recovery
+    /// ledger.
     ///
     /// With `parallelism > 1` the per-segment work fans out across that
     /// many worker threads; the result is byte-identical to the

@@ -13,8 +13,9 @@
 //!
 //! Two log dialects are supported, mirroring the paper's prototypes:
 //!
-//! * a JSON-lines decision/outcome record format (what our simulators emit
-//!   natively — the "custom logging" added to Redis), and
+//! * the crash-safe binary segments ([`segment`]) that carry decision and
+//!   outcome records ([`record`]) — the "custom logging" added to Redis —
+//!   and
 //! * an Nginx-style access-log text format ([`nginx`]) with upstream and
 //!   connection variables, parsed field-by-field with real error handling —
 //!   the "existing logging modules … simply needed to be configured" case.
@@ -30,15 +31,13 @@
 //! replaying the longest valid prefix and quarantining — counting, never
 //! silently skipping — damaged tails. The control-plane state that
 //! interprets those logs (incumbent policy, RNG positions, ledger counters)
-//! is made durable by [`checkpoint`], and [`lifecycle`] folds fully-joined
-//! segments into compact training shards with retention tiers.
+//! is made durable by [`checkpoint`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
 pub mod codec;
-pub mod lifecycle;
 pub mod nginx;
 pub mod pipeline;
 pub mod propensity;
@@ -51,7 +50,6 @@ pub use checkpoint::{
     decode_checkpoint, encode_checkpoint, load_latest, load_latest_filtered, CheckpointError,
     CheckpointRecovery, CheckpointStore, CheckpointWriter, DirCheckpoints, MemoryCheckpoints,
 };
-pub use lifecycle::{compact_segments, CompactionReport, LifecycleConfig};
 pub use pipeline::{HarvestPipeline, HarvestReport};
 pub use propensity::{EstimatedPropensity, KnownPropensity, PropensityModel};
 pub use record::{DecisionRecord, OutcomeRecord};

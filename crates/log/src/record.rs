@@ -1,4 +1,4 @@
-//! JSON-lines log records.
+//! Decision and outcome log records.
 //!
 //! Systems that make randomized decisions log two kinds of events, often far
 //! apart in time:
@@ -8,17 +8,12 @@
 //! * an [`OutcomeRecord`] when the consequence materializes — a request
 //!   completes, a machine recovers, an evicted key is re-requested.
 //!
-//! The scavenger joins them by `request_id`. Records serialize as one JSON
-//! object per line, the dominant structured-logging format in production
-//! systems, so the pipeline is exercised end-to-end through real
-//! serialization.
-
-use std::io::{self, BufRead, Write};
-
-use serde::{Deserialize, Serialize};
+//! The scavenger joins them by `request_id`. On disk and on the wire a
+//! record is one binary payload of [`crate::codec`], framed by
+//! [`crate::segment`].
 
 /// A decision-time log record: the `⟨x, a⟩` (and maybe `p`) of one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionRecord {
     /// Correlates this decision with its outcome.
     pub request_id: u64,
@@ -29,7 +24,6 @@ pub struct DecisionRecord {
     /// Shared context features at decision time.
     pub shared_features: Vec<f64>,
     /// Per-action features, if the action set carries them.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub action_features: Option<Vec<Vec<f64>>>,
     /// Size of the eligible action set.
     pub num_actions: usize,
@@ -37,17 +31,15 @@ pub struct DecisionRecord {
     pub action: usize,
     /// The decision probability, when known at the logging site. `None`
     /// when it must be inferred later (paper §3 step 2).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub propensity: Option<f64>,
     /// The reward, when it is known synchronously (e.g. request latency
     /// measured by the proxy itself). `None` when it arrives via a
     /// separate [`OutcomeRecord`].
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub reward: Option<f64>,
 }
 
 /// An outcome log record: the (possibly delayed) reward of one request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutcomeRecord {
     /// Matches the decision's `request_id`.
     pub request_id: u64,
@@ -59,7 +51,7 @@ pub struct OutcomeRecord {
 
 /// One decision inside a [`BatchRecord`]: a [`DecisionRecord`] minus the
 /// `component`, which the batch stores once for all of its decisions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchDecision {
     /// Correlates this decision with its outcome.
     pub request_id: u64,
@@ -68,17 +60,14 @@ pub struct BatchDecision {
     /// Shared context features at decision time.
     pub shared_features: Vec<f64>,
     /// Per-action features, if the action set carries them.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub action_features: Option<Vec<Vec<f64>>>,
     /// Size of the eligible action set.
     pub num_actions: usize,
     /// The action taken.
     pub action: usize,
     /// The decision probability, when known at the logging site.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub propensity: Option<f64>,
     /// The reward, when it is known synchronously.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub reward: Option<f64>,
 }
 
@@ -125,7 +114,7 @@ impl From<DecisionRecord> for BatchDecision {
 /// write; recovery flattens it back into individual [`DecisionRecord`]s,
 /// so everything downstream of recovery sees the exact stream a
 /// single-call run would have produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchRecord {
     /// The component all decisions in the batch share.
     pub component: String,
@@ -143,8 +132,7 @@ impl BatchRecord {
 }
 
 /// Either record kind, as found when replaying a mixed log stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
     /// A decision-time record.
     Decision(DecisionRecord),
@@ -214,63 +202,6 @@ impl LogRecord {
     }
 }
 
-/// Writes records as JSON lines.
-pub struct JsonLinesWriter<W> {
-    inner: W,
-}
-
-impl<W: Write> JsonLinesWriter<W> {
-    /// Wraps a writer.
-    pub fn new(inner: W) -> Self {
-        JsonLinesWriter { inner }
-    }
-
-    /// Writes one record as a single line.
-    pub fn write(&mut self, record: &LogRecord) -> io::Result<()> {
-        let line = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        self.inner.write_all(line.as_bytes())?;
-        self.inner.write_all(b"\n")
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-/// Statistics from reading a JSON-lines stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadStats {
-    /// Lines parsed successfully.
-    pub parsed: usize,
-    /// Lines skipped as malformed (real logs contain junk; a scavenger that
-    /// dies on the first bad line is useless).
-    pub malformed: usize,
-}
-
-/// Reads all records from a JSON-lines stream, skipping malformed lines and
-/// counting them.
-pub fn read_json_lines<R: BufRead>(reader: R) -> io::Result<(Vec<LogRecord>, ReadStats)> {
-    let mut records = Vec::new();
-    let mut stats = ReadStats::default();
-    for line in reader.lines() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match serde_json::from_str::<LogRecord>(trimmed) {
-            Ok(r) => {
-                records.push(r);
-                stats.parsed += 1;
-            }
-            Err(_) => stats.malformed += 1,
-        }
-    }
-    Ok((records, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,54 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_through_json_lines() {
-        let mut w = JsonLinesWriter::new(Vec::new());
-        w.write(&LogRecord::Decision(sample_decision())).unwrap();
-        w.write(&LogRecord::Outcome(OutcomeRecord {
-            request_id: 42,
-            timestamp_ns: 2_000_000,
-            reward: 0.75,
-        }))
-        .unwrap();
-        let buf = w.into_inner();
-        let (records, stats) = read_json_lines(buf.as_slice()).unwrap();
-        assert_eq!(stats.parsed, 2);
-        assert_eq!(stats.malformed, 0);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0], LogRecord::Decision(sample_decision()));
-        match &records[1] {
-            LogRecord::Outcome(o) => assert_eq!(o.reward, 0.75),
-            other => panic!("expected outcome, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn optional_fields_are_omitted_from_json() {
-        let mut rec = sample_decision();
-        rec.action_features = None;
-        rec.propensity = None;
-        let json = serde_json::to_string(&LogRecord::Decision(rec)).unwrap();
-        assert!(!json.contains("action_features"));
-        assert!(!json.contains("propensity"));
-        assert!(!json.contains("\"reward\""));
-    }
-
-    #[test]
-    fn malformed_lines_are_counted_not_fatal() {
-        let input = concat!(
-            "{\"kind\":\"outcome\",\"request_id\":1,\"timestamp_ns\":5,\"reward\":1.0}\n",
-            "this is not json\n",
-            "{\"kind\":\"outcome\",\"request_id\":9999}\n", // missing fields
-            "\n",
-            "{\"kind\":\"outcome\",\"request_id\":2,\"timestamp_ns\":6,\"reward\":2.0}\n",
-        );
-        let (records, stats) = read_json_lines(input.as_bytes()).unwrap();
-        assert_eq!(stats.parsed, 2);
-        assert_eq!(stats.malformed, 2);
-        assert_eq!(records.len(), 2);
-    }
-
-    #[test]
     fn batch_flattens_to_the_equivalent_decisions() {
         let d0 = sample_decision();
         let mut d1 = sample_decision();
@@ -352,20 +235,5 @@ mod tests {
         assert_eq!(rec.record_count(), 2);
         assert_eq!(rec.request_id(), 42);
         assert!(!rec.is_decision());
-        // Serde round trip through the tagged representation.
-        let json = serde_json::to_string(&rec).unwrap();
-        assert!(json.contains("\"kind\":\"batch\""));
-        assert_eq!(serde_json::from_str::<LogRecord>(&json).unwrap(), rec);
-    }
-
-    #[test]
-    fn tagged_enum_distinguishes_kinds() {
-        let json = serde_json::to_string(&LogRecord::Outcome(OutcomeRecord {
-            request_id: 7,
-            timestamp_ns: 1,
-            reward: 0.0,
-        }))
-        .unwrap();
-        assert!(json.contains("\"kind\":\"outcome\""));
     }
 }

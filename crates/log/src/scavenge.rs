@@ -7,7 +7,6 @@ use harvest_core::SimpleContext;
 
 use crate::codec::DecisionRef;
 use crate::record::{DecisionRecord, LogRecord};
-use crate::segment::{recover_segments, RecoveryStats};
 
 /// A scavenged triple: context, action, reward — with the propensity still
 /// possibly unknown.
@@ -36,11 +35,6 @@ pub struct ScavengeStats {
     pub orphan_outcomes: usize,
     /// Decisions dropped because their fields were inconsistent.
     pub invalid: usize,
-    /// Record frames quarantined by segment recovery before scavenging
-    /// (zero when the input came from an intact stream). Never silently
-    /// folded into the other buckets: a quarantined record was damage in
-    /// the log itself, not a join failure.
-    pub quarantined: usize,
 }
 
 /// The one rule for rebuilding a logged decision's context: at least one
@@ -214,19 +208,6 @@ pub fn scavenge(records: &[LogRecord]) -> (Vec<ScavengedSample>, ScavengeStats) 
     (samples, stats)
 }
 
-/// Scavenges directly from crash-safe log segments: recovers the longest
-/// valid prefix of each segment, then joins as [`scavenge`] does, carrying
-/// the quarantine count through to the stats so a damaged log is visibly
-/// damaged all the way up the pipeline.
-pub fn scavenge_segments(
-    segments: &[Vec<u8>],
-) -> (Vec<ScavengedSample>, ScavengeStats, RecoveryStats) {
-    let (records, recovery) = recover_segments(segments);
-    let (samples, mut stats) = scavenge(&records);
-    stats.quarantined = recovery.quarantined_records;
-    (samples, stats, recovery)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,32 +326,6 @@ mod tests {
         let (samples, stats) = scavenge(&[rec]);
         assert!(samples.is_empty());
         assert_eq!(stats.invalid, 1);
-    }
-
-    #[test]
-    fn scavenging_segments_surfaces_quarantined_damage() {
-        use crate::segment::{MemorySegments, SegmentConfig, SegmentedLogWriter};
-        let mut w = SegmentedLogWriter::new(
-            MemorySegments::new(),
-            SegmentConfig {
-                max_records: 4,
-                max_bytes: usize::MAX,
-                max_span_ns: u64::MAX,
-            },
-        );
-        for id in 0..8 {
-            w.write(&decision(id, Some(id as f64))).unwrap();
-        }
-        let store = w.into_sink().unwrap();
-        // Bit rot in segment 1's second frame: its tail (3 records) is
-        // quarantined; segment 0 survives intact.
-        assert!(store.corrupt_payload(1, 1, 0x40));
-        let (samples, stats, recovery) = scavenge_segments(&store.snapshot());
-        assert_eq!(samples.len(), 5);
-        assert_eq!(stats.joined, 5);
-        assert_eq!(stats.quarantined, 3);
-        assert_eq!(recovery.recovered, 5);
-        assert_eq!(recovery.corrupt_segments, 1);
     }
 
     #[test]

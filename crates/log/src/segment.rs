@@ -1,9 +1,9 @@
 //! Crash-safe log segments: checksummed, length-prefixed record frames.
 //!
-//! The JSON-lines stream of [`crate::record`] is the *logical* format; this
-//! module is the *durable* one. A decision log that tears mid-line under a
+//! The records of [`crate::record`] are the *logical* format; this module
+//! is the *durable* one. A decision log that tears mid-record under a
 //! crash silently poisons every `⟨x, a, r, p⟩` triple scavenged from it, so
-//! the serve loop writes records as framed segments instead:
+//! the serve loop writes records as framed segments:
 //!
 //! ```text
 //! frame   := len: u32 LE | crc32(payload): u32 LE | payload
@@ -192,8 +192,7 @@ impl MemorySegments {
         self.lock().len()
     }
 
-    /// Replaces the entire segment list — the maintenance-time commit of a
-    /// [`crate::lifecycle`] compaction pass. Callers that keep an active
+    /// Replaces the entire segment list. Callers that keep an active
     /// writer over this store must re-anchor it (via
     /// [`SegmentedLogWriter::with_start`]) at the new segment count.
     pub fn replace_all(&self, segments: Vec<Vec<u8>>) {

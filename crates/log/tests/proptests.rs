@@ -1,18 +1,14 @@
-//! Property tests for the log pipeline: round-trips, join laws, and the
-//! durability layer (checkpoint framing, segment lifecycle).
+//! Property tests for the log pipeline: join laws and the durability
+//! layer's checkpoint framing.
 
 use proptest::prelude::*;
 
 use harvest_core::policy::UniformPolicy;
 use harvest_log::checkpoint::{load_latest, CheckpointStore, CheckpointWriter, MemoryCheckpoints};
-use harvest_log::lifecycle::{compact_segments, LifecycleConfig};
 use harvest_log::pipeline::HarvestPipeline;
 use harvest_log::propensity::KnownPropensity;
-use harvest_log::record::{
-    read_json_lines, DecisionRecord, JsonLinesWriter, LogRecord, OutcomeRecord,
-};
-use harvest_log::scavenge::{scavenge, scavenge_segments};
-use harvest_log::segment::{recover_segments, MemorySegments, SegmentConfig, SegmentedLogWriter};
+use harvest_log::record::{DecisionRecord, LogRecord};
+use harvest_log::scavenge::scavenge;
 
 fn arb_decision() -> impl Strategy<Value = DecisionRecord> {
     (
@@ -37,25 +33,6 @@ fn arb_decision() -> impl Strategy<Value = DecisionRecord> {
 }
 
 proptest! {
-    #[test]
-    fn json_lines_round_trip_any_records(
-        decisions in proptest::collection::vec(arb_decision(), 0..40),
-        outcomes in proptest::collection::vec((0u64..1000, 0u64..1_000_000, -10.0f64..10.0), 0..40)
-    ) {
-        let mut records: Vec<LogRecord> =
-            decisions.into_iter().map(LogRecord::Decision).collect();
-        records.extend(outcomes.into_iter().map(|(id, ts, r)| {
-            LogRecord::Outcome(OutcomeRecord { request_id: id, timestamp_ns: ts, reward: r })
-        }));
-        let mut w = JsonLinesWriter::new(Vec::new());
-        for r in &records {
-            w.write(r).unwrap();
-        }
-        let (back, stats) = read_json_lines(w.into_inner().as_slice()).unwrap();
-        prop_assert_eq!(stats.malformed, 0);
-        prop_assert_eq!(back, records);
-    }
-
     #[test]
     fn scavenge_join_accounting_balances(
         decisions in proptest::collection::vec(arb_decision(), 0..50)
@@ -91,25 +68,6 @@ proptest! {
             dataset.len() + report.dropped_invalid_propensity
         );
     }
-}
-
-/// Sorted joined samples keyed by everything training sees, for multiset
-/// comparison across a compaction pass.
-fn joined_multiset(segments: &[Vec<u8>]) -> Vec<(usize, String, String, String)> {
-    let (samples, _, _) = scavenge_segments(segments);
-    let mut keyed: Vec<(usize, String, String, String)> = samples
-        .iter()
-        .map(|s| {
-            (
-                s.action,
-                format!("{:?}", s.reward),
-                format!("{:?}", s.propensity),
-                format!("{:?}", s.context),
-            )
-        })
-        .collect();
-    keyed.sort();
-    keyed
 }
 
 proptest! {
@@ -173,62 +131,5 @@ proptest! {
         let (loaded, rec) = load_latest(&store);
         prop_assert!(loaded.is_none(), "one-byte flip at {pos} validated");
         prop_assert_eq!(rec.discarded, 1);
-    }
-
-    #[test]
-    fn compaction_preserves_the_joined_multiset_and_quarantine(
-        decisions in proptest::collection::vec(arb_decision(), 0..40),
-        max_records in 1usize..6,
-        hot in 0usize..4,
-        damage in proptest::option::of((0usize..8, 1u8..255)),
-    ) {
-        // Unique ids (joins are per-id); every even id gets an outcome, so
-        // the stream mixes folded joins, unmatched decisions, and inline
-        // rewards that an outcome must override.
-        let mut records: Vec<LogRecord> = Vec::new();
-        for (i, mut d) in decisions.into_iter().enumerate() {
-            d.request_id = i as u64;
-            let ts = d.timestamp_ns;
-            records.push(LogRecord::Decision(d));
-            if i % 2 == 0 {
-                records.push(LogRecord::Outcome(OutcomeRecord {
-                    request_id: i as u64,
-                    timestamp_ns: ts + 1,
-                    reward: i as f64 * 0.25,
-                }));
-            }
-        }
-        let mut w = SegmentedLogWriter::new(
-            MemorySegments::new(),
-            SegmentConfig { max_records, max_bytes: usize::MAX, max_span_ns: u64::MAX },
-        );
-        for r in &records {
-            w.write(r).unwrap();
-        }
-        let store = w.into_sink().unwrap();
-        if let Some((seg, xor)) = damage {
-            let n = store.segment_count();
-            if n > 0 {
-                store.corrupt_payload(seg % n, 0, xor);
-            }
-        }
-        let before = joined_multiset(&store.snapshot());
-        let (_, before_stats) = recover_segments(&store.snapshot());
-        let (compacted, report) = compact_segments(
-            &store.snapshot(),
-            &LifecycleConfig {
-                shard: SegmentConfig::default(),
-                hot_segments: hot,
-                max_shards: usize::MAX,
-            },
-        );
-        // The training view is untouched: exact multiset of joined samples,
-        // and damage accounting carried through verbatim.
-        prop_assert_eq!(joined_multiset(&compacted), before);
-        let (_, after_stats) = recover_segments(&compacted);
-        prop_assert_eq!(after_stats.quarantined_records, before_stats.quarantined_records);
-        prop_assert_eq!(after_stats.quarantined_bytes, before_stats.quarantined_bytes);
-        prop_assert_eq!(report.segments_in, store.segment_count());
-        prop_assert_eq!(report.expired_records, 0);
     }
 }

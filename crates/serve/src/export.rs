@@ -384,7 +384,6 @@ mod tests {
             "harvest_checkpoints_discarded_total 0",
             "harvest_recovered_records_total 0",
             "harvest_replayed_joins_total 0",
-            "harvest_segments_compacted_total 0",
             "harvest_restarts_total 0",
             "harvest_checkpoint_age_ns 0",
             "harvest_watchdog_faults_total 0",

@@ -142,9 +142,6 @@ harvest_obs::counter_table! {
         replayed_joins: "harvest_replayed_joins_total",
             "Outcomes replayed into the joiner during warm restart.", []
             => record_replayed_join();
-        segments_compacted: "harvest_segments_compacted_total",
-            "Sealed segments retired by lifecycle compaction.", []
-            => record_segments_compacted(n);
         restart_count: "harvest_restarts_total",
             "Warm restarts (service resumed from checkpoint or cold replay).", []
             => record_restart();
@@ -336,6 +333,20 @@ mod tests {
         let s = restored.snapshot();
         assert_eq!((s.shard_wedges, s.watchdog_faults), (0, 0));
         assert_eq!((s.decisions, s.explorations), (1, 1));
+
+        // Checkpoints written while the table still had a compaction row
+        // carry that retired field just before `restart_count`; it is
+        // skipped and every other counter restores.
+        let retired = json.replacen(
+            "\"restart_count\"",
+            "\"segments_compacted\":3,\"restart_count\"",
+            1,
+        );
+        assert_ne!(retired, json);
+        let restored = ServeMetrics::new();
+        restored.restore_counters(&serde_json::from_str(&retired).expect("retired field parses"));
+        assert_eq!(restored.checkpoint_counters(), m.checkpoint_counters());
+        assert_eq!(restored.snapshot(), m.snapshot());
     }
 
     #[test]
@@ -434,7 +445,6 @@ mod tests {
         m.record_checkpoint(5000);
         m.record_recovered_records(6);
         m.record_replayed_join();
-        m.record_segments_compacted(2);
         m.record_restart();
         m.record_checkpoints_discarded(1);
         let state = m.checkpoint_counters();
@@ -448,7 +458,6 @@ mod tests {
         assert_eq!(s.checkpoint_age_ns, 1000); // last decision 6000, ckpt 5000
         assert_eq!(s.recovered_records, 6);
         assert_eq!(s.replayed_joins, 1);
-        assert_eq!(s.segments_compacted, 2);
         assert_eq!(s.restart_count, 1);
     }
 

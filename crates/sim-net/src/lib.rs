@@ -25,8 +25,6 @@
 //!   schedules that drive the serve loop's chaos-hardening tests.
 //! * [`stats`] — online statistics (Welford mean/variance, exact quantiles,
 //!   log-bucketed histograms) used to report latency distributions.
-//! * [`trace`] — request-trace serialization, so recorded workloads replay
-//!   identically across policy comparisons and tool versions.
 //!
 //! Everything is synchronous and single-threaded by design: the workloads in
 //! this reproduction are CPU-bound simulations, where an async runtime would
@@ -40,7 +38,6 @@ pub mod fault;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod workload;
 
 pub use event::{EventQueue, ScheduledEvent, Simulator};

@@ -137,21 +137,3 @@ proptest! {
         prop_assert_eq!(z.key_count(), Some(n));
     }
 }
-
-proptest! {
-    #[test]
-    fn trace_round_trips_for_arbitrary_requests(
-        reqs in proptest::collection::vec((0u64..u64::MAX / 2, 0u64..u64::MAX, 0u64..u64::MAX), 0..100)
-    ) {
-        use harvest_sim_net::trace::{trace_from_string, trace_to_string};
-        use harvest_sim_net::workload::Request;
-        let trace: Vec<Request> = reqs.iter().map(|&(t, k, s)| Request {
-            at: SimTime::from_nanos(t),
-            key: k,
-            size_bytes: s,
-        }).collect();
-        let (back, errors) = trace_from_string(&trace_to_string(&trace));
-        prop_assert!(errors.is_empty());
-        prop_assert_eq!(back, trace);
-    }
-}

@@ -103,7 +103,8 @@ enum Serve {
 }
 
 struct RunResult {
-    /// Every recovered record, individually serialized.
+    /// Every recovered record, individually rendered (`Debug` prints each
+    /// float in its shortest round-trip form, so distinct values differ).
     recovered: Vec<String>,
     quarantined_records: usize,
     /// The full metrics snapshot, serialized.
@@ -177,10 +178,7 @@ fn run(seed: u64, serve: Serve, chaos: Option<ChaosPlan>) -> RunResult {
     svc.shutdown().expect("clean shutdown");
     let (records, stats) = store.recover();
     RunResult {
-        recovered: records
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("record serializes"))
-            .collect(),
+        recovered: records.iter().map(|r| format!("{r:?}")).collect(),
         quarantined_records: stats.quarantined_records,
         metrics,
     }

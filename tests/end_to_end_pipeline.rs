@@ -1,6 +1,6 @@
 //! Integration tests: the full harvesting pipeline across crates.
 //!
-//! Simulator → serialized logs → scavenging → propensity inference →
+//! Simulator → logs → scavenging → propensity inference →
 //! dataset → estimators → learned policy → redeployment. Each test runs
 //! the whole chain, not a single crate.
 
@@ -14,7 +14,7 @@ use harvest::logs::pipeline::HarvestPipeline;
 use harvest::logs::propensity::{
     EstimatedPropensity, KnownPropensity, PropensityFitConfig, PropensityModel,
 };
-use harvest::logs::record::{read_json_lines, JsonLinesWriter};
+use harvest::logs::segment::{recover_segments, MemorySegments, SegmentConfig, SegmentedLogWriter};
 
 fn lb_run(seed: u64, requests: usize) -> harvest::lb::sim::LbRunResult {
     let cfg = SimConfig::table2(ClusterConfig::fig5(), requests, seed);
@@ -25,16 +25,16 @@ fn lb_run(seed: u64, requests: usize) -> harvest::lb::sim::LbRunResult {
 fn logs_survive_serialization_and_rebuild_the_same_dataset() {
     let run = lb_run(101, 4_000);
 
-    // Serialize decision records as JSON lines (what a log shipper moves),
-    // then read them back and run the pipeline.
+    // Write decision records as crash-safe log segments, then recover them
+    // and run the pipeline.
     let records = run.decision_records();
-    let mut writer = JsonLinesWriter::new(Vec::new());
+    let mut writer = SegmentedLogWriter::new(MemorySegments::new(), SegmentConfig::default());
     for r in &records {
         writer.write(r).unwrap();
     }
-    let bytes = writer.into_inner();
-    let (parsed, stats) = read_json_lines(bytes.as_slice()).unwrap();
-    assert_eq!(stats.malformed, 0);
+    let store = writer.into_sink().unwrap();
+    let (parsed, stats) = recover_segments(&store.snapshot());
+    assert_eq!(stats.quarantined_records, 0);
     assert_eq!(parsed.len(), records.len());
 
     let pipeline = HarvestPipeline::new(KnownPropensity::new(UniformPolicy::new()), true);

@@ -239,10 +239,7 @@ fn run(seed: u64, wired: bool, chaos: Option<ChaosPlan>) -> RunResult {
     svc.shutdown().expect("clean shutdown");
     let (records, stats) = store.recover();
     RunResult {
-        recovered: records
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("record serializes"))
-            .collect(),
+        recovered: records.iter().map(|r| format!("{r:?}")).collect(),
         quarantined_records: stats.quarantined_records,
         metrics,
     }
