@@ -73,94 +73,85 @@ fn main() -> ExitCode {
     }
 
     for target in &targets {
-        match target.as_str() {
-            "fig1" => {
-                let rows = fig1::run(&cfg);
-                out.emit("fig1", &rows, fig1::render(&rows));
-                let rows = fig1::run_empirical(&cfg, &[4, 16, 64, 256, 1024]);
-                out.emit("fig1_empirical", &rows, fig1::render_empirical(&rows));
+        if target == "all" {
+            for artifact in ARTIFACTS {
+                run(artifact, &cfg, &out);
             }
-            "fig2" => {
-                let curves = fig2::run(&cfg);
-                let text = fig2::render(&curves);
-                if out.json {
-                    let value = serde_json::json!({
-                        "artifact": "fig2",
-                        "curves": curves.iter().map(|c| serde_json::json!({
-                            "epsilon": c.epsilon,
-                            "points": c.points,
-                        })).collect::<Vec<_>>(),
-                    });
-                    println!("{}", serde_json::to_string(&value).expect("serialize"));
-                } else {
-                    println!("{text}");
-                }
-            }
-            "fig3" => {
-                let rows = fig3::run(&cfg);
-                out.emit("fig3", &rows, fig3::render(&rows));
-            }
-            "fig4" => {
-                let rows = fig4::run(&cfg);
-                out.emit("fig4", &rows, fig4::render(&rows));
-            }
-            "fig5" => {
-                let rows = fig5::run(&cfg);
-                out.emit("fig5", &rows, fig5::render(&rows));
-            }
-            "fig6" => {
-                let rows = fig6::run(&cfg);
-                out.emit("fig6", &rows, fig6::render(&rows));
-                let online = fig6::run_online(&cfg);
-                out.emit("fig6_online", &[online], fig6::render_online(&online));
-            }
-            "table2" => {
-                let rows = table2::run(&cfg);
-                out.emit("table2", &rows, table2::render(&rows));
-            }
-            "table3" => {
-                let rows = table3::run(&cfg);
-                out.emit("table3", &rows, table3::render(&rows));
-            }
-            "challenges" => run_challenges(&cfg, &out),
-            "all" => {
-                let rows = fig1::run(&cfg);
-                out.emit("fig1", &rows, fig1::render(&rows));
-                let rows = fig1::run_empirical(&cfg, &[4, 16, 64, 256, 1024]);
-                out.emit("fig1_empirical", &rows, fig1::render_empirical(&rows));
-                let curves = fig2::run(&cfg);
-                if out.json {
-                    let value = serde_json::json!({
-                        "artifact": "fig2",
-                        "curves": curves.iter().map(|c| serde_json::json!({
-                            "epsilon": c.epsilon,
-                            "points": c.points,
-                        })).collect::<Vec<_>>(),
-                    });
-                    println!("{}", serde_json::to_string(&value).expect("serialize"));
-                } else {
-                    println!("{}", fig2::render(&curves));
-                }
-                let rows = fig3::run(&cfg);
-                out.emit("fig3", &rows, fig3::render(&rows));
-                let rows = fig4::run(&cfg);
-                out.emit("fig4", &rows, fig4::render(&rows));
-                let rows = fig5::run(&cfg);
-                out.emit("fig5", &rows, fig5::render(&rows));
-                let rows = fig6::run(&cfg);
-                out.emit("fig6", &rows, fig6::render(&rows));
-                let online = fig6::run_online(&cfg);
-                out.emit("fig6_online", &[online], fig6::render_online(&online));
-                let rows = table2::run(&cfg);
-                out.emit("table2", &rows, table2::render(&rows));
-                let rows = table3::run(&cfg);
-                out.emit("table3", &rows, table3::render(&rows));
-                run_challenges(&cfg, &out);
-            }
-            _ => usage(),
+        } else if ARTIFACTS.contains(&target.as_str()) {
+            run(target, &cfg, &out);
+        } else {
+            usage();
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Every artifact, in the order `all` emits them.
+const ARTIFACTS: [&str; 9] = [
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "table2",
+    "table3",
+    "challenges",
+];
+
+/// Regenerates one artifact of [`ARTIFACTS`].
+fn run(artifact: &str, cfg: &ExperimentConfig, out: &Output) {
+    match artifact {
+        "fig1" => {
+            let rows = fig1::run(cfg);
+            out.emit("fig1", &rows, fig1::render(&rows));
+            let rows = fig1::run_empirical(cfg, &[4, 16, 64, 256, 1024]);
+            out.emit("fig1_empirical", &rows, fig1::render_empirical(&rows));
+        }
+        "fig2" => {
+            let curves = fig2::run(cfg);
+            if out.json {
+                let value = serde_json::json!({
+                    "artifact": "fig2",
+                    "curves": curves.iter().map(|c| serde_json::json!({
+                        "epsilon": c.epsilon,
+                        "points": c.points,
+                    })).collect::<Vec<_>>(),
+                });
+                println!("{}", serde_json::to_string(&value).expect("serialize"));
+            } else {
+                println!("{}", fig2::render(&curves));
+            }
+        }
+        "fig3" => {
+            let rows = fig3::run(cfg);
+            out.emit("fig3", &rows, fig3::render(&rows));
+        }
+        "fig4" => {
+            let rows = fig4::run(cfg);
+            out.emit("fig4", &rows, fig4::render(&rows));
+        }
+        "fig5" => {
+            let rows = fig5::run(cfg);
+            out.emit("fig5", &rows, fig5::render(&rows));
+        }
+        "fig6" => {
+            let rows = fig6::run(cfg);
+            out.emit("fig6", &rows, fig6::render(&rows));
+            let online = fig6::run_online(cfg);
+            out.emit("fig6_online", &[online], fig6::render_online(&online));
+        }
+        "table2" => {
+            let rows = table2::run(cfg);
+            out.emit("table2", &rows, table2::render(&rows));
+        }
+        "table3" => {
+            let rows = table3::run(cfg);
+            out.emit("table3", &rows, table3::render(&rows));
+        }
+        "challenges" => run_challenges(cfg, out),
+        _ => unreachable!("not one of ARTIFACTS: {artifact}"),
+    }
 }
 
 fn run_challenges(cfg: &ExperimentConfig, out: &Output) {

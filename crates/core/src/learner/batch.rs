@@ -1,6 +1,6 @@
 //! The batch regression CB learner.
 
-use crate::context::{phi, phi_dim, phi_shared, Context};
+use crate::context::{phi, phi_shared, Context};
 use crate::error::HarvestError;
 use crate::policy::GreedyPolicy;
 use crate::regression::RidgeRegression;
@@ -91,60 +91,25 @@ impl RegressionCbLearner {
         }
     }
 
-    /// Fits the reward model from exploration data.
-    ///
-    /// Only the logged action's reward is observed (partial feedback), so
-    /// each sample updates exactly one action's model (per-action mode) or
-    /// contributes one pooled row.
+    /// Starts a fit: push the samples, then
+    /// [`finish`](FitAccumulator::finish). No sample is kept.
+    pub fn accumulator(&self) -> FitAccumulator {
+        FitAccumulator {
+            learner: self.clone(),
+            regs: Vec::new(),
+            dim: None,
+            error: None,
+        }
+    }
+
+    /// Fits the reward model from exploration data: every sample pushed
+    /// through one [`accumulator`](Self::accumulator), in order.
     pub fn fit<C: Context>(&self, data: &Dataset<C>) -> Result<LinearScorer, HarvestError> {
-        if data.is_empty() {
-            return Err(HarvestError::EmptyDataset);
+        let mut fit = self.accumulator();
+        for s in data {
+            fit.push(&s.context, s.action, s.reward, s.propensity);
         }
-        match self.mode {
-            ModelingMode::PerAction => {
-                let k = data
-                    .iter()
-                    .map(|s| s.context.num_actions())
-                    .max()
-                    .expect("non-empty");
-                let shared_dim = data.samples()[0].context.shared_features().len();
-                let mut regs: Vec<RidgeRegression> = (0..k)
-                    .map(|_| RidgeRegression::new(shared_dim + 1, self.lambda))
-                    .collect::<Result<_, _>>()?;
-                for s in data {
-                    let x = phi_shared(&s.context);
-                    if x.len() != shared_dim + 1 {
-                        return Err(HarvestError::DimensionMismatch {
-                            expected: shared_dim + 1,
-                            got: x.len(),
-                        });
-                    }
-                    regs[s.action].push(&x, s.reward, self.weight_of(s.propensity));
-                }
-                let weights = regs
-                    .iter()
-                    .map(|r| r.fit().map(|m| m.weights))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(LinearScorer::PerAction { weights })
-            }
-            ModelingMode::Pooled => {
-                let dim = phi_dim(&data.samples()[0].context);
-                let mut reg = RidgeRegression::new(dim, self.lambda)?;
-                for s in data {
-                    let x = phi(&s.context, s.action);
-                    if x.len() != dim {
-                        return Err(HarvestError::DimensionMismatch {
-                            expected: dim,
-                            got: x.len(),
-                        });
-                    }
-                    reg.push(&x, s.reward, self.weight_of(s.propensity));
-                }
-                Ok(LinearScorer::Pooled {
-                    weights: reg.fit()?.weights,
-                })
-            }
-        }
+        fit.finish()
     }
 
     /// Fits and wraps the model in a greedy policy.
@@ -153,6 +118,64 @@ impl RegressionCbLearner {
         data: &Dataset<C>,
     ) -> Result<GreedyPolicy<LinearScorer>, HarvestError> {
         Ok(GreedyPolicy::new(self.fit(data)?).named("cb-policy"))
+    }
+}
+
+/// A reward-model fit in progress ([`RegressionCbLearner::accumulator`]).
+///
+/// Only the logged action's reward is observed (partial feedback), so each
+/// sample updates exactly one action's model (per-action mode) or
+/// contributes one pooled row. The first sample fixes the feature
+/// dimension; a sample of another dimension fails the fit.
+#[derive(Debug, Clone)]
+pub struct FitAccumulator {
+    learner: RegressionCbLearner,
+    /// One regressor per action slot (per-action mode), or the pooled one.
+    regs: Vec<RidgeRegression>,
+    dim: Option<usize>,
+    error: Option<HarvestError>,
+}
+
+impl FitAccumulator {
+    /// Folds in one logged sample.
+    pub fn push<C: Context>(&mut self, context: &C, action: usize, reward: f64, propensity: f64) {
+        if self.error.is_some() {
+            return;
+        }
+        let (x, slot, slots) = match self.learner.mode {
+            ModelingMode::PerAction => (phi_shared(context), action, context.num_actions()),
+            ModelingMode::Pooled => (phi(context, action), 0, 1),
+        };
+        let dim = *self.dim.get_or_insert(x.len());
+        if x.len() != dim {
+            self.error = Some(HarvestError::DimensionMismatch {
+                expected: dim,
+                got: x.len(),
+            });
+            return;
+        }
+        while self.regs.len() < slots {
+            let reg = RidgeRegression::new(dim, self.learner.lambda).expect("lambda was checked");
+            self.regs.push(reg);
+        }
+        self.regs[slot].push(&x, reward, self.learner.weight_of(propensity));
+    }
+
+    /// Solves for the reward model: a weight vector per action up to the
+    /// largest action count pushed (per-action mode), or the pooled vector.
+    pub fn finish(self) -> Result<LinearScorer, HarvestError> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        let weights = self.regs.iter().map(|r| r.fit().map(|m| m.weights));
+        let mut weights = weights.collect::<Result<Vec<_>, _>>()?;
+        match self.learner.mode {
+            _ if weights.is_empty() => Err(HarvestError::EmptyDataset),
+            ModelingMode::PerAction => Ok(LinearScorer::PerAction { weights }),
+            ModelingMode::Pooled => Ok(LinearScorer::Pooled {
+                weights: weights.remove(0),
+            }),
+        }
     }
 }
 

@@ -25,7 +25,7 @@ mod ips_policy;
 mod online;
 mod supervised;
 
-pub use batch::{ModelingMode, RegressionCbLearner, SampleWeighting};
+pub use batch::{FitAccumulator, ModelingMode, RegressionCbLearner, SampleWeighting};
 pub use ips_policy::{IpsPolicyConfig, IpsPolicyLearner, SoftmaxLinearPolicy};
 pub use online::EpochGreedyLearner;
 pub use supervised::SupervisedLearner;

@@ -12,10 +12,10 @@
 //! Every rate is zero-guarded: an empty harvest yields all-zero, finite
 //! gauges, never NaN.
 
-use harvest_core::{Context, Dataset};
+use harvest_core::Context;
 use serde::Serialize;
 
-use crate::drift::context_drift;
+use crate::drift::{feature_drift, DriftReport};
 
 /// Streaming, mergeable moments of a stream of importance weights.
 ///
@@ -174,21 +174,54 @@ impl HarvestQuality {
     }
 }
 
-/// Computes the quality gauges for `data` under the importance-weight
-/// moments `stats` folded over it (one weight per sample, `π(aₜ|xₜ)/pₜ`,
-/// as a portfolio pass folds them; clipped mass counts against
-/// `stats.clip`).
-///
-/// `epsilon` is the exploration floor the data was served with (the
-/// floor propensity for a context with `K` actions is `ε/K`). Weight
-/// gauges fall back to [`HarvestQuality::empty`] values when `stats` is
-/// empty or its count disagrees with `data`.
-pub fn harvest_quality<C: Context + Clone>(
-    data: &Dataset<C>,
-    stats: &WeightStats,
+/// What [`harvest_quality`] reads of the harvested decisions, gathered in
+/// log order: how many, how many were logged at the exploration floor
+/// `ε/K`, and one column per shared feature every decision carries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HarvestColumns {
     epsilon: f64,
-) -> HarvestQuality {
-    let n = data.len();
+    n: usize,
+    floor_hits: usize,
+    columns: Vec<Vec<f64>>,
+}
+
+impl HarvestColumns {
+    /// No decisions yet, served under the exploration floor `epsilon`.
+    pub fn new(epsilon: f64) -> Self {
+        HarvestColumns {
+            epsilon,
+            n: 0,
+            floor_hits: 0,
+            columns: Vec::new(),
+        }
+    }
+
+    /// Adds the next decision: its context and the propensity it was
+    /// scored with.
+    pub fn push<C: Context>(&mut self, context: &C, propensity: f64) {
+        let floor = self.epsilon / context.num_actions() as f64;
+        self.floor_hits += usize::from(propensity <= floor * (1.0 + 1e-9));
+        let shared = context.shared_features();
+        if self.n == 0 {
+            self.columns = vec![Vec::new(); shared.len()];
+        }
+        self.columns.truncate(shared.len());
+        for (column, &x) in self.columns.iter_mut().zip(shared) {
+            column.push(x);
+        }
+        self.n += 1;
+    }
+}
+
+/// Computes the quality gauges for the decisions in `columns` under the
+/// importance-weight moments `stats` folded over them (one weight per
+/// decision, `π(aₜ|xₜ)/pₜ`, as a portfolio pass folds them; clipped mass
+/// counts against `stats.clip`).
+///
+/// Weight gauges fall back to [`HarvestQuality::empty`] values when
+/// `stats` is empty or its count disagrees with the decisions'.
+pub fn harvest_quality(columns: HarvestColumns, stats: &WeightStats) -> HarvestQuality {
+    let n = columns.n;
     let mut q = HarvestQuality {
         n,
         ..HarvestQuality::empty()
@@ -203,31 +236,26 @@ pub fn harvest_quality<C: Context + Clone>(
     }
 
     if n > 0 {
-        let floor_hits = data
-            .iter()
-            .filter(|s| {
-                let floor = epsilon / s.context.num_actions() as f64;
-                s.propensity <= floor * (1.0 + 1e-9)
-            })
-            .count();
-        q.floor_hit_rate = floor_hits as f64 / n as f64;
+        q.floor_hit_rate = columns.floor_hits as f64 / n as f64;
     }
 
     // Within-window drift: compare the first and second half of the
     // harvest in log order. Too few samples → no verdict, not NaN.
     if n >= 4 {
-        let samples = data.samples();
-        let (first, second) = samples.split_at(n / 2);
-        let halves = (
-            Dataset::from_samples(first.to_vec()),
-            Dataset::from_samples(second.to_vec()),
-        );
-        if let (Ok(a), Ok(b)) = halves {
-            let report = context_drift(&a, &b);
-            q.drift_max_effect_size = report.max_effect_size();
-            q.drift_max_ks = report.max_ks();
-            q.drift_suspected = report.a1_violation_suspected();
-        }
+        let report = DriftReport {
+            features: columns
+                .columns
+                .into_iter()
+                .enumerate()
+                .map(|(f, mut column)| {
+                    let (first, second) = column.split_at_mut(n / 2);
+                    feature_drift(f, first, second)
+                })
+                .collect(),
+        };
+        q.drift_max_effect_size = report.max_effect_size();
+        q.drift_max_ks = report.max_ks();
+        q.drift_suspected = report.a1_violation_suspected();
     }
 
     q
@@ -236,22 +264,16 @@ pub fn harvest_quality<C: Context + Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harvest_core::sample::LoggedDecision;
     use harvest_core::SimpleContext;
 
-    fn dataset(points: &[(f64, f64)]) -> Dataset<SimpleContext> {
-        Dataset::from_samples(
-            points
-                .iter()
-                .map(|&(x, p)| LoggedDecision {
-                    context: SimpleContext::new(vec![x], 2),
-                    action: 0,
-                    reward: 0.5,
-                    propensity: p,
-                })
-                .collect(),
-        )
-        .unwrap()
+    /// Two-action decisions with feature `x` logged at propensity `p`,
+    /// served under the floor `epsilon`.
+    fn columns(points: &[(f64, f64)], epsilon: f64) -> HarvestColumns {
+        let mut columns = HarvestColumns::new(epsilon);
+        for &(x, p) in points {
+            columns.push(&SimpleContext::new(vec![x], 2), p);
+        }
+        columns
     }
 
     /// The moments of `weights` under a clip of 10.
@@ -265,15 +287,14 @@ mod tests {
 
     #[test]
     fn empty_harvest_is_all_finite_zeros() {
-        let data: Dataset<SimpleContext> = Dataset::new();
-        let q = harvest_quality(&data, &stats(&[]), 0.1);
+        let q = harvest_quality(columns(&[], 0.1), &stats(&[]));
         assert_eq!(q, HarvestQuality::empty());
     }
 
     #[test]
     fn uniform_weights_have_full_ess() {
-        let data = dataset(&[(0.1, 0.5), (0.2, 0.5), (0.3, 0.5), (0.4, 0.5)]);
-        let q = harvest_quality(&data, &stats(&[1.0; 4]), 0.1);
+        let data = columns(&[(0.1, 0.5), (0.2, 0.5), (0.3, 0.5), (0.4, 0.5)], 0.1);
+        let q = harvest_quality(data, &stats(&[1.0; 4]));
         assert!((q.effective_sample_size - 4.0).abs() < 1e-12);
         assert!((q.ess_fraction - 1.0).abs() < 1e-12);
         assert_eq!(q.min_weight, 1.0);
@@ -283,8 +304,8 @@ mod tests {
 
     #[test]
     fn one_dominant_weight_collapses_ess() {
-        let data = dataset(&[(0.1, 0.5), (0.2, 0.5), (0.3, 0.5), (0.4, 0.5)]);
-        let q = harvest_quality(&data, &stats(&[100.0, 0.01, 0.01, 0.01]), 0.1);
+        let data = columns(&[(0.1, 0.5), (0.2, 0.5), (0.3, 0.5), (0.4, 0.5)], 0.1);
+        let q = harvest_quality(data, &stats(&[100.0, 0.01, 0.01, 0.01]));
         assert!(q.effective_sample_size < 1.1, "{q:?}");
         assert!(q.clipped_weight_mass > 0.99, "{q:?}");
         assert_eq!(q.max_weight, 100.0);
@@ -293,8 +314,8 @@ mod tests {
     #[test]
     fn floor_hits_are_counted_exactly() {
         // ε = 0.2, K = 2 → floor propensity 0.1.
-        let data = dataset(&[(0.1, 0.1), (0.2, 0.9), (0.3, 0.1), (0.4, 0.9)]);
-        let q = harvest_quality(&data, &stats(&[1.0; 4]), 0.2);
+        let data = columns(&[(0.1, 0.1), (0.2, 0.9), (0.3, 0.1), (0.4, 0.9)], 0.2);
+        let q = harvest_quality(data, &stats(&[1.0; 4]));
         assert!((q.floor_hit_rate - 0.5).abs() < 1e-12);
     }
 
@@ -307,7 +328,7 @@ mod tests {
         for i in 0..50 {
             points.push(((i % 5) as f64 + 100.0, 0.5));
         }
-        let q = harvest_quality(&dataset(&points), &stats(&[1.0; 100]), 0.1);
+        let q = harvest_quality(columns(&points, 0.1), &stats(&[1.0; 100]));
         assert!(q.drift_suspected, "{q:?}");
         assert!(q.drift_max_effect_size > 3.0);
     }
@@ -357,8 +378,8 @@ mod tests {
 
     #[test]
     fn mismatched_weights_leave_weight_gauges_zero() {
-        let data = dataset(&[(0.1, 0.5), (0.2, 0.5)]);
-        let q = harvest_quality(&data, &stats(&[1.0]), 0.1);
+        let data = columns(&[(0.1, 0.5), (0.2, 0.5)], 0.1);
+        let q = harvest_quality(data, &stats(&[1.0]));
         assert_eq!(q.effective_sample_size, 0.0);
         assert_eq!(q.max_weight, 0.0);
         // Non-weight gauges still computed.

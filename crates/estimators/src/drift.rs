@@ -66,7 +66,7 @@ impl DriftReport {
     }
 }
 
-fn ks_statistic(mut a: Vec<f64>, mut b: Vec<f64>) -> f64 {
+fn ks_statistic(a: &mut [f64], b: &mut [f64]) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
@@ -91,59 +91,54 @@ fn ks_statistic(mut a: Vec<f64>, mut b: Vec<f64>) -> f64 {
     d
 }
 
+/// The drift of shared feature `feature` between its logged values `xs`
+/// and its deployed values `ys`. The means and variances are summed in the
+/// given order; then both slices are sorted in place for the KS statistic.
+pub(crate) fn feature_drift(feature: usize, xs: &mut [f64], ys: &mut [f64]) -> FeatureDrift {
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    let var = |v: &[f64], m: f64| {
+        if v.len() < 2 {
+            0.0
+        } else {
+            v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64
+        }
+    };
+    let (mx, my) = (mean(xs), mean(ys));
+    let pooled = ((var(xs, mx) + var(ys, my)) / 2.0).sqrt();
+    let effect_size = if pooled > 1e-12 {
+        (mx - my).abs() / pooled
+    } else if (mx - my).abs() > 1e-12 {
+        f64::INFINITY
+    } else {
+        0.0
+    };
+    FeatureDrift {
+        feature,
+        mean_logged: mx,
+        mean_deployed: my,
+        effect_size,
+        ks_statistic: ks_statistic(xs, ys),
+    }
+}
+
 /// Compares the shared-feature distributions of two datasets.
 ///
 /// Both datasets must carry contexts with the same shared-feature
 /// dimension; extra dimensions in either are ignored (the comparison runs
 /// over the common prefix).
 pub fn context_drift<C: Context>(logged: &Dataset<C>, deployed: &Dataset<C>) -> DriftReport {
-    let dim = logged
-        .samples()
-        .first()
-        .map(|s| s.context.shared_features().len())
-        .unwrap_or(0)
-        .min(
-            deployed
-                .samples()
-                .first()
-                .map(|s| s.context.shared_features().len())
-                .unwrap_or(0),
-        );
-    let features = (0..dim)
-        .map(|f| {
-            let xs: Vec<f64> = logged
-                .iter()
-                .map(|s| s.context.shared_features()[f])
-                .collect();
-            let ys: Vec<f64> = deployed
-                .iter()
-                .map(|s| s.context.shared_features()[f])
-                .collect();
-            let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-            let var = |v: &[f64], m: f64| {
-                if v.len() < 2 {
-                    0.0
-                } else {
-                    v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() - 1) as f64
-                }
-            };
-            let (mx, my) = (mean(&xs), mean(&ys));
-            let pooled = ((var(&xs, mx) + var(&ys, my)) / 2.0).sqrt();
-            let effect_size = if pooled > 1e-12 {
-                (mx - my).abs() / pooled
-            } else if (mx - my).abs() > 1e-12 {
-                f64::INFINITY
-            } else {
-                0.0
-            };
-            FeatureDrift {
-                feature: f,
-                mean_logged: mx,
-                mean_deployed: my,
-                effect_size,
-                ks_statistic: ks_statistic(xs, ys),
-            }
-        })
+    let dim_of = |data: &Dataset<C>| {
+        data.samples()
+            .first()
+            .map_or(0, |s| s.context.shared_features().len())
+    };
+    let column = |data: &Dataset<C>, f: usize| -> Vec<f64> {
+        data.iter()
+            .map(|s| s.context.shared_features()[f])
+            .collect()
+    };
+    let features = (0..dim_of(logged).min(dim_of(deployed)))
+        .map(|f| feature_drift(f, &mut column(logged, f), &mut column(deployed, f)))
         .collect();
     DriftReport { features }
 }
@@ -205,9 +200,9 @@ mod tests {
     #[test]
     fn ks_statistic_known_values() {
         // Disjoint supports => KS = 1.
-        assert!((ks_statistic(vec![1.0, 2.0], vec![5.0, 6.0]) - 1.0).abs() < 1e-12);
+        assert!((ks_statistic(&mut [1.0, 2.0], &mut [5.0, 6.0]) - 1.0).abs() < 1e-12);
         // Identical singletons => small.
-        assert!(ks_statistic(vec![3.0], vec![3.0]) <= 1.0);
+        assert!(ks_statistic(&mut [3.0], &mut [3.0]) <= 1.0);
     }
 
     #[test]

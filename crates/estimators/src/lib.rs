@@ -31,9 +31,8 @@
 //!   sample size).
 //! * [`portfolio`] — the streaming portfolio evaluator and the one policy
 //!   search ("optimize over a large class of policies" §1): one pass over
-//!   recovered segment logs scores 100+ candidate policies in parallel
-//!   behind the [`portfolio::Estimator`] trait, byte-identical at any
-//!   worker count.
+//!   recovered segment logs scores 100+ candidate policies in parallel,
+//!   byte-identical at any worker count.
 //! * [`drift`] — context-drift detection (standardized mean shifts and KS
 //!   distances), the operational tripwire for assumption-A1 violations.
 
@@ -54,10 +53,10 @@ pub mod trajectory;
 
 mod estimate;
 
-pub use diagnostics::{harvest_quality, HarvestQuality, WeightStats};
+pub use diagnostics::{harvest_quality, HarvestColumns, HarvestQuality, WeightStats};
 pub use estimate::Estimate;
 pub use evaluator::{EstimatorKind, OffPolicyEvaluator};
 pub use portfolio::{
-    Candidate, Estimator, EvaluatorConfig, GreedyScorerCandidate, LeaderboardEntry, PolicyEstimate,
+    Candidate, EvaluatorConfig, GreedyScorerCandidate, LeaderboardEntry, PolicyEstimate,
     PortfolioEvaluator, PortfolioReport,
 };

@@ -14,10 +14,9 @@
 //! Per record, the expensive shared work happens once: the outcome join,
 //! context reconstruction, and the reward-model scores `r̂(x, a)` for each
 //! action. Per candidate, the importance weight `w = π(aₜ|xₜ)/pₜ` is
-//! computed **once** — as an [`ObservedRecord`] — and shared by all three
-//! of that candidate's accumulators; each accumulator then folds the
-//! precomputed terms into a handful of running sums
-//! ([`crate::diagnostics::WeightStats`] plus term moments).
+//! computed **once** and folded into a handful of running sums: one set of
+//! weight moments ([`crate::diagnostics::WeightStats`]) shared by the
+//! candidate's three estimators, plus each estimator's term moments.
 //!
 //! Nothing per decision is buffered, and with greedy candidates nothing
 //! per decision is allocated (a [`StochasticCandidate`] still builds its
@@ -30,18 +29,14 @@
 //!
 //! # Three phases, parallel ≡ sequential, byte for byte
 //!
-//! 1. **Scan** (parallel, per segment): [`scan_segment`] checks each
-//!    frame's CRC and parse, counts the quarantined tail, and keeps only
-//!    the segment's outcomes and the length of its valid prefix.
-//! 2. **Join map** (serial, in segment order): the outcomes go into one
-//!    pre-sized `request_id → reward` map; a later outcome wins, as in
-//!    [`harvest_log::scavenge::scavenge`]. Rewards may land in a later
-//!    segment than their decision, which is why this map is global.
-//! 3. **Fold** (parallel, per segment): [`replay_prefix`] walks each
-//!    validated prefix again without a second CRC, and every decision is
-//!    checked by the rules the owned-record harvest applies —
-//!    [`fill_context`] for its context, [`evaluable`] for its reward and
-//!    propensity — joined, and folded into that segment's accumulators.
+//! 1. **Scan** and 2. **join map**: [`SegmentJoin`] checks every
+//!    segment's frames (in parallel), then builds the cross-segment
+//!    `request_id → reward` map in segment order. This is the same join the
+//!    serve trainer reads, so the two agree on which decisions count and
+//!    what reward each one has.
+//! 3. **Fold** (parallel, per segment): [`SegmentJoin::replay`] walks each
+//!    validated prefix again, and every decision it keeps is folded into
+//!    that segment's accumulators.
 //!
 //! The merge then folds per-segment accumulators **in segment-index
 //! order**, so the only thing parallelism changes is *which thread*
@@ -49,17 +44,12 @@
 //! Same segments, same seed ⇒ byte-identical estimates and leaderboard
 //! JSON at any worker count.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use harvest_core::scorer::{ActionPanel, LinearScorer};
-use harvest_core::{Context, Dataset, HarvestError, Scorer, SimpleContext, StochasticPolicy};
-use harvest_log::codec::{RecordRef, OUTCOME_PAYLOAD_LEN};
-use harvest_log::scavenge::{evaluable, fill_context};
-use harvest_log::segment::{
-    replay_prefix, scan_segment, RecoveryStats, SegmentRecovery, FRAME_HEADER_LEN,
+use harvest_core::{
+    Context, HarvestError, LoggedDecision, Scorer, SimpleContext, StochasticPolicy,
 };
+use harvest_log::scavenge::SegmentJoin;
+use harvest_log::segment::RecoveryStats;
 use serde::{Serialize, Value};
 
 use crate::bounds::{empirical_bernstein_radius, BoundConfig};
@@ -79,39 +69,6 @@ pub struct PolicyEstimate {
     pub ess: f64,
     /// Records observed.
     pub n: u64,
-}
-
-/// The shared per-(record, candidate) view: every expensive quantity is
-/// computed once and handed to all three accumulators.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObservedRecord {
-    /// The observed reward `rₜ`.
-    pub reward: f64,
-    /// The importance weight `π(aₜ|xₜ)/pₜ`, uncapped.
-    pub weight: f64,
-    /// The model baseline `Σₐ π(a|xₜ) r̂(xₜ, a)` (0 without a model).
-    pub baseline: f64,
-    /// The model's score for the logged action `r̂(xₜ, aₜ)` (0 without a
-    /// model).
-    pub model_logged: f64,
-}
-
-/// A streaming off-policy estimator: fold records in, merge partials,
-/// read out a [`PolicyEstimate`].
-///
-/// Implementations must be mergeable: for a fixed partition of the
-/// record stream and a fixed merge order, `observe` + `merge` must be a
-/// pure function of the data, independent of which thread computed each
-/// partial.
-pub trait Estimator {
-    /// Folds one precomputed record into the accumulator.
-    fn observe(&mut self, record: &ObservedRecord);
-    /// Merges another partial (over a disjoint, later record range).
-    fn merge(&mut self, other: &Self)
-    where
-        Self: Sized;
-    /// The current estimate with its confidence interval.
-    fn estimate(&self) -> PolicyEstimate;
 }
 
 /// Streaming moments of the per-record estimator terms, enough for the
@@ -174,155 +131,72 @@ impl TermMoments {
     }
 }
 
-fn interval(point: f64, radius: f64) -> (f64, f64) {
-    (point - radius, point + radius)
-}
-
-/// Streaming clipped-IPS accumulator: terms `r · min(w, clip)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IpsAccumulator {
-    clip: f64,
-    bound: BoundConfig,
-    k: f64,
-    terms: TermMoments,
+/// One candidate's accumulators over a record range: the per-record terms
+/// of its three estimators and the importance-weight moments they share.
+/// Partials merge in a fixed order, so a fixed partition of the records
+/// gives the same estimates whichever thread folded each partial.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct CandidateState {
+    /// Clipped IPS terms `r · min(w, clip)`.
+    ips: TermMoments,
+    /// SNIPS terms `w · r`; the estimate divides their sum by `Σ w`.
+    snips: TermMoments,
+    /// Doubly-robust terms `Σₐ π(a|x) r̂(x,a) + w (r − r̂(x, aₜ))`.
+    dr: TermMoments,
     weights: WeightStats,
 }
 
-impl IpsAccumulator {
-    /// An empty accumulator under `cfg`, with CIs simultaneously valid
-    /// for `k` candidates.
-    pub fn new(cfg: &EvaluatorConfig, k: f64) -> Self {
-        IpsAccumulator {
-            clip: cfg.clip,
-            bound: cfg.bound,
-            k,
-            terms: TermMoments::new(),
-            weights: WeightStats::new(cfg.clip),
+impl CandidateState {
+    fn new(clip: f64) -> Self {
+        CandidateState {
+            ips: TermMoments::new(),
+            snips: TermMoments::new(),
+            dr: TermMoments::new(),
+            weights: WeightStats::new(clip),
         }
     }
-}
 
-impl Estimator for IpsAccumulator {
-    fn observe(&mut self, record: &ObservedRecord) {
-        self.terms
-            .observe(record.reward * record.weight.min(self.clip));
-        self.weights.observe(record.weight);
+    /// Folds one record: its reward, its importance weight `π(aₜ|xₜ)/pₜ`
+    /// (uncapped), the model baseline `Σₐ π(a|xₜ) r̂(xₜ, a)` and the model's
+    /// score for the logged action (both 0 without a model).
+    fn observe(&mut self, reward: f64, weight: f64, baseline: f64, model_logged: f64) {
+        self.ips.observe(reward * weight.min(self.weights.clip));
+        self.snips.observe(reward * weight);
+        self.dr.observe(baseline + weight * (reward - model_logged));
+        self.weights.observe(weight);
     }
 
+    /// Merges the partial over the next record range.
     fn merge(&mut self, other: &Self) {
-        self.terms.merge(&other.terms);
+        self.ips.merge(&other.ips);
+        self.snips.merge(&other.snips);
+        self.dr.merge(&other.dr);
         self.weights.merge(&other.weights);
     }
 
-    fn estimate(&self) -> PolicyEstimate {
-        let point = self.terms.mean();
-        let (lcb, ucb) = interval(point, self.terms.radius(&self.bound, self.k));
-        PolicyEstimate {
-            point,
-            lcb,
-            ucb,
-            ess: self.weights.ess(),
-            n: self.terms.n,
-        }
-    }
-}
-
-/// Streaming SNIPS accumulator: `Σ w·r / Σ w`, with the CI radius taken
-/// around the `w·r` terms as the serve gate does.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnipsAccumulator {
-    bound: BoundConfig,
-    k: f64,
-    terms: TermMoments,
-    weights: WeightStats,
-}
-
-impl SnipsAccumulator {
-    /// An empty accumulator under `cfg`, with CIs simultaneously valid
+    /// The IPS, SNIPS and DR estimates, each interval simultaneously valid
     /// for `k` candidates.
-    pub fn new(cfg: &EvaluatorConfig, k: f64) -> Self {
-        SnipsAccumulator {
-            bound: cfg.bound,
-            k,
-            terms: TermMoments::new(),
-            weights: WeightStats::new(cfg.clip),
-        }
-    }
-}
-
-impl Estimator for SnipsAccumulator {
-    fn observe(&mut self, record: &ObservedRecord) {
-        self.terms.observe(record.reward * record.weight);
-        self.weights.observe(record.weight);
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.terms.merge(&other.terms);
-        self.weights.merge(&other.weights);
-    }
-
-    fn estimate(&self) -> PolicyEstimate {
-        let point = if self.weights.sum > 0.0 {
-            self.terms.sum / self.weights.sum
+    fn estimates(&self, bound: &BoundConfig, k: f64) -> [PolicyEstimate; 3] {
+        let estimate = |terms: &TermMoments, point: f64| {
+            let radius = terms.radius(bound, k);
+            PolicyEstimate {
+                point,
+                lcb: point - radius,
+                ucb: point + radius,
+                ess: self.weights.ess(),
+                n: terms.n,
+            }
+        };
+        let snips = if self.weights.sum > 0.0 {
+            self.snips.sum / self.weights.sum
         } else {
             0.0
         };
-        let (lcb, ucb) = interval(point, self.terms.radius(&self.bound, self.k));
-        PolicyEstimate {
-            point,
-            lcb,
-            ucb,
-            ess: self.weights.ess(),
-            n: self.terms.n,
-        }
-    }
-}
-
-/// Streaming doubly-robust accumulator: terms
-/// `Σₐ π(a|x) r̂(x,a) + w (r − r̂(x, aₜ))`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DrAccumulator {
-    bound: BoundConfig,
-    k: f64,
-    terms: TermMoments,
-    weights: WeightStats,
-}
-
-impl DrAccumulator {
-    /// An empty accumulator under `cfg`, with CIs simultaneously valid
-    /// for `k` candidates.
-    pub fn new(cfg: &EvaluatorConfig, k: f64) -> Self {
-        DrAccumulator {
-            bound: cfg.bound,
-            k,
-            terms: TermMoments::new(),
-            weights: WeightStats::new(cfg.clip),
-        }
-    }
-}
-
-impl Estimator for DrAccumulator {
-    fn observe(&mut self, record: &ObservedRecord) {
-        self.terms
-            .observe(record.baseline + record.weight * (record.reward - record.model_logged));
-        self.weights.observe(record.weight);
-    }
-
-    fn merge(&mut self, other: &Self) {
-        self.terms.merge(&other.terms);
-        self.weights.merge(&other.weights);
-    }
-
-    fn estimate(&self) -> PolicyEstimate {
-        let point = self.terms.mean();
-        let (lcb, ucb) = interval(point, self.terms.radius(&self.bound, self.k));
-        PolicyEstimate {
-            point,
-            lcb,
-            ucb,
-            ess: self.weights.ess(),
-            n: self.terms.n,
-        }
+        [
+            estimate(&self.ips, self.ips.mean()),
+            estimate(&self.snips, snips),
+            estimate(&self.dr, self.dr.mean()),
+        ]
     }
 }
 
@@ -577,35 +451,11 @@ impl PortfolioReport {
     }
 }
 
-/// The per-candidate accumulator set for one record range.
-struct CandidateState {
-    ips: IpsAccumulator,
-    snips: SnipsAccumulator,
-    dr: DrAccumulator,
-}
-
 /// One segment's evaluation output: accumulators plus join counters.
 struct SegmentResult {
     states: Vec<CandidateState>,
     joined: usize,
     skipped: usize,
-}
-
-/// What the scan phase keeps of one segment.
-struct ScannedSegment {
-    recovery: SegmentRecovery,
-    /// Bytes in the valid prefix the fold phase reads again.
-    prefix: usize,
-    /// `(request_id, reward)` of every outcome in the prefix, in order.
-    outcomes: Vec<(u64, f64)>,
-}
-
-/// One joined decision, borrowed: everything the fold reads.
-struct JoinedDecision<'c> {
-    context: &'c SimpleContext,
-    action: usize,
-    reward: f64,
-    propensity: f64,
 }
 
 /// A worker's reusable buffers: the context each decision's features are
@@ -629,10 +479,10 @@ impl WorkerBuffers {
 /// The frozen portfolio evaluator: a fixed candidate set, an optional
 /// DR reward model, and an [`EvaluatorConfig`].
 ///
-/// Build one with [`PortfolioEvaluator::builder`], then call
-/// [`evaluate_segments`](Self::evaluate_segments) for the one-pass
-/// segment-log path or [`evaluate_dataset`](Self::evaluate_dataset) for
-/// already-harvested data.
+/// Build one with [`PortfolioEvaluator::builder`], then score crash-safe
+/// log segments in one pass with
+/// [`evaluate_segments`](Self::evaluate_segments), or with
+/// [`evaluate_join`](Self::evaluate_join) over a join already built.
 pub struct PortfolioEvaluator {
     cfg: EvaluatorConfig,
     candidates: Vec<Candidate>,
@@ -722,15 +572,7 @@ impl PortfolioEvaluator {
     }
 
     fn fresh_states(&self) -> Vec<CandidateState> {
-        let k = self.candidates.len() as f64;
-        self.candidates
-            .iter()
-            .map(|_| CandidateState {
-                ips: IpsAccumulator::new(&self.cfg, k),
-                snips: SnipsAccumulator::new(&self.cfg, k),
-                dr: DrAccumulator::new(&self.cfg, k),
-            })
-            .collect()
+        vec![CandidateState::new(self.cfg.clip); self.candidates.len()]
     }
 
     /// Folds one joined decision into every candidate's accumulators.
@@ -739,7 +581,7 @@ impl PortfolioEvaluator {
     fn observe_sample(
         &self,
         states: &mut [CandidateState],
-        sample: &JoinedDecision<'_>,
+        sample: &LoggedDecision<&SimpleContext>,
         probs: &mut Vec<f64>,
         scores: &mut Vec<f64>,
     ) {
@@ -764,77 +606,29 @@ impl PortfolioEvaluator {
                     .map(|(p, s)| p * s)
                     .sum::<f64>()
             };
-            let record = ObservedRecord {
-                reward: sample.reward,
-                weight,
-                baseline,
-                model_logged,
-            };
-            state.ips.observe(&record);
-            state.snips.observe(&record);
-            state.dr.observe(&record);
+            state.observe(sample.reward, weight, baseline, model_logged);
         }
     }
 
-    /// Phase A for one segment: checks its frames and keeps its outcomes
-    /// and the length of its valid prefix.
-    fn scan_one_segment(bytes: &[u8]) -> ScannedSegment {
-        // Every outcome frame is the same size, so no segment holds more
-        // outcomes than this and the vector never grows.
-        let mut outcomes =
-            Vec::with_capacity(bytes.len() / (FRAME_HEADER_LEN + OUTCOME_PAYLOAD_LEN));
-        let (recovery, prefix) = scan_segment(bytes, |record| {
-            if let RecordRef::Outcome(o) = record {
-                outcomes.push((o.request_id, o.reward));
-            }
-        });
-        ScannedSegment {
-            recovery,
-            prefix,
-            outcomes,
-        }
-    }
-
-    /// Phase C for one segment: folds every decision of its validated
-    /// `prefix`, joined against the finished reward map. A pure function
-    /// of its inputs (the worker buffers carry no state between
-    /// decisions), safe to run on any thread.
-    fn evaluate_prefix(
+    /// Phase C for one segment: folds every decision the join keeps from
+    /// segment `i` into fresh accumulators. A pure function of its inputs
+    /// (the worker buffers carry no state between decisions), safe to run
+    /// on any thread.
+    fn evaluate_segment(
         &self,
-        prefix: &[u8],
-        rewards: &HashMap<u64, f64>,
+        join: &SegmentJoin<'_>,
+        i: usize,
         buffers: &mut WorkerBuffers,
     ) -> SegmentResult {
         let mut states = self.fresh_states();
-        let (mut joined, mut skipped) = (0, 0);
+        let mut joined = 0;
         let WorkerBuffers {
             context,
             probs,
             scores,
         } = buffers;
-        replay_prefix(prefix, |record| {
-            let RecordRef::Decision(d) = record else {
-                return;
-            };
-            if !fill_context(&d, context) {
-                skipped += 1;
-                return;
-            }
-            // A decision logged without a propensity was drawn uniformly.
-            let uniform = || 1.0 / d.num_actions as f64;
-            let outcome = rewards.get(&d.request_id).copied();
-            let Ok((reward, propensity)) = evaluable(outcome, d.reward, d.propensity, uniform)
-            else {
-                skipped += 1;
-                return;
-            };
+        let skipped = join.replay(i, context, |_, sample| {
             joined += 1;
-            let sample = JoinedDecision {
-                context,
-                action: d.action,
-                reward,
-                propensity,
-            };
             self.observe_sample(&mut states, &sample, probs, scores);
         });
         SegmentResult {
@@ -853,42 +647,16 @@ impl PortfolioEvaluator {
     /// many worker threads; the result is byte-identical to the
     /// sequential pass (see the module docs for why).
     pub fn evaluate_segments(&self, segments: &[Vec<u8>]) -> (PortfolioReport, RecoveryStats) {
-        let parallelism = self.cfg.parallelism;
-        // Phase A: scan every segment (parallel; each is independent).
-        let scanned = run_indexed(
-            parallelism,
-            segments.len(),
-            || (),
-            |_, i| Self::scan_one_segment(&segments[i]),
-        );
-        let mut recovery = RecoveryStats {
-            segments: segments.len(),
-            ..RecoveryStats::default()
-        };
-        for seg in scanned.iter().map(|s| &s.recovery) {
-            recovery.recovered += seg.recovered;
-            recovery.quarantined_records += seg.quarantined_records;
-            recovery.quarantined_bytes += seg.quarantined_bytes;
-            if !seg.is_clean() {
-                recovery.corrupt_segments += 1;
-            }
-        }
+        self.evaluate_join(&SegmentJoin::new(segments, self.cfg.parallelism))
+    }
 
-        // Phase B: the cross-segment reward map, built sequentially in
-        // segment order (last write wins, as the one-pass join does).
-        let mut rewards = HashMap::with_capacity(scanned.iter().map(|s| s.outcomes.len()).sum());
-        for s in &scanned {
-            rewards.extend(s.outcomes.iter().copied());
-        }
-
-        // Phase C: per-segment evaluation, fanned out across workers that
-        // each reuse one set of worker buffers.
-        let results = run_indexed(
-            parallelism,
-            scanned.len(),
-            WorkerBuffers::new,
-            |buffers, i| self.evaluate_prefix(&segments[i][..scanned[i].prefix], &rewards, buffers),
-        );
+    /// [`evaluate_segments`](Self::evaluate_segments) over a join the
+    /// caller already built, so that several passes over one log scan it
+    /// once. The fold runs on the join's threads.
+    pub fn evaluate_join(&self, join: &SegmentJoin<'_>) -> (PortfolioReport, RecoveryStats) {
+        let results = join.per_segment(WorkerBuffers::new, |buffers, i| {
+            self.evaluate_segment(join, i, buffers)
+        });
 
         // Merge in segment-index order — the step that pins down every
         // floating-point addition order regardless of thread schedule.
@@ -899,40 +667,19 @@ impl PortfolioEvaluator {
             joined += result.joined;
             skipped += result.skipped;
             for (into, from) in merged.iter_mut().zip(result.states.iter()) {
-                into.ips.merge(&from.ips);
-                into.snips.merge(&from.snips);
-                into.dr.merge(&from.dr);
+                into.merge(from);
             }
         }
 
+        let recovery = join.recovery();
         let report = self.report(
             merged,
             joined,
-            segments.len(),
+            join.segment_count(),
             recovery.quarantined_records,
             skipped,
         );
         (report, recovery)
-    }
-
-    /// Scores the portfolio on an already-harvested dataset (the serve
-    /// gate's path: propensities known, no segment machinery). Runs
-    /// sequentially — gate rounds are small.
-    pub fn evaluate_dataset(&self, data: &Dataset<SimpleContext>) -> PortfolioReport {
-        let mut states = self.fresh_states();
-        let mut probs = Vec::new();
-        let mut scores = Vec::new();
-        for s in data {
-            let sample = JoinedDecision {
-                context: &s.context,
-                action: s.action,
-                reward: s.reward,
-                propensity: s.propensity,
-            };
-            self.observe_sample(&mut states, &sample, &mut probs, &mut scores);
-        }
-        let n = data.len();
-        self.report(states, n, 0, 0, 0)
     }
 
     /// Ranks the merged accumulators into the final leaderboard, best
@@ -945,17 +692,21 @@ impl PortfolioEvaluator {
         quarantined: usize,
         skipped: usize,
     ) -> PortfolioReport {
+        let k = self.candidates.len() as f64;
         let mut entries: Vec<LeaderboardEntry> = self
             .candidates
             .iter()
             .zip(states.iter())
-            .map(|(candidate, state)| LeaderboardEntry {
-                rank: 0,
-                name: candidate.name.clone(),
-                ips: state.ips.estimate(),
-                snips: state.snips.estimate(),
-                dr: state.dr.estimate(),
-                weights: state.snips.weights,
+            .map(|(candidate, state)| {
+                let [ips, snips, dr] = state.estimates(&self.cfg.bound, k);
+                LeaderboardEntry {
+                    rank: 0,
+                    name: candidate.name.clone(),
+                    ips,
+                    snips,
+                    dr,
+                    weights: state.weights,
+                }
             })
             .collect();
         entries.sort_by(|a, b| b.snips.lcb.total_cmp(&a.snips.lcb));
@@ -972,55 +723,13 @@ impl PortfolioEvaluator {
     }
 }
 
-/// Runs `work(state, i)` for every `i < count`, preserving index order in
-/// the output. Each worker makes one `state` and lends it to every item it
-/// computes. With `parallelism > 1`, workers pull indices from a shared
-/// counter and write into per-index slots, so *which thread* computes an
-/// item never affects *where* its result lands.
-fn run_indexed<S, T: Send>(
-    parallelism: usize,
-    count: usize,
-    state: impl Fn() -> S + Sync,
-    work: impl Fn(&mut S, usize) -> T + Sync,
-) -> Vec<T> {
-    if parallelism <= 1 || count <= 1 {
-        let mut state = state();
-        return (0..count).map(|i| work(&mut state, i)).collect();
-    }
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = parallelism.min(count);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = state();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    let result = work(&mut state, i);
-                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every index was computed")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::evaluator::{eval_dr, eval_ips, eval_snips};
     use harvest_core::policy::GreedyPolicy;
     use harvest_core::sample::LoggedDecision;
+    use harvest_core::Dataset;
     use harvest_log::record::{DecisionRecord, LogRecord};
     use harvest_log::segment::{MemorySegments, SegmentConfig, SegmentedLogWriter};
 
@@ -1127,9 +836,7 @@ mod tests {
         let candidate = GreedyScorerCandidate::new(scorer(1.0, 1.0), 0.0);
         let policy = GreedyPolicy::new(scorer(1.0, 1.0));
 
-        let mut ips_acc = IpsAccumulator::new(&cfg, 1.0);
-        let mut snips_acc = SnipsAccumulator::new(&cfg, 1.0);
-        let mut dr_acc = DrAccumulator::new(&cfg, 1.0);
+        let mut state = CandidateState::new(cfg.clip);
         let model = scorer(0.5, 0.5);
         let mut probs = Vec::new();
         for s in &data {
@@ -1137,23 +844,21 @@ mod tests {
             let weight = probs[s.action] / s.propensity;
             let a_pi = probs.iter().position(|&p| p > 0.5).unwrap();
             let baseline = model.score(&s.context, a_pi);
-            let record = ObservedRecord {
-                reward: s.reward,
+            state.observe(
+                s.reward,
                 weight,
                 baseline,
-                model_logged: model.score(&s.context, s.action),
-            };
-            ips_acc.observe(&record);
-            snips_acc.observe(&record);
-            dr_acc.observe(&record);
+                model.score(&s.context, s.action),
+            );
         }
+        let [ips, snips, dr] = state.estimates(&cfg.bound, 1.0);
 
         let want_ips = eval_ips(&data, &policy);
         let want_snips = eval_snips(&data, &policy);
         let want_dr = eval_dr(&data, &policy, &model);
-        assert!((ips_acc.estimate().point - want_ips.value).abs() < 1e-12);
-        assert!((snips_acc.estimate().point - want_snips.value).abs() < 1e-12);
-        assert!((dr_acc.estimate().point - want_dr.value).abs() < 1e-12);
+        assert!((ips.point - want_ips.value).abs() < 1e-12);
+        assert!((snips.point - want_snips.value).abs() < 1e-12);
+        assert!((dr.point - want_dr.value).abs() < 1e-12);
     }
 
     #[test]
@@ -1162,16 +867,11 @@ mod tests {
         let cfg = EvaluatorConfig::default();
         let candidate = GreedyScorerCandidate::new(scorer(1.0, 1.0), 0.2);
         let observe_range = |lo: usize, hi: usize| {
-            let mut acc = SnipsAccumulator::new(&cfg, 8.0);
+            let mut acc = CandidateState::new(cfg.clip);
             let mut probs = Vec::new();
             for s in data.samples()[lo..hi].iter() {
                 candidate.fill_probabilities(&s.context, &mut probs);
-                acc.observe(&ObservedRecord {
-                    reward: s.reward,
-                    weight: probs[s.action] / s.propensity,
-                    baseline: 0.0,
-                    model_logged: 0.0,
-                });
+                acc.observe(s.reward, probs[s.action] / s.propensity, 0.0, 0.0);
             }
             acc
         };
@@ -1179,8 +879,8 @@ mod tests {
         a.merge(&observe_range(40, 100));
         let mut b = observe_range(0, 40);
         b.merge(&observe_range(40, 100));
-        let ea = a.estimate();
-        let eb = b.estimate();
+        let ea = a.estimates(&cfg.bound, 8.0)[1];
+        let eb = b.estimates(&cfg.bound, 8.0)[1];
         assert_eq!(ea.point.to_bits(), eb.point.to_bits());
         assert_eq!(ea.lcb.to_bits(), eb.lcb.to_bits());
         assert_eq!(ea.ess.to_bits(), eb.ess.to_bits());
@@ -1220,9 +920,8 @@ mod tests {
     }
 
     #[test]
-    fn dataset_path_scores_all_candidates() {
-        let data = crossing_data(500);
-        let report = demo_evaluator(12, 1).evaluate_dataset(&data);
+    fn every_candidate_is_scored_on_every_joined_decision() {
+        let (report, _) = demo_evaluator(12, 1).evaluate_segments(&demo_segments(500));
         assert_eq!(report.n, 500);
         assert_eq!(report.entries.len(), 12);
         for e in &report.entries {
@@ -1250,8 +949,7 @@ mod tests {
 
     #[test]
     fn tiny_data_has_infinite_bounds_not_nans() {
-        let data = crossing_data(1);
-        let report = demo_evaluator(3, 1).evaluate_dataset(&data);
+        let (report, _) = demo_evaluator(3, 1).evaluate_segments(&demo_segments(1));
         for e in &report.entries {
             assert_eq!(e.snips.n, 1);
             assert!(e.snips.lcb == f64::NEG_INFINITY);

@@ -27,6 +27,11 @@ pub struct HarvestReport {
 
 /// The harvesting methodology as a reusable component: give it raw log
 /// records and a propensity model, get exploration data.
+///
+/// For records held in memory, such as parsed nginx lines, which log no
+/// propensity. The serve loop's own segments are read in place by
+/// [`SegmentJoin`](crate::scavenge::SegmentJoin) instead, under the same
+/// [`evaluable`] rule.
 #[derive(Debug, Clone)]
 pub struct HarvestPipeline<M> {
     propensity_model: M,

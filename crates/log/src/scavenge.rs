@@ -1,12 +1,19 @@
 //! Step 1 of the methodology: joining decision and outcome records into
-//! `⟨x, a, r⟩` triples.
+//! `⟨x, a, r⟩` triples — over owned records ([`scavenge`]) or in place over
+//! segment bytes ([`SegmentJoin`], which the portfolio pass and the serve
+//! trainer both read), under one rule.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-use harvest_core::SimpleContext;
+use harvest_core::{LoggedDecision, SimpleContext};
 
-use crate::codec::DecisionRef;
+use crate::codec::{DecisionRef, RecordRef, OUTCOME_PAYLOAD_LEN};
 use crate::record::{DecisionRecord, LogRecord};
+use crate::segment::{
+    replay_prefix, scan_segment, RecoveryStats, SegmentRecovery, FRAME_HEADER_LEN,
+};
 
 /// A scavenged triple: context, action, reward — with the propensity still
 /// possibly unknown.
@@ -83,7 +90,7 @@ fn joined_reward(outcome: Option<f64>, inline: Option<f64>) -> Result<f64, Unusa
 /// The one rule for which logged decisions count, shared by the
 /// owned-record harvest ([`scavenge`] then
 /// [`HarvestPipeline::run`](crate::pipeline::HarvestPipeline::run)) and the
-/// portfolio's in-place segment join. Returns the `(reward, propensity)` a
+/// in-place [`SegmentJoin`]. Returns the `(reward, propensity)` a
 /// decision is scored with:
 ///
 /// * the reward is the outcome's if there is one, otherwise the inline
@@ -206,6 +213,192 @@ pub fn scavenge(records: &[LogRecord]) -> (Vec<ScavengedSample>, ScavengeStats) 
     }
     stats.orphan_outcomes = outcomes.values().filter(|(_, claimed)| !claimed).count();
     (samples, stats)
+}
+
+/// What the scan keeps of one segment: its recovery, the length of its
+/// valid prefix, its outcomes in order, and its smallest and largest
+/// record stamp.
+#[derive(Debug)]
+struct ScannedSegment {
+    recovery: SegmentRecovery,
+    prefix: usize,
+    outcomes: Vec<(u64, f64)>,
+    stamps: Option<(u64, u64)>,
+}
+
+fn scan_one(bytes: &[u8]) -> ScannedSegment {
+    // Every outcome frame is the same size, so no segment holds more
+    // outcomes than this and the vector never grows.
+    let mut outcomes = Vec::with_capacity(bytes.len() / (FRAME_HEADER_LEN + OUTCOME_PAYLOAD_LEN));
+    let mut stamps = None::<(u64, u64)>;
+    let (recovery, prefix) = scan_segment(bytes, |record| {
+        let stamp = match record {
+            RecordRef::Outcome(o) => {
+                outcomes.push((o.request_id, o.reward));
+                o.timestamp_ns
+            }
+            RecordRef::Decision(d) => d.timestamp_ns,
+            RecordRef::Batch(_) => unreachable!("the scan visits a batch as its decisions"),
+        };
+        stamps = Some(stamps.map_or((stamp, stamp), |(lo, hi)| (lo.min(stamp), hi.max(stamp))));
+    });
+    ScannedSegment {
+        recovery,
+        prefix,
+        outcomes,
+        stamps,
+    }
+}
+
+/// The in-place join over crash-safe log segments: which logged decisions
+/// count, and with what reward, read straight from the segment bytes.
+///
+/// [`new`](Self::new) scans every segment (in parallel): [`scan_segment`]
+/// checks each frame's CRC and parse, counts the quarantined tail, and keeps
+/// the outcomes. Then, in segment order, the outcomes go into one
+/// `request_id → reward` map where a later outcome wins, as in [`scavenge`];
+/// the map is global because a reward may land in a later segment than its
+/// decision. [`replay`](Self::replay) walks one segment's valid prefix again
+/// without a second CRC. Nothing per decision is buffered.
+#[derive(Debug)]
+pub struct SegmentJoin<'s> {
+    segments: &'s [Vec<u8>],
+    parallelism: usize,
+    scanned: Vec<ScannedSegment>,
+    rewards: HashMap<u64, f64>,
+}
+
+impl<'s> SegmentJoin<'s> {
+    /// Scans `segments` on up to `parallelism` threads and builds the
+    /// reward map; the join is the same at any thread count.
+    pub fn new(segments: &'s [Vec<u8>], parallelism: usize) -> Self {
+        let scanned = run_indexed(
+            parallelism,
+            segments.len(),
+            || (),
+            |_, i| scan_one(&segments[i]),
+        );
+        let mut rewards = HashMap::with_capacity(scanned.iter().map(|s| s.outcomes.len()).sum());
+        for s in &scanned {
+            rewards.extend(s.outcomes.iter().copied());
+        }
+        SegmentJoin {
+            segments,
+            parallelism,
+            scanned,
+            rewards,
+        }
+    }
+
+    /// How many segments the join reads.
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// What recovery found across the segments.
+    pub fn recovery(&self) -> RecoveryStats {
+        let mut stats = RecoveryStats::default();
+        for s in &self.scanned {
+            stats.add(&s.recovery);
+        }
+        stats
+    }
+
+    /// The smallest and largest stamp of any record, decision or outcome,
+    /// in the valid prefixes (`None` when they hold none).
+    pub fn stamps(&self) -> Option<(u64, u64)> {
+        let stamps = self.scanned.iter().filter_map(|s| s.stamps);
+        stamps.reduce(|(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
+    }
+
+    /// Runs `work(state, i)` for every segment `i` on the join's threads,
+    /// each making one `state` it lends to every segment it takes. Results
+    /// come back in segment order whichever thread computed them.
+    pub fn per_segment<S, T: Send>(
+        &self,
+        state: impl Fn() -> S + Sync,
+        work: impl Fn(&mut S, usize) -> T + Sync,
+    ) -> Vec<T> {
+        run_indexed(self.parallelism, self.segments.len(), state, work)
+    }
+
+    /// Replays segment `i`'s valid prefix and calls `visit` with the request
+    /// id of each decision that [`fill_context`] and [`evaluable`] accept, in
+    /// log order, joined: its context rebuilt in `context`, and the reward
+    /// and propensity `evaluable` returned (a decision logged without a
+    /// propensity was drawn uniformly). Returns how many decisions it
+    /// skipped.
+    pub fn replay(
+        &self,
+        i: usize,
+        context: &mut SimpleContext,
+        mut visit: impl FnMut(u64, LoggedDecision<&SimpleContext>),
+    ) -> usize {
+        let mut skipped = 0;
+        replay_prefix(&self.segments[i][..self.scanned[i].prefix], |record| {
+            let RecordRef::Decision(d) = record else {
+                return;
+            };
+            let uniform = || 1.0 / d.num_actions as f64;
+            let outcome = self.rewards.get(&d.request_id).copied();
+            match evaluable(outcome, d.reward, d.propensity, uniform) {
+                Ok((reward, propensity)) if fill_context(&d, context) => {
+                    let joined = LoggedDecision {
+                        context: &*context,
+                        action: d.action,
+                        reward,
+                        propensity,
+                    };
+                    visit(d.request_id, joined)
+                }
+                _ => skipped += 1,
+            }
+        });
+        skipped
+    }
+}
+
+/// Runs `work(state, i)` for every `i < count`, preserving index order in
+/// the output. Each worker makes one `state` and lends it to every item it
+/// computes. With `parallelism > 1`, workers pull indices from a shared
+/// counter and write into per-index slots, so *which thread* computes an
+/// item never affects *where* its result lands.
+fn run_indexed<S, T: Send>(
+    parallelism: usize,
+    count: usize,
+    state: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, usize) -> T + Sync,
+) -> Vec<T> {
+    if parallelism <= 1 || count <= 1 {
+        let mut state = state();
+        return (0..count).map(|i| work(&mut state, i)).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let workers = parallelism.min(count);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                let mut state = state();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= count {
+                        break;
+                    }
+                    let result = work(&mut state, i);
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .expect("every index was computed")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -349,7 +542,7 @@ mod tests {
             with(&|d| d.shared_features = vec![0.5; 7]),
             base.clone(),
         ];
-        // One context refilled across every shape, as a portfolio worker
+        // One context refilled across every shape, as a segment join's caller
         // reuses it.
         let mut ctx = SimpleContext::contextless(1);
         for d in cases {

@@ -464,6 +464,17 @@ pub struct RecoveryStats {
     pub quarantined_bytes: usize,
 }
 
+impl RecoveryStats {
+    /// Counts one more segment's recovery.
+    pub(crate) fn add(&mut self, seg: &SegmentRecovery) {
+        self.segments += 1;
+        self.recovered += seg.recovered;
+        self.quarantined_records += seg.quarantined_records;
+        self.quarantined_bytes += seg.quarantined_bytes;
+        self.corrupt_segments += usize::from(!seg.is_clean());
+    }
+}
+
 /// Walks frame headers without validating checksums, returning
 /// `(start, total_len)` spans of structurally complete frames.
 fn frame_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
@@ -614,13 +625,7 @@ pub fn recover_segments(segments: &[Vec<u8>]) -> (Vec<LogRecord>, RecoveryStats)
     let mut stats = RecoveryStats::default();
     for bytes in segments {
         let (mut recs, seg) = recover_segment(bytes);
-        stats.segments += 1;
-        stats.recovered += seg.recovered;
-        stats.quarantined_records += seg.quarantined_records;
-        stats.quarantined_bytes += seg.quarantined_bytes;
-        if !seg.is_clean() {
-            stats.corrupt_segments += 1;
-        }
+        stats.add(&seg);
         records.append(&mut recs);
     }
     (records, stats)

@@ -432,19 +432,24 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         outcome
     }
 
-    /// One harvest → train → gate round over `records` (typically the
-    /// service's own segments read back via recovery). On a passing gate
-    /// the candidate is promoted — an atomic hot-swap the shards pick up on
-    /// their next decision. Safe to call from a background thread while
-    /// serving continues.
+    /// One harvest → train → gate round over the log `segments` (typically
+    /// a snapshot of the service's own store, such as
+    /// [`MemorySegments::snapshot`]). The trainer reads the bytes in place:
+    /// each segment's valid prefix, joined with rewards across segments, as
+    /// the portfolio pass reads them; a damaged tail is quarantined, not
+    /// trained on. On a passing gate the candidate is promoted — an atomic
+    /// hot-swap the shards pick up on their next decision. Safe to call
+    /// from a background thread while serving continues.
     ///
     /// A trainer panic (chaos-injected or real) is caught: the incumbent
     /// stays, the breaker trips, and [`ServeError::TrainerCrashed`] is
     /// returned. A gate whose confidence radius has collapsed also trips
     /// the breaker, even when the round itself succeeds.
+    ///
+    /// [`MemorySegments::snapshot`]: harvest_log::segment::MemorySegments::snapshot
     pub fn train_and_maybe_promote(
         &self,
-        records: &[LogRecord],
+        segments: &[Vec<u8>],
     ) -> Result<PromotionReport, ServeError> {
         let round_index = self.train_rounds.fetch_add(1, Ordering::SeqCst);
         let crash = self
@@ -454,12 +459,9 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         let incumbent = self.registry.current();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if crash {
-                // Model a crash mid-fit: the harvest pass runs (and spends
-                // real work), then the process of fitting dies.
-                let _ = self.trainer.harvest(records);
                 panic!("chaos: trainer crashed mid-fit (round {round_index})");
             }
-            self.trainer.run_round(records, &incumbent.policy)
+            self.trainer.run_round(segments, &incumbent.policy)
         }));
         let round = match outcome {
             Err(_) => {
@@ -476,17 +478,12 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
             obs.set_leaderboard(round.leaderboard.clone());
             // The round's harvest span — last minus first record stamp,
             // logical ns — is the gate→promote stage of the timeline.
-            if let Some(first) = records.iter().map(|r| r.timestamp_ns()).min() {
-                let last = records
-                    .iter()
-                    .map(|r| r.timestamp_ns())
-                    .max()
-                    .unwrap_or(first);
-                obs.record_gate_span(last.saturating_sub(first));
+            if let Some((first, last)) = round.stamps {
+                obs.record_gate_span(last - first);
             }
-            // Stamp `trained` on exactly the decisions that entered this
-            // round's dataset.
-            for &id in &round.harvest.request_ids {
+            // Stamp `trained` on exactly the decisions this round trained
+            // and gated on.
+            for &id in &round.request_ids {
                 obs.tracer().trained(id, round_index);
             }
         }
@@ -725,8 +722,7 @@ mod tests {
         while svc.metrics().log_backlog > 0 {
             std::thread::yield_now();
         }
-        let (records, _) = store.recover();
-        let report = svc.train_and_maybe_promote(&records).unwrap();
+        let report = svc.train_and_maybe_promote(&store.snapshot()).unwrap();
         assert!(report.gate.promoted, "{report:?}");
         assert_eq!(report.serving_generation, 1);
         assert_eq!(svc.registry().swap_count(), 1);

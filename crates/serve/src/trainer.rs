@@ -1,11 +1,12 @@
 //! The background trainer and promotion gate.
 //!
-//! One training round is the paper's §3 loop in miniature: scavenge the
-//! service's own decision log into exploration data ([`harvest_log`]), fit a
-//! candidate reward model ([`harvest_core::learner::RegressionCbLearner`]),
-//! then gate the candidate *as it would actually be served* — wrapped in the
-//! same ε floor the engine applies — against the incumbent on the same
-//! harvested data.
+//! One training round is the paper's §3 loop in miniature: join the
+//! service's own decision log in place, straight from its segment bytes
+//! ([`SegmentJoin`]), fit a candidate reward model
+//! ([`harvest_core::learner::RegressionCbLearner`]), then gate the
+//! candidate *as it would actually be served* — wrapped in the same ε floor
+//! the engine applies — against the incumbent on the same harvested
+//! decisions.
 //!
 //! The gate is deliberately asymmetric: the candidate must clear a
 //! finite-sample **lower confidence bound**
@@ -17,8 +18,11 @@
 //!
 //! Since the portfolio redesign, a round does not gate one candidate but a
 //! whole **portfolio**: the fitted scorer plus a deterministic fan of tilted
-//! variants, all scored in one pass over the harvested data by
-//! [`PortfolioEvaluator`]. The winner by lower confidence bound (under the
+//! variants, all scored in one pass over the round's [`SegmentJoin`] by
+//! [`PortfolioEvaluator::evaluate_join`] — the fold
+//! [`PortfolioEvaluator::evaluate_segments`] runs — so the log is scanned
+//! once per round.
+//! The winner by lower confidence bound (under the
 //! configured [`GateEstimator`]) challenges the incumbent; the full ranked
 //! leaderboard rides along on the [`TrainRound`] for export. The incumbent
 //! is scored the same way, as a one-candidate pass, and the winner's
@@ -27,19 +31,17 @@
 //! Gate knobs — portfolio size, confidence constants, estimator, sample
 //! floor — live on [`GateConfig`].
 
-use harvest_core::learner::{ModelingMode, RegressionCbLearner, SampleWeighting};
+use harvest_core::learner::{FitAccumulator, ModelingMode, RegressionCbLearner, SampleWeighting};
 use harvest_core::policy::UniformPolicy;
 use harvest_core::scorer::LinearScorer;
-use harvest_core::{Dataset, HarvestError, SimpleContext};
+use harvest_core::{HarvestError, LoggedDecision, SimpleContext};
 use harvest_estimators::bounds::BoundConfig;
 use harvest_estimators::{
     harvest_quality, portfolio::StochasticCandidate, Candidate, EvaluatorConfig,
-    GreedyScorerCandidate, HarvestQuality, LeaderboardEntry, PolicyEstimate, PortfolioEvaluator,
-    PortfolioReport,
+    GreedyScorerCandidate, HarvestColumns, HarvestQuality, LeaderboardEntry, PolicyEstimate,
+    PortfolioEvaluator, PortfolioReport,
 };
-use harvest_log::pipeline::{HarvestPipeline, HarvestReport};
-use harvest_log::record::LogRecord;
-use harvest_log::KnownPropensity;
+use harvest_log::scavenge::SegmentJoin;
 use serde::Serialize;
 
 use crate::registry::ServePolicy;
@@ -240,8 +242,12 @@ pub struct TrainRound {
     pub winner_policy: ServePolicy,
     /// The full ranked leaderboard from the round's shadow evaluation.
     pub leaderboard: PortfolioReport,
-    /// Scavenging provenance.
-    pub harvest: HarvestReport,
+    /// The request id of every decision the round trained and gated on, in
+    /// log order.
+    pub request_ids: Vec<u64>,
+    /// The smallest and largest record stamp in the log the round read
+    /// (`None` for a log with no records).
+    pub stamps: Option<(u64, u64)>,
     /// The gate's verdict.
     pub gate: GateReport,
 }
@@ -283,32 +289,48 @@ impl Trainer {
         self.epsilon
     }
 
-    /// Step 1–2: joins decisions with outcomes and validates propensities.
-    /// The engine stamps exact propensities, so logged values are trusted;
-    /// uniform is the fallback for records that somehow lack one.
-    pub fn harvest(
-        &self,
-        records: &[LogRecord],
-    ) -> Result<(Dataset<SimpleContext>, HarvestReport), HarvestError> {
-        HarvestPipeline::new(KnownPropensity::new(UniformPolicy::new()), true).run(records)
+    /// An empty ridge fit under the configured modeling mode and lambda.
+    fn accumulator(&self) -> FitAccumulator {
+        RegressionCbLearner::new(self.cfg.modeling, SampleWeighting::Uniform, self.cfg.lambda)
+            .expect("Trainer::new checked lambda")
+            .accumulator()
     }
 
-    /// Step 3: fits the candidate reward model from harvested data.
-    pub fn train(&self, data: &Dataset<SimpleContext>) -> Result<LinearScorer, HarvestError> {
-        RegressionCbLearner::new(self.cfg.modeling, SampleWeighting::Uniform, self.cfg.lambda)?
-            .fit(data)
+    /// Step 3: fits the candidate reward model from the decisions the log's
+    /// join keeps.
+    pub fn train(&self, segments: &[Vec<u8>]) -> Result<LinearScorer, HarvestError> {
+        let mut fit = self.accumulator();
+        walk(&SegmentJoin::new(segments, 1), |_, d| {
+            fit.push(d.context, d.action, d.reward, d.propensity)
+        });
+        fit.finish()
     }
 
     /// Step 4: shadow-evaluates the fitted scorer plus a
-    /// deterministic fan of tilted variants in **one pass** over the
-    /// harvested data, then gates the LCB-winner against the incumbent,
-    /// scored by a one-candidate pass under the same configuration.
+    /// deterministic fan of tilted variants in **one pass** over the log
+    /// `segments`, then gates the LCB-winner against the incumbent, scored
+    /// by a one-candidate pass under the same configuration.
     ///
     /// Returns the verdict, the winner as a servable policy, and the full
     /// ranked leaderboard.
     pub fn portfolio_gate(
         &self,
-        data: &Dataset<SimpleContext>,
+        segments: &[Vec<u8>],
+        incumbent: &ServePolicy,
+        fitted: &LinearScorer,
+    ) -> (GateReport, ServePolicy, PortfolioReport) {
+        let join = SegmentJoin::new(segments, 1);
+        let mut columns = HarvestColumns::new(self.epsilon);
+        walk(&join, |_, d| columns.push(d.context, d.propensity));
+        self.gate(&join, columns, incumbent, fitted)
+    }
+
+    /// [`Self::portfolio_gate`] over a join already built, with the
+    /// quality columns a walk of it gathered.
+    fn gate(
+        &self,
+        join: &SegmentJoin<'_>,
+        columns: HarvestColumns,
         incumbent: &ServePolicy,
         fitted: &LinearScorer,
     ) -> (GateReport, ServePolicy, PortfolioReport) {
@@ -326,7 +348,8 @@ impl Trainer {
                 .model(fitted.clone())
                 .build()
                 .expect("portfolio has at least one candidate")
-                .evaluate_dataset(data)
+                .evaluate_join(join)
+                .0
         };
         let named: Vec<(String, LinearScorer)> = (0..g.portfolio.max(1))
             .map(|j| {
@@ -379,7 +402,7 @@ impl Trainer {
             .expect("winner came from this portfolio");
         // The promotion rule: enough samples, and an LCB above the
         // incumbent.
-        let n = data.len();
+        let n = leaderboard.n;
         let candidate_radius = winner_est.point - winner_est.lcb;
         let candidate_lcb = winner_est.point - candidate_radius;
         let enough = n >= g.min_samples;
@@ -402,31 +425,53 @@ impl Trainer {
             incumbent_value,
             promoted,
             reason: reason.to_string(),
-            quality: harvest_quality(data, &winner.weights, eps),
+            quality: harvest_quality(columns, &winner.weights),
         };
         (report, ServePolicy::Greedy(winner_scorer), leaderboard)
     }
 
-    /// Runs a full round: harvest → train → portfolio gate. Does **not**
-    /// touch the registry; the caller promotes [`TrainRound::winner_policy`]
-    /// iff `gate.promoted` (see [`DecisionService::train_and_maybe_promote`]).
+    /// Runs a full round over the log `segments`: their join is built
+    /// once, one walk of it (steps 1–2, in segment order) feeds the ridge
+    /// fit, the quality columns and the trained ids, then the portfolio
+    /// gate scores the same join. The engine stamps exact propensities, so
+    /// logged values are trusted; a decision logged without one was drawn
+    /// uniformly. Does **not** touch the registry; the caller promotes
+    /// [`TrainRound::winner_policy`] iff `gate.promoted` (see
+    /// [`DecisionService::train_and_maybe_promote`]).
     ///
     /// [`DecisionService::train_and_maybe_promote`]: crate::service::DecisionService::train_and_maybe_promote
     pub fn run_round(
         &self,
-        records: &[LogRecord],
+        segments: &[Vec<u8>],
         incumbent: &ServePolicy,
     ) -> Result<TrainRound, HarvestError> {
-        let (data, harvest) = self.harvest(records)?;
-        let scorer = self.train(&data)?;
-        let (gate, winner_policy, leaderboard) = self.portfolio_gate(&data, incumbent, &scorer);
+        let join = SegmentJoin::new(segments, 1);
+        let mut fit = self.accumulator();
+        let mut columns = HarvestColumns::new(self.epsilon);
+        let mut request_ids = Vec::new();
+        walk(&join, |id, d| {
+            fit.push(d.context, d.action, d.reward, d.propensity);
+            columns.push(d.context, d.propensity);
+            request_ids.push(id);
+        });
+        let scorer = fit.finish()?;
+        let (gate, winner_policy, leaderboard) = self.gate(&join, columns, incumbent, &scorer);
         Ok(TrainRound {
             scorer,
             winner_policy,
             leaderboard,
-            harvest,
+            request_ids,
+            stamps: join.stamps(),
             gate,
         })
+    }
+}
+
+/// Visits every decision `join` keeps, segment by segment in log order.
+fn walk(join: &SegmentJoin<'_>, mut visit: impl FnMut(u64, LoggedDecision<&SimpleContext>)) {
+    let mut context = SimpleContext::contextless(1);
+    for i in 0..join.segment_count() {
+        join.replay(i, &mut context, &mut visit);
     }
 }
 
@@ -468,9 +513,50 @@ fn tilt_scorer(fitted: &LinearScorer, j: usize) -> LinearScorer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harvest_core::LoggedDecision;
+    use harvest_core::{Context, Dataset, LoggedDecision};
+    use harvest_log::record::{DecisionRecord, LogRecord, OutcomeRecord};
+    use harvest_log::segment::{MemorySegments, SegmentConfig, SegmentedLogWriter};
     use harvest_sim_net::rng::fork_rng;
     use rand::Rng;
+
+    /// `records` written to a log that rotates every `max_records`.
+    fn write_log(records: &[LogRecord], max_records: usize) -> Vec<Vec<u8>> {
+        let cfg = SegmentConfig {
+            max_records,
+            max_bytes: usize::MAX,
+            max_span_ns: u64::MAX,
+        };
+        let mut w = SegmentedLogWriter::new(MemorySegments::new(), cfg);
+        for r in records {
+            w.write(r).unwrap();
+        }
+        w.into_sink().unwrap().snapshot()
+    }
+
+    /// `data` logged as one segment: each sample a decision with its reward
+    /// and propensity inline.
+    fn one_segment(data: &Dataset<SimpleContext>) -> Vec<Vec<u8>> {
+        let records: Vec<LogRecord> = data
+            .iter()
+            .zip(0u64..)
+            .map(|(s, id)| {
+                LogRecord::Decision(DecisionRecord {
+                    request_id: id,
+                    timestamp_ns: id,
+                    component: "trainer-test".to_string(),
+                    shared_features: s.context.shared_features().to_vec(),
+                    action_features: None,
+                    num_actions: s.context.num_actions(),
+                    action: s.action,
+                    propensity: Some(s.propensity),
+                    reward: Some(s.reward),
+                })
+            })
+            .collect();
+        let log = write_log(&records, usize::MAX);
+        assert!(log.len() <= 1, "one segment");
+        log
+    }
 
     /// Uniform-logged data where action 0 pays `x` and action 1 pays
     /// `1 − x`: the crossing problem every learner in the workspace faces.
@@ -520,7 +606,8 @@ mod tests {
 
     /// The verdict on `scorer` as served, against the uniform incumbent.
     fn verdict(t: &Trainer, data: &Dataset<SimpleContext>, scorer: LinearScorer) -> GateReport {
-        t.portfolio_gate(data, &ServePolicy::Uniform, &scorer).0
+        t.portfolio_gate(&one_segment(data), &ServePolicy::Uniform, &scorer)
+            .0
     }
 
     #[test]
@@ -573,8 +660,8 @@ mod tests {
         assert!(!verdict(&t, &data, bad_scorer()).promoted);
     }
 
+    /// Uniform-logged crossing decisions, each followed by its outcome.
     fn crossing_records(n: u64, seed: u64) -> Vec<LogRecord> {
-        use harvest_log::record::{DecisionRecord, OutcomeRecord};
         let mut rng = fork_rng(seed, "round-test");
         let mut records = Vec::new();
         for id in 0..n {
@@ -602,7 +689,7 @@ mod tests {
 
     #[test]
     fn run_round_learns_the_crossing_policy_from_raw_records() {
-        let records = crossing_records(3000, 5);
+        let log = write_log(&crossing_records(3000, 5), 1024);
         let t = Trainer::new(
             TrainerConfig {
                 lambda: 1e-3,
@@ -610,8 +697,10 @@ mod tests {
             },
             0.1,
         );
-        let round = t.run_round(&records, &ServePolicy::Uniform).unwrap();
-        assert_eq!(round.harvest.scavenge.joined, 3000);
+        let round = t.run_round(&log, &ServePolicy::Uniform).unwrap();
+        assert_eq!(round.request_ids, (0..3000).collect::<Vec<u64>>());
+        assert_eq!(round.gate.n, 3000);
+        assert_eq!(round.stamps, Some((0, 3000)));
         assert!(round.gate.promoted, "{:?}", round.gate);
         // The learned policy must pick the right side of the crossing.
         let pol = ServePolicy::Greedy(round.scorer);
@@ -640,7 +729,7 @@ mod tests {
 
     #[test]
     fn run_round_scores_the_whole_portfolio() {
-        let records = crossing_records(2000, 8);
+        let log = write_log(&crossing_records(2000, 8), 1024);
         let t = Trainer::new(
             TrainerConfig {
                 lambda: 1e-3,
@@ -648,7 +737,7 @@ mod tests {
             },
             0.1,
         );
-        let round = t.run_round(&records, &ServePolicy::Uniform).unwrap();
+        let round = t.run_round(&log, &ServePolicy::Uniform).unwrap();
         // Default portfolio: the fitted scorer plus 15 tilts.
         assert_eq!(round.gate.portfolio, 16);
         assert_eq!(round.leaderboard.entries.len(), 16);
@@ -674,8 +763,41 @@ mod tests {
     }
 
     #[test]
+    fn the_round_scores_the_log_as_evaluate_segments_does() {
+        // Rotation every 97 records splits decisions from their outcomes
+        // across segment boundaries.
+        let log = write_log(&crossing_records(1500, 10), 97);
+        assert!(log.len() > 10);
+        let t = Trainer::new(TrainerConfig::default(), 0.1);
+        let round = t.run_round(&log, &ServePolicy::Uniform).unwrap();
+        let g = &t.config().gate;
+        let candidates = (0..g.portfolio).map(|j| {
+            let (name, scorer) = if j == 0 {
+                ("cb-fit".to_string(), round.scorer.clone())
+            } else {
+                (format!("cb-tilt-{j:03}"), tilt_scorer(&round.scorer, j))
+            };
+            Candidate::new(name, GreedyScorerCandidate::new(scorer, t.epsilon()))
+        });
+        let (direct, _) = PortfolioEvaluator::builder()
+            .config(
+                EvaluatorConfig::builder()
+                    .clip(WEIGHT_CLIP)
+                    .bound(g.bound)
+                    .build(),
+            )
+            .candidates(candidates)
+            .model(round.scorer.clone())
+            .build()
+            .unwrap()
+            .evaluate_segments(&log);
+        assert_eq!(round.leaderboard.to_json(), direct.to_json());
+        assert_eq!(round.gate.n, 1500);
+    }
+
+    #[test]
     fn portfolio_gate_is_deterministic() {
-        let data = crossing_data(1500, 9);
+        let data = one_segment(&crossing_data(1500, 9));
         let t = Trainer::new(TrainerConfig::default(), 0.1);
         let (g1, p1, l1) = t.portfolio_gate(&data, &ServePolicy::Uniform, &good_scorer());
         let (g2, p2, l2) = t.portfolio_gate(&data, &ServePolicy::Uniform, &good_scorer());
@@ -807,7 +929,7 @@ mod tests {
 
     #[test]
     fn gate_reports_are_pinned_bit_for_bit() {
-        let data = served_data(1200, 21);
+        let data = one_segment(&served_data(1200, 21));
         let cases = [
             (GateEstimator::Snips, greedy_incumbent()),
             (GateEstimator::Dr, greedy_incumbent()),
@@ -825,7 +947,9 @@ mod tests {
     #[test]
     fn empty_terms_never_promote() {
         let t = single_candidate(GateConfig::builder().min_samples(0));
-        let report = verdict(&t, &Dataset::new(), good_scorer());
+        let report = t
+            .portfolio_gate(&[], &ServePolicy::Uniform, &good_scorer())
+            .0;
         assert!(!report.promoted, "{report:?}");
     }
 }

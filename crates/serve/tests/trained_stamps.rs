@@ -28,8 +28,7 @@ fn a_decision_dropped_by_the_harvest_is_never_stamped_trained() {
     while svc.metrics().log_backlog > 0 {
         std::thread::yield_now();
     }
-    let (records, _) = store.recover();
-    let report = svc.train_and_maybe_promote(&records).unwrap();
+    let report = svc.train_and_maybe_promote(&store.snapshot()).unwrap();
     assert_eq!(report.gate.n, 49);
     let traces = svc
         .obs()

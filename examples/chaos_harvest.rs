@@ -92,8 +92,7 @@ fn main() {
             while svc.metrics().log_backlog > 0 {
                 std::thread::yield_now();
             }
-            let (records, _) = store.recover();
-            match svc.train_and_maybe_promote(&records) {
+            match svc.train_and_maybe_promote(&store.snapshot()) {
                 Ok(report) => println!(
                     "train round {round} (at request {i}): gate {} -> serving gen {} ({})",
                     if report.gate.promoted {

@@ -14,7 +14,7 @@
 //!    **byte-identical** leaderboard (fixed per-segment partition, fixed
 //!    merge order), clean *and* after at-rest log damage;
 //! 4. the trainer's shadow gate scores its own tilted portfolio on
-//!    harvested data and reports the LCB-winner.
+//!    the same segments and reports the LCB-winner.
 //!
 //! Every line is a deterministic function of the seed; the `-> OK`
 //! assertions are what CI greps.
@@ -247,8 +247,8 @@ fn main() {
             && par_rec == seq_rec,
     );
 
-    // Shadow gate: the trainer scores its own tilted portfolio on the
-    // harvested dataset and gates the LCB-winner against the incumbent.
+    // Shadow gate: the trainer scores its own tilted portfolio on the same
+    // segments and gates the LCB-winner against the incumbent.
     let trainer = Trainer::new(
         TrainerConfig::builder()
             .lambda(1e-3)
@@ -256,11 +256,8 @@ fn main() {
             .build(),
         EPSILON,
     );
-    let store = MemorySegments::new();
-    store.replace_all(segments);
-    let (records, _) = store.recover();
     let round = trainer
-        .run_round(&records, &ServePolicy::Uniform)
+        .run_round(&segments, &ServePolicy::Uniform)
         .expect("training succeeds");
     let board = &round.leaderboard;
     println!(

@@ -95,8 +95,8 @@ fn run_wave(svc: &DecisionService<MemorySegments>, seed: u64, wave: usize) {
 }
 
 fn train(svc: &DecisionService<MemorySegments>, store: &MemorySegments) {
-    let (records, _) = store.recover();
-    svc.train_and_maybe_promote(&records).expect("train");
+    svc.train_and_maybe_promote(&store.snapshot())
+        .expect("train");
 }
 
 fn wave_end_ns(wave: usize) -> u64 {

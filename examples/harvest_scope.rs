@@ -122,9 +122,8 @@ fn run(seed: u64, verbose: bool) -> RunOutput {
             // quality watchdog evaluates (healthy here, so it stays
             // silent — no evidence, no verdict before this point).
             drain(&svc);
-            let (records, _) = store.recover();
             let report = svc
-                .train_and_maybe_promote(&records)
+                .train_and_maybe_promote(&store.snapshot())
                 .expect("training must not crash without chaos");
             if verbose {
                 println!(

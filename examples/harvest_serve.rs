@@ -15,6 +15,7 @@
 //! ```
 
 use harvest::lb::{ClusterConfig, LbContext};
+use harvest::logs::segment::recover_segments;
 use harvest::prelude::*;
 use harvest::serve::{GateConfigBuilder, GateEstimator, Trainer};
 use harvest::simnet::rng::fork_rng;
@@ -123,8 +124,9 @@ fn main() {
         while svc.metrics().log_backlog > 0 {
             std::thread::yield_now();
         }
-        let (records, stats) = store.recover();
-        let report = svc.train_and_maybe_promote(&records).unwrap();
+        let log = store.snapshot();
+        let (records, stats) = recover_segments(&log);
+        let report = svc.train_and_maybe_promote(&log).unwrap();
         println!(
             "  harvested {} records ({} quarantined), gate: candidate lcb {:.4} vs incumbent {:.4} -> {}",
             records.len(),
@@ -150,9 +152,8 @@ fn main() {
     if let ServePolicy::Greedy(scorer) = &incumbent.policy {
         let sabotaged = negate(scorer);
         let trainer = Trainer::new(trainer_config(gate_config().portfolio(1).build()), EPSILON);
-        let (records, _) = store.recover();
-        let (data, _) = trainer.harvest(&records).unwrap();
-        let (verdict, _, _) = trainer.portfolio_gate(&data, &incumbent.policy, &sabotaged);
+        let (verdict, _, _) =
+            trainer.portfolio_gate(&store.snapshot(), &incumbent.policy, &sabotaged);
         println!(
             "sabotage check: inverted scorer value {:.4} (lcb {:.4}) vs incumbent {:.4} -> {}",
             verdict.candidate_value,

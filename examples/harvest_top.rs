@@ -202,9 +202,8 @@ fn main() {
     for i in 0..REQUESTS {
         if i == train_at {
             drain(&svc);
-            let (records, _) = store.recover();
             let report = svc
-                .train_and_maybe_promote(&records)
+                .train_and_maybe_promote(&store.snapshot())
                 .expect("training must not crash without chaos");
             println!(
                 "gate round at request {i}: {} (n={}, lcb={:.4} vs incumbent={:.4}) -> gen {}",

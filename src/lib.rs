@@ -185,8 +185,8 @@ impl From<std::io::Error> for Error {
 pub mod prelude {
     pub use harvest_core::{Context, SimpleContext};
     pub use harvest_estimators::{
-        Candidate, Estimator, EstimatorKind, EvaluatorConfig, GreedyScorerCandidate,
-        LeaderboardEntry, OffPolicyEvaluator, PolicyEstimate, PortfolioEvaluator, PortfolioReport,
+        Candidate, EstimatorKind, EvaluatorConfig, GreedyScorerCandidate, LeaderboardEntry,
+        OffPolicyEvaluator, PolicyEstimate, PortfolioEvaluator, PortfolioReport,
     };
     pub use harvest_log::record::LogRecord;
     pub use harvest_log::segment::MemorySegments;

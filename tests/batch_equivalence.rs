@@ -132,9 +132,8 @@ fn run(seed: u64, serve: Serve, chaos: Option<ChaosPlan>) -> RunResult {
             while svc.metrics().log_backlog > 0 {
                 std::thread::yield_now();
             }
-            let (records, _) = store.recover();
             let report = svc
-                .train_and_maybe_promote(&records)
+                .train_and_maybe_promote(&store.snapshot())
                 .expect("no trainer chaos scheduled");
             assert!(
                 report.gate.promoted,

@@ -95,8 +95,7 @@ fn drive(
         std::thread::yield_now();
     }
     for _ in 0..train_rounds {
-        let (records, _) = store.recover();
-        match svc.train_and_maybe_promote(&records) {
+        match svc.train_and_maybe_promote(&store.snapshot()) {
             Ok(_) | Err(ServeError::TrainerCrashed { .. }) => {}
             Err(other) => panic!("unexpected training error: {other:?}"),
         }
@@ -274,8 +273,8 @@ fn breaker_falls_back_to_the_safe_arm_and_rearms() {
     while svc.metrics().log_backlog > 0 {
         std::thread::yield_now();
     }
-    let (records, _) = store.recover();
-    let report = svc.train_and_maybe_promote(&records).unwrap();
+    let log = store.snapshot();
+    let report = svc.train_and_maybe_promote(&log).unwrap();
     assert!(
         report.gate.promoted,
         "warmup round must promote: {report:?}"
@@ -292,7 +291,7 @@ fn breaker_falls_back_to_the_safe_arm_and_rearms() {
     );
 
     // Round 1: the injected trainer crash trips the breaker.
-    let err = svc.train_and_maybe_promote(&records).unwrap_err();
+    let err = svc.train_and_maybe_promote(&log).unwrap_err();
     assert!(matches!(err, ServeError::TrainerCrashed { round: 1 }));
     assert!(svc.breaker_open());
 

@@ -514,8 +514,7 @@ proptest! {
             std::thread::yield_now();
         }
         if train {
-            let (records, _) = store.recover();
-            let _ = svc.train_and_maybe_promote(&records);
+            let _ = svc.train_and_maybe_promote(&store.snapshot());
         }
         for t in 1..=ticks {
             svc.scope_tick(now_ns + t * 10_000_000);

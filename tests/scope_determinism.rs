@@ -173,8 +173,8 @@ fn drive(seed: u64, plan: Option<ChaosPlan>, burst: bool, train: bool) -> OpsExp
         }
         if train && w == TRAIN_WINDOW {
             drain(&svc);
-            let (records, _) = store.recover();
-            svc.train_and_maybe_promote(&records).expect("train");
+            svc.train_and_maybe_promote(&store.snapshot())
+                .expect("train");
         }
         drain(&svc);
         events.extend(svc.scope_tick(w * WINDOW_NS));

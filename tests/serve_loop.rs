@@ -10,7 +10,7 @@ use harvest::serve::{
 };
 use harvest::simnet::rng::fork_rng;
 use harvest_estimators::bounds::BoundConfig;
-use harvest_log::segment::MemorySegments;
+use harvest_log::segment::{recover_segments, MemorySegments};
 use rand::Rng;
 
 const EPSILON: f64 = 0.15;
@@ -95,9 +95,12 @@ fn run_trace(seed: u64) -> TraceResult {
     while svc.metrics().log_backlog > 0 {
         std::thread::yield_now();
     }
-    let (records, stats) = store.recover();
-    assert_eq!(stats.quarantined_records, 0);
-    let report = svc.train_and_maybe_promote(&records).unwrap();
+    assert_eq!(svc.metrics().log_quarantined, 0);
+    // The reader's side too: every frame the service wrote decodes and
+    // passes its CRC, so the round trains on the whole log.
+    let log = store.snapshot();
+    assert_eq!(recover_segments(&log).1.quarantined_records, 0);
+    let report = svc.train_and_maybe_promote(&log).unwrap();
     let served_mean_latency = wave(&svc, SERVE_REQUESTS);
     let swap_count = svc.registry().swap_count();
     let log = svc.shutdown().unwrap().snapshot();
@@ -175,12 +178,11 @@ fn gate_refuses_a_degraded_candidate() {
     while svc.metrics().log_backlog > 0 {
         std::thread::yield_now();
     }
-    let (records, _) = store.recover();
+    let log = store.snapshot();
 
     // One candidate per verdict: the scorer under test, untilted.
     let trainer = Trainer::new(trainer_config(gate_config().portfolio(1).build()), EPSILON);
-    let (data, _) = trainer.harvest(&records).unwrap();
-    let good = trainer.train(&data).unwrap();
+    let good = trainer.train(&log).unwrap();
     let degraded = match &good {
         harvest::core::scorer::LinearScorer::Pooled { weights } => {
             harvest::core::scorer::LinearScorer::Pooled {
@@ -197,9 +199,9 @@ fn gate_refuses_a_degraded_candidate() {
         }
     };
 
-    let (accept, _, _) = trainer.portfolio_gate(&data, &ServePolicy::Uniform, &good);
+    let (accept, _, _) = trainer.portfolio_gate(&log, &ServePolicy::Uniform, &good);
     assert!(accept.promoted, "{accept:?}");
-    let (refuse, _, _) = trainer.portfolio_gate(&data, &ServePolicy::Uniform, &degraded);
+    let (refuse, _, _) = trainer.portfolio_gate(&log, &ServePolicy::Uniform, &degraded);
     assert!(!refuse.promoted, "{refuse:?}");
     assert!(refuse.candidate_value < refuse.incumbent_value);
     svc.shutdown().unwrap();

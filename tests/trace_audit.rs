@@ -61,10 +61,9 @@ fn run_workload(svc: &DecisionService<MemorySegments>, store: &MemorySegments, s
             while svc.metrics().log_backlog > 0 {
                 std::thread::yield_now();
             }
-            let (records, _) = store.recover();
             // A chaos-crashed trainer round is an acceptable outcome; the
             // trace ledger must balance either way.
-            let _ = svc.train_and_maybe_promote(&records);
+            let _ = svc.train_and_maybe_promote(&store.snapshot());
         }
         now_ns += 1_000_000;
         let x: f64 = traffic.gen_range(0.0..1.0);

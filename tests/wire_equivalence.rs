@@ -128,9 +128,8 @@ fn run(seed: u64, wired: bool, chaos: Option<ChaosPlan>) -> RunResult {
             while svc.metrics().log_backlog > 0 {
                 std::thread::yield_now();
             }
-            let (records, _) = store.recover();
             let report = svc
-                .train_and_maybe_promote(&records)
+                .train_and_maybe_promote(&store.snapshot())
                 .expect("no trainer chaos scheduled");
             assert!(
                 report.gate.promoted,
@@ -404,13 +403,10 @@ fn overload_is_answered_never_errored() {
     // Phase 3 — open breaker: crash the trainer, then keep serving. The
     // responses are real decisions from the uniform safe arm (propensity
     // 1/K, degraded flag set) — never protocol errors.
-    let (records, _) = {
-        while svc.metrics().log_backlog > 0 {
-            std::thread::yield_now();
-        }
-        store.recover()
-    };
-    svc.train_and_maybe_promote(&records)
+    while svc.metrics().log_backlog > 0 {
+        std::thread::yield_now();
+    }
+    svc.train_and_maybe_promote(&store.snapshot())
         .expect_err("round 0 trainer crash is scheduled");
     assert!(svc.breaker_open(), "trainer crash must trip the breaker");
     for i in 0..16u64 {
