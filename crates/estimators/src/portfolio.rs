@@ -431,8 +431,8 @@ pub struct PortfolioReport {
     pub segments: usize,
     /// Record frames quarantined by segment recovery.
     pub quarantined: usize,
-    /// Decisions skipped: no reward, a non-finite reward, a propensity
-    /// outside `(0, 1]`, or inconsistent fields.
+    /// Decisions skipped: no reward, a non-finite reward or feature, a
+    /// propensity outside `(0, 1]`, or inconsistent fields.
     pub skipped: usize,
     /// One row per candidate, best LCB first.
     pub entries: Vec<LeaderboardEntry>,
@@ -958,6 +958,19 @@ mod tests {
         }
         // And the JSON still serializes (non-finite → null).
         assert!(report.to_json().contains("null"));
+    }
+
+    #[test]
+    fn a_decision_with_a_non_finite_feature_is_skipped() {
+        let mut segments = demo_segments(100);
+        let (clean, _) = demo_evaluator(4, 1).evaluate_segments(&segments);
+        let mut w = SegmentedLogWriter::new(MemorySegments::new(), SegmentConfig::default());
+        w.write(&decision(100, f64::NAN, 0, Some(0.5))).unwrap();
+        segments.extend(w.into_sink().unwrap().snapshot());
+        let (report, _) = demo_evaluator(4, 1).evaluate_segments(&segments);
+        assert_eq!(report.skipped, clean.skipped + 1);
+        assert_eq!(report.n, clean.n);
+        assert_eq!(report.entries, clean.entries);
     }
 
     #[test]

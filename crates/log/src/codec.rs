@@ -2,10 +2,10 @@
 //! record the system frames.
 //!
 //! Log segment payloads ([`crate::segment`]) carry [`LogRecord`]s in this
-//! layout, and the wire protocol's request/response bodies
+//! layout, and the wire protocol's request, response and ops bodies
 //! (`harvest-wire`) are built from the same [`Encoder`]/[`Decoder`]
-//! primitives, so recovery, compaction, the portfolio scan and the socket
-//! all read one format. Primitives:
+//! primitives, so recovery, the portfolio scan and the socket all read one
+//! format. Primitives:
 //!
 //! ```text
 //! u8 | u32 | u64   fixed width, little-endian

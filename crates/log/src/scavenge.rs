@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use harvest_core::{LoggedDecision, SimpleContext};
+use harvest_core::{Context, LoggedDecision, SimpleContext};
 
 use crate::codec::{DecisionRef, RecordRef, OUTCOME_PAYLOAD_LEN};
 use crate::record::{DecisionRecord, LogRecord};
@@ -40,7 +40,8 @@ pub struct ScavengeStats {
     pub missing_outcome: usize,
     /// Outcomes with no matching decision (decision log rotated away).
     pub orphan_outcomes: usize,
-    /// Decisions dropped because their fields were inconsistent.
+    /// Decisions dropped because their fields were inconsistent or a
+    /// feature or the reward was not finite.
     pub invalid: usize,
 }
 
@@ -131,6 +132,19 @@ pub fn context_of(d: &DecisionRecord) -> Option<SimpleContext> {
     })
 }
 
+/// Whether every shared and per-action feature of `ctx` is finite. The
+/// harvest join counts a decision that fails this as unusable: one NaN
+/// feature poisons the ridge statistics of every fit it joins. Kept out
+/// of [`context_of`], because warm-restart replay must re-draw every
+/// logged decision, usable or not.
+fn features_finite(ctx: &SimpleContext) -> bool {
+    let per_action = ctx.per_action_features().into_iter().flatten().flatten();
+    ctx.shared_features()
+        .iter()
+        .chain(per_action)
+        .all(|x| x.is_finite())
+}
+
 /// [`context_of`] for a decision read in place: refills `ctx` with the
 /// context `d` was logged with and returns `true`, or returns `false`
 /// (leaving `ctx` as it was) when the fields break the same rule.
@@ -154,9 +168,9 @@ pub fn fill_context(d: &DecisionRef<'_>, ctx: &mut SimpleContext) -> bool {
 ///
 /// A decision's reward follows the reward half of [`evaluable`]: the
 /// matching outcome's when there is one, otherwise the decision's own
-/// `reward` field; decisions with neither, or with a non-finite reward, are
-/// dropped (and counted). The propensity is left as logged. For duplicate
-/// outcome ids the last one wins.
+/// `reward` field; decisions with neither, or with a non-finite reward or
+/// feature, are dropped (and counted). The propensity is left as logged.
+/// For duplicate outcome ids the last one wins.
 pub fn scavenge(records: &[LogRecord]) -> (Vec<ScavengedSample>, ScavengeStats) {
     // Each outcome's reward, and whether any decision claimed it: an
     // outcome no decision claims is an orphan.
@@ -173,7 +187,7 @@ pub fn scavenge(records: &[LogRecord]) -> (Vec<ScavengedSample>, ScavengeStats) 
             *claimed = true;
             *reward
         });
-        let Some(context) = context_of(d) else {
+        let Some(context) = context_of(d).filter(features_finite) else {
             stats.invalid += 1;
             return;
         };
@@ -323,11 +337,11 @@ impl<'s> SegmentJoin<'s> {
     }
 
     /// Replays segment `i`'s valid prefix and calls `visit` with the request
-    /// id of each decision that [`fill_context`] and [`evaluable`] accept, in
-    /// log order, joined: its context rebuilt in `context`, and the reward
-    /// and propensity `evaluable` returned (a decision logged without a
-    /// propensity was drawn uniformly). Returns how many decisions it
-    /// skipped.
+    /// id of each decision that [`fill_context`] and [`evaluable`] accept and
+    /// whose features are all finite, in log order, joined: its context
+    /// rebuilt in `context`, and the reward and propensity `evaluable`
+    /// returned (a decision logged without a propensity was drawn
+    /// uniformly). Returns how many decisions it skipped.
     pub fn replay(
         &self,
         i: usize,
@@ -342,7 +356,9 @@ impl<'s> SegmentJoin<'s> {
             let uniform = || 1.0 / d.num_actions as f64;
             let outcome = self.rewards.get(&d.request_id).copied();
             match evaluable(outcome, d.reward, d.propensity, uniform) {
-                Ok((reward, propensity)) if fill_context(&d, context) => {
+                Ok((reward, propensity))
+                    if fill_context(&d, context) && features_finite(context) =>
+                {
                     let joined = LoggedDecision {
                         context: &*context,
                         action: d.action,
@@ -484,6 +500,28 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_features_are_dropped() {
+        let mut shared = match decision(1, Some(1.0)) {
+            LogRecord::Decision(d) => d,
+            _ => unreachable!(),
+        };
+        shared.shared_features = vec![f64::NAN];
+        let mut per_action = shared.clone();
+        per_action.request_id = 2;
+        per_action.shared_features = vec![0.5];
+        per_action.action_features = Some(vec![vec![1.0], vec![f64::INFINITY]]);
+        let records = [
+            LogRecord::Decision(shared),
+            LogRecord::Decision(per_action),
+            decision(3, Some(1.0)),
+        ];
+        let (samples, stats) = scavenge(&records);
+        assert_eq!(samples.len(), 1);
+        assert_eq!(samples[0].request_id, 3);
+        assert_eq!(stats.invalid, 2);
+    }
+
+    #[test]
     fn action_features_are_reconstructed() {
         let rec = LogRecord::Decision(DecisionRecord {
             request_id: 1,
@@ -498,7 +536,6 @@ mod tests {
         });
         let (samples, stats) = scavenge(&[rec]);
         assert_eq!(stats.joined, 1);
-        use harvest_core::Context;
         assert_eq!(samples[0].context.action_features(1), &[3.0, 4.0]);
         assert_eq!(samples[0].propensity, None);
     }

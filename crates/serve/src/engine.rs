@@ -9,8 +9,14 @@
 //! stamps the *exact* propensity of the sampled action — the single
 //! discipline the whole harvesting methodology rests on (paper §2): logged
 //! randomness is only reusable if its probabilities are known.
+//!
+//! Each shard's state sits behind its own `std::sync::Mutex`, taken once
+//! per batch. One worker per shard keeps that lock uncontended, and the
+//! policy lookup inside it is one atomic generation check
+//! ([`CachedPolicy`]), so no shared lock sits on the decide path.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use harvest_core::{Context, SimpleContext};
 use harvest_log::record::{BatchDecision, BatchRecord, LogRecord};
@@ -19,7 +25,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::batch::DecisionBatch;
-use crate::cell::{ShardCell, ShardCellGuard};
 use crate::error::ServeError;
 use crate::logger::DecisionLogger;
 use crate::metrics::ServeMetrics;
@@ -35,9 +40,8 @@ use crate::registry::{CachedPolicy, PolicyRegistry, ServePolicy};
 #[non_exhaustive]
 pub struct EngineConfig {
     /// Number of decision shards. Each gets an independent RNG stream and
-    /// its own affine ownership cell, so disjoint shards never contend —
-    /// and same-shard calls from the shard's own worker are uncontended by
-    /// construction.
+    /// its own lock, so disjoint shards never contend — and same-shard
+    /// calls from the shard's own worker are uncontended by construction.
     pub shards: usize,
     /// The exploration floor ε: every action keeps propensity ≥ ε/K.
     pub epsilon: f64,
@@ -165,6 +169,16 @@ struct Shard {
     last_ns: Option<u64>,
 }
 
+/// One shard's lock and its chaos wedge flag, cache-line isolated so
+/// neighbouring shards' acquisitions do not share a line.
+#[repr(align(128))]
+struct ShardSlot {
+    state: Mutex<Shard>,
+    /// Chaos wedge: set by [`DecisionEngine::poison_shard`], cleared (and
+    /// counted) by the next acquisition.
+    wedged: AtomicBool,
+}
+
 /// Durable per-shard engine state: the RNG stream position, the next
 /// sequence number, and the previous decision's logical stamp. Everything a
 /// warm restart needs to continue a shard's decision stream without reusing
@@ -213,14 +227,12 @@ fn sample_epsilon_greedy(
     }
 }
 
-/// The sharded decision engine. Each shard's mutable state lives in a
-/// shard-affine cell (`ShardCell`): the intended one-worker-per-shard deployment
-/// acquires it with a single uncontended atomic swap (no mutex, no futex),
-/// and callers that violate affinity fall back to a striped spin path that
-/// keeps `decide(shard, ...)` exactly as correct as the old per-shard
-/// mutex. Different shards share nothing but atomics.
+/// The sharded decision engine. Each shard's mutable state sits behind its
+/// own `Mutex`: the intended one-worker-per-shard deployment takes it
+/// uncontended, once per batch, and callers that violate affinity simply
+/// wait their turn. Different shards share nothing but atomics.
 pub struct DecisionEngine {
-    shards: Vec<ShardCell<Shard>>,
+    shards: Vec<ShardSlot>,
     registry: Arc<PolicyRegistry>,
     epsilon: f64,
     component: String,
@@ -248,13 +260,14 @@ impl DecisionEngine {
             cfg.epsilon
         );
         let shards = (0..cfg.shards)
-            .map(|i| {
-                ShardCell::new(Shard {
+            .map(|i| ShardSlot {
+                state: Mutex::new(Shard {
                     rng: fork_rng_indexed(cfg.master_seed, "serve-shard", i as u64),
                     seq: 0,
                     cache: CachedPolicy::new(&registry),
                     last_ns: None,
-                })
+                }),
+                wedged: AtomicBool::new(false),
             })
             .collect();
         DecisionEngine {
@@ -272,15 +285,16 @@ impl DecisionEngine {
         self.shards.len()
     }
 
-    /// Acquires shard `shard`'s cell — uncontended under shard affinity —
+    /// Acquires shard `shard`'s lock — uncontended under shard affinity —
     /// and services any pending chaos wedge: a wedged shard is recovered
-    /// and counted here, at its next acquisition, exactly where the old
-    /// mutex recovered from poisoning. The caller must have bounds-checked
-    /// `shard`.
-    fn lock_shard(&self, shard: usize) -> ShardCellGuard<'_, Shard> {
-        let cell = &self.shards[shard];
-        let guard = cell.lock();
-        if cell.take_wedge() {
+    /// and counted here, at its next acquisition. A panic while the lock
+    /// was held does not poison the shard: its RNG, sequence counter and
+    /// policy cache are each valid at every instant, so the next holder
+    /// carries on. The caller must have bounds-checked `shard`.
+    fn lock_shard(&self, shard: usize) -> MutexGuard<'_, Shard> {
+        let slot = &self.shards[shard];
+        let guard = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.wedged.swap(false, Ordering::AcqRel) {
             self.metrics.record_shard_wedge();
         }
         guard
@@ -418,10 +432,10 @@ impl DecisionEngine {
     /// frames, so the recovered decision stream does not depend on how
     /// calls were batched.
     ///
-    /// A wedged shard (the chaos fault that replaced lock poisoning — see
-    /// [`poison_shard`](DecisionEngine::poison_shard)) is recovered and
-    /// counted at acquisition, never propagated: the shard's RNG, sequence
-    /// counter, and policy cache are each valid at every instant.
+    /// A wedged shard (see [`poison_shard`](DecisionEngine::poison_shard))
+    /// is recovered and counted at acquisition, never propagated: the
+    /// shard's RNG, sequence counter, and policy cache are each valid at
+    /// every instant.
     pub fn decide_batch(
         &self,
         shard: usize,
@@ -558,20 +572,17 @@ impl DecisionEngine {
         LogRecord::from_decisions(component, entries)
     }
 
-    /// Chaos hook: wedges `shard`'s cell — the lock-free analogue of the
-    /// poisoned mutex this fault used to inject (there is no mutex left to
-    /// poison). The next acquisition of the shard — the next
-    /// [`decide`](DecisionEngine::decide), batch, replay, or snapshot —
+    /// Chaos hook: wedges `shard`. The next acquisition of the shard — the
+    /// next [`decide`](DecisionEngine::decide), batch, replay, or snapshot —
     /// clears the wedge and counts the recovery in `shard_wedges`, one of
-    /// the breaker's fault rows; the shard's RNG,
-    /// sequence counter, and policy cache are untouched, so the decision
-    /// stream continues bit-identically. Returns `false` for an unknown
-    /// shard.
+    /// the breaker's fault rows; the shard's RNG, sequence counter, and
+    /// policy cache are untouched, so the decision stream continues
+    /// bit-identically. Returns `false` for an unknown shard.
     pub fn poison_shard(&self, shard: usize) -> bool {
-        let Some(cell) = self.shards.get(shard) else {
+        let Some(slot) = self.shards.get(shard) else {
             return false;
         };
-        cell.wedge();
+        slot.wedged.store(true, Ordering::Release);
         true
     }
 }
@@ -766,6 +777,34 @@ mod tests {
         }
         assert!(hurt.metrics.snapshot().shard_wedges >= 1);
         assert_eq!(clean.metrics.snapshot().shard_wedges, 0);
+        drop((clean, hurt));
+        wc.finish().unwrap();
+        wh.finish().unwrap();
+    }
+
+    #[test]
+    fn a_panic_under_the_shard_lock_does_not_poison_the_shard() {
+        let ctx = SimpleContext::new(vec![0.5], 4);
+        let (clean, wc) = engine(1, 31);
+        let (hurt, wh) = engine(1, 31);
+        for i in 0..20 {
+            assert_eq!(
+                clean.decide(0, i, &ctx).unwrap(),
+                hurt.decide(0, i, &ctx).unwrap()
+            );
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = hurt.lock_shard(0);
+            panic!("panic while holding the shard lock");
+        }));
+        assert!(unwound.is_err());
+        // The next decision is served and continues the unhurt stream.
+        for i in 20..60 {
+            assert_eq!(
+                clean.decide(0, i, &ctx).unwrap(),
+                hurt.decide(0, i, &ctx).unwrap()
+            );
+        }
         drop((clean, hurt));
         wc.finish().unwrap();
         wh.finish().unwrap();

@@ -10,7 +10,7 @@
 //! ```text
 //!   requests ──▶ CircuitBreaker ──▶ DecisionEngine (N shards, ε-floor,
 //!                   │ open: safe arm     │    ▲ exact propensities)
-//!                   │                    │    │ epoch/RCU hot-swap
+//!                   │                    │    │ Arc hot-swap
 //!                   │                    │    └── PolicyRegistry ◀── promote
 //!                   ▼                    ▼                            │ gate:
 //!              safe policy    per-shard SPSC rings (ticket order)    │ LCB >
@@ -58,19 +58,16 @@
 //! the load-balancer simulator, and `examples/chaos_harvest.rs` for the
 //! same loop under a seeded fault schedule.
 
-// `unsafe` is denied crate-wide and re-allowed in exactly three audited
-// islands — the lock-free primitives `cell`, `rcu`, and `ring` — where
-// every block carries a `// SAFETY:` comment (checked by
-// `tests/unsafe_audit.rs` and a CI grep). Everything else in the crate is
-// still unsafe-free.
+// `unsafe` is denied crate-wide and re-allowed in exactly one audited
+// island — the lock-free log ring `ring` — where every block carries a
+// `// SAFETY:` comment (checked by `tests/unsafe_audit.rs` and a CI grep).
+// Everything else in the crate is unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
 pub mod batch;
 pub mod breaker;
-#[allow(unsafe_code)]
-mod cell;
 pub mod chaos;
 pub mod engine;
 pub mod error;
@@ -79,8 +76,6 @@ pub mod joiner;
 pub mod logger;
 pub mod metrics;
 pub mod obs;
-#[allow(unsafe_code)]
-mod rcu;
 pub mod recovery;
 pub mod registry;
 #[allow(unsafe_code)]

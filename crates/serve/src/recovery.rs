@@ -524,6 +524,38 @@ mod tests {
     }
 
     #[test]
+    fn a_decision_with_a_non_finite_feature_still_replays() {
+        // The harvest join skips such a decision, but it drew from its
+        // shard's stream, so replay must re-draw it like any other.
+        let nan = SimpleContext::new(vec![f64::NAN], 3);
+        let ref_svc = DecisionService::new(config(9), MemorySegments::new());
+        let mut expected = serve(&ref_svc, 0, 10, true);
+        expected.push(ref_svc.decide(0, 1_000, &nan).unwrap());
+        expected.extend(serve(&ref_svc, 11, 15, true));
+        ref_svc.shutdown().unwrap();
+
+        let ckpts = MemoryCheckpoints::new();
+        let mut writer = CheckpointWriter::new(ckpts.clone(), 3).unwrap();
+        let svc = DecisionService::new(config(9), MemorySegments::new());
+        let mut got = serve(&svc, 0, 10, true);
+        drain(&svc);
+        svc.write_checkpoint(&mut writer, 1, 9 * 100).unwrap();
+        got.push(svc.decide(0, 1_000, &nan).unwrap());
+        got.extend(serve(&svc, 11, 5, true));
+        drain(&svc);
+        let store = svc.shutdown().unwrap();
+
+        let (svc, report) =
+            DecisionService::resume(config(9), store.clone(), None, &ckpts, &store.snapshot())
+                .unwrap();
+        assert_eq!(report.replayed_decisions, 6);
+        assert_eq!(report.replay_divergence, 0);
+        got.extend(serve(&svc, 16, 10, true));
+        assert_eq!(got, expected);
+        svc.shutdown().unwrap();
+    }
+
+    #[test]
     fn damaged_checkpoints_fall_back_and_are_counted() {
         let ckpts = MemoryCheckpoints::new();
         let mut writer = CheckpointWriter::new(ckpts.clone(), 4).unwrap();

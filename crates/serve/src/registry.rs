@@ -1,28 +1,19 @@
 //! The versioned policy registry: which policy is serving right now.
 //!
-//! The registry owns an epoch/RCU double-buffer (`rcu::RcuCell`).
-//! Exactly one slot is *active* at any moment; a promotion writes the
-//! candidate into the inactive slot — after waiting out any reader still
-//! pinned to it — and then flips one atomic index. Readers keep a per-shard
-//! [`CachedPolicy`]: on the hot path a read is a single atomic generation
-//! check, and only in the instant after a swap does a reader do the full
-//! lock-free pinned read to refresh its `Arc`. No mutex sits anywhere on
-//! the decision path, so serving never stalls behind training — and a
-//! hot-swap never stalls behind serving for more than one `Arc` clone.
+//! The registry keeps the incumbent as an `Arc<PolicyVersion>` behind a
+//! `Mutex`, next to an atomic copy of its generation. A promotion swaps the
+//! `Arc` under the lock. Readers keep a per-shard [`CachedPolicy`]: on the
+//! hot path a read is a single atomic generation check, and only in the
+//! instant after a swap does a shard take the lock, for one `Arc` clone.
+//! The lock is never held across training, so serving never stalls behind
+//! a learner, and a hot-swap waits on serving for at most one clone.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use harvest_core::scorer::{LinearScorer, Scorer};
 use harvest_core::{Context, SimpleContext};
 use serde::{Deserialize, Serialize};
-
-use crate::rcu::{RcuCell, RcuReader};
-
-/// How many registered lock-free readers the registry supports (one per
-/// shard). Shards beyond this fall back to the mutex-sharing cold read on
-/// swap — correct, just slower in the post-swap instant.
-const MAX_RCU_READERS: usize = 64;
 
 /// A servable policy: either the explore-only bootstrap or a learned scorer
 /// exploited greedily. The engine wraps either in an ε exploration floor.
@@ -84,7 +75,8 @@ pub struct PolicyVersion {
 /// The hot-swappable incumbent store.
 #[derive(Debug)]
 pub struct PolicyRegistry {
-    cell: RcuCell<Arc<PolicyVersion>>,
+    current: Mutex<Arc<PolicyVersion>>,
+    /// The incumbent's generation, readable without the lock.
     generation: AtomicU64,
     swaps: AtomicU64,
 }
@@ -98,16 +90,22 @@ impl PolicyRegistry {
             policy: initial,
         });
         PolicyRegistry {
-            cell: RcuCell::new(v0, MAX_RCU_READERS),
+            current: Mutex::new(v0),
             generation: AtomicU64::new(0),
             swaps: AtomicU64::new(0),
         }
     }
 
-    /// The current incumbent. A cold (mutex-sharing) read — control-plane
-    /// callers only; shards use [`CachedPolicy`], which reads lock-free.
+    /// The current incumbent: one `Arc` clone under the lock. Shards read
+    /// through [`CachedPolicy`], which calls this only after a swap.
     pub fn current(&self) -> Arc<PolicyVersion> {
-        self.cell.read_cold()
+        Arc::clone(&self.lock())
+    }
+
+    /// The incumbent slot. Every writer leaves it whole before a panic
+    /// could unwind, so a poisoned lock still guards a valid version.
+    fn lock(&self) -> MutexGuard<'_, Arc<PolicyVersion>> {
+        self.current.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The incumbent's generation number.
@@ -120,32 +118,23 @@ impl PolicyRegistry {
         self.swaps.load(Ordering::SeqCst)
     }
 
-    /// Claims a lock-free reader pin for a shard's [`CachedPolicy`], or
-    /// `None` when the pool (64) is exhausted.
-    pub(crate) fn reader(&self) -> Option<RcuReader> {
-        self.cell.reader()
-    }
-
-    /// The incumbent via a pinned lock-free read.
-    pub(crate) fn read(&self, reader: RcuReader) -> Arc<PolicyVersion> {
-        self.cell.read(reader)
-    }
-
     /// Atomically promotes `policy` to incumbent; returns its generation.
     ///
-    /// The new version is written into the inactive slot — after the RCU
-    /// quiescence wait for readers still pinned there — then the active
-    /// index flips, then the generation counter advances, all `SeqCst`: a
-    /// reader that observes the new generation also observes the new index.
-    /// In-flight readers finish on the old version; nobody blocks.
+    /// The old generation is read, the new version installed and the
+    /// generation counter advanced all under the lock, so concurrent
+    /// promotions get distinct, consecutive generations. The counter is
+    /// stored after the install: a reader that observes the new generation
+    /// finds the new version behind the lock. In-flight readers keep the
+    /// old `Arc`.
     pub fn promote(&self, policy: ServePolicy, name: impl Into<String>) -> u64 {
-        let gen = self.generation.load(Ordering::SeqCst) + 1;
-        let next = Arc::new(PolicyVersion {
+        let name = name.into();
+        let mut current = self.lock();
+        let gen = current.generation + 1;
+        *current = Arc::new(PolicyVersion {
             generation: gen,
-            name: name.into(),
+            name,
             policy,
         });
-        self.cell.write(next);
         self.generation.store(gen, Ordering::SeqCst);
         self.swaps.fetch_add(1, Ordering::SeqCst);
         gen
@@ -157,7 +146,8 @@ impl PolicyRegistry {
     /// resumes the old incarnation's history, it does not rewrite it.
     pub fn restore(&self, version: PolicyVersion, swaps: u64) {
         let gen = version.generation;
-        self.cell.write(Arc::new(version));
+        let mut current = self.lock();
+        *current = Arc::new(version);
         self.generation.store(gen, Ordering::SeqCst);
         self.swaps.store(swaps, Ordering::SeqCst);
     }
@@ -165,20 +155,17 @@ impl PolicyRegistry {
 
 /// A shard-local cache of the incumbent `Arc`. The common case — no swap
 /// since the last decision — is one atomic load and nothing else; a swap
-/// triggers one epoch-pinned lock-free refresh.
+/// triggers one refresh through [`PolicyRegistry::current`].
 #[derive(Debug)]
 pub struct CachedPolicy {
     version: Arc<PolicyVersion>,
-    reader: Option<RcuReader>,
 }
 
 impl CachedPolicy {
-    /// Seeds the cache from the registry's current incumbent and claims a
-    /// lock-free reader pin (falling back to cold reads past 64 shards).
+    /// Seeds the cache from the registry's current incumbent.
     pub fn new(registry: &PolicyRegistry) -> Self {
         CachedPolicy {
             version: registry.current(),
-            reader: registry.reader(),
         }
     }
 
@@ -186,10 +173,7 @@ impl CachedPolicy {
     /// happened since the cached version.
     pub fn get(&mut self, registry: &PolicyRegistry) -> &Arc<PolicyVersion> {
         if registry.generation() != self.version.generation {
-            self.version = match self.reader {
-                Some(r) => registry.read(r),
-                None => registry.current(),
-            };
+            self.version = registry.current();
         }
         &self.version
     }
@@ -282,9 +266,9 @@ mod tests {
 
     #[test]
     fn concurrent_cached_readers_survive_a_promotion_storm() {
-        // The RCU replacement for the old poisoned-slot test: shards read
-        // through their pins while promotions rotate both slots; every read
-        // must return a complete version whose generation never regresses.
+        // Shards refresh their caches while promotions land back to back;
+        // every read must return a complete version whose generation never
+        // regresses.
         let reg = Arc::new(PolicyRegistry::new(ServePolicy::Uniform, "v0"));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let readers: Vec<_> = (0..3)
@@ -312,6 +296,30 @@ mod tests {
         }
         assert_eq!(reg.current().generation, 200);
         assert_eq!(reg.swap_count(), 200);
+    }
+
+    #[test]
+    fn concurrent_promotions_get_distinct_consecutive_generations() {
+        let reg = Arc::new(PolicyRegistry::new(ServePolicy::Uniform, "v0"));
+        let writers: Vec<_> = (0..2)
+            .map(|w| {
+                let reg = Arc::clone(&reg);
+                std::thread::spawn(move || {
+                    (0..200)
+                        .map(|i| reg.promote(ServePolicy::Uniform, format!("w{w}-{i}")))
+                        .collect::<Vec<u64>>()
+                })
+            })
+            .collect();
+        let mut gens: Vec<u64> = writers
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        gens.sort_unstable();
+        assert_eq!(gens, (1..=400).collect::<Vec<u64>>());
+        assert_eq!(reg.swap_count(), 400);
+        assert_eq!(reg.generation(), 400);
+        assert_eq!(reg.current().generation, 400);
     }
 
     #[test]

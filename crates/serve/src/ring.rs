@@ -34,8 +34,7 @@
 //!
 //! [`QueueBudget`]: crate::admission::QueueBudget
 //!
-//! This module is one of the three audited `unsafe` islands in the crate
-//! (with [`cell`](crate::cell) and [`rcu`](crate::rcu)); every `unsafe`
+//! This module is the crate's one audited `unsafe` island; every `unsafe`
 //! block carries a `// SAFETY:` comment checked by `tests/unsafe_audit.rs`
 //! and the CI grep.
 

@@ -26,10 +26,10 @@
 //!   are sealed into their segment, and a writer past its restart budget
 //!   keeps draining the queue — counting every record dropped — so callers
 //!   blocked on a full queue never wedge.
-//! * **Wedged shards** (the chaos fault that replaced lock poisoning on
-//!   the lock-free decide path) are recovered and counted at the shard's
-//!   next acquisition, never propagated; poisoned mutexes elsewhere
-//!   (joiner, breaker, writer) are likewise recovered and counted.
+//! * **Wedged shards** (the shard-level chaos fault) are recovered and
+//!   counted at the shard's next acquisition, never propagated; poisoned
+//!   mutexes elsewhere (joiner, breaker, writer) are likewise recovered
+//!   and counted.
 //! * **Degraded mode**: the [`CircuitBreaker`] watches the fault signal,
 //!   the writer's liveness, and the promotion gate's confidence radius.
 //!   While open, decisions are served by the uniform *safe policy*

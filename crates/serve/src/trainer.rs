@@ -728,6 +728,23 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_feature_is_skipped_not_fatal() {
+        // One NaN feature in the ridge statistics would make the fit
+        // singular; the join must skip that decision and train on the rest.
+        let mut records = crossing_records(200, 12);
+        let LogRecord::Decision(d) = &mut records[2 * 57] else {
+            unreachable!("even records are decisions");
+        };
+        d.shared_features[0] = f64::NAN;
+        let log = write_log(&records, 1024);
+        let t = Trainer::new(TrainerConfig::default(), 0.1);
+        let round = t.run_round(&log, &ServePolicy::Uniform).unwrap();
+        assert_eq!(round.gate.n, 199);
+        assert_eq!(round.leaderboard.skipped, 1);
+        assert!(!round.request_ids.contains(&57));
+    }
+
+    #[test]
     fn run_round_scores_the_whole_portfolio() {
         let log = write_log(&crossing_records(2000, 8), 1024);
         let t = Trainer::new(

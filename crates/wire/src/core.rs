@@ -393,12 +393,12 @@ impl<S: SegmentSink + Send + 'static> WireCore<S> {
     /// Routes a request to a worker by shard, so one shard's traffic —
     /// decisions *and* the rewards joining back to them — lands on one
     /// worker. This is the worker-pool half of the engine's shard-affinity
-    /// contract: with each shard owned by one worker, the shard cell
-    /// acquire stays an uncontended atomic swap and the shard's SPSC
-    /// log-ring producer gate stays private to that worker. Cross-worker
-    /// traffic would still be *correct* (the engine falls back to a striped
-    /// spin acquire), but it pays cache-line handoffs the affine path never
-    /// sees — so routing here is a performance invariant, not a safety one.
+    /// contract: with each shard owned by one worker, the shard lock stays
+    /// uncontended and the shard's SPSC log-ring producer gate stays
+    /// private to that worker. Cross-worker traffic would still be
+    /// *correct* (it waits on the shard lock), but it pays cache-line
+    /// handoffs the affine path never sees — so routing here is a
+    /// performance invariant, not a safety one.
     /// Pings and unroutable requests go to worker 0.
     pub fn route_worker(request: &Request, workers: usize) -> usize {
         debug_assert!(workers > 0);

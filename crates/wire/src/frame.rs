@@ -136,11 +136,6 @@ pub enum Decoded {
     },
 }
 
-/// Encodes one frame: header, CRC, payload.
-pub fn encode_frame(kind: FrameKind, seq: u64, payload: &[u8]) -> Vec<u8> {
-    encode_frame_with(kind, seq, |out| out.extend_from_slice(payload))
-}
-
 /// Encodes one frame whose payload `body` appends straight into the frame
 /// buffer; the length and CRC are patched in afterwards, so the body is
 /// never staged in a buffer of its own.
@@ -265,6 +260,10 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode_frame(kind: FrameKind, seq: u64, payload: &[u8]) -> Vec<u8> {
+        encode_frame_with(kind, seq, |out| out.extend_from_slice(payload))
+    }
 
     #[test]
     fn round_trip_one_frame() {

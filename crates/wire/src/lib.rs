@@ -61,8 +61,8 @@ pub use admission::TokenBucket;
 pub use core::{Admission, ConnState, Job, SharedClock, WireConfig, WireConfigBuilder, WireCore};
 pub use duplex::{Duplex, DuplexConn};
 pub use frame::{
-    decode_frame, encode_frame, CorruptKind, Decoded, FrameDecoder, FrameKind, MAX_WIRE_PAYLOAD,
-    WIRE_HEADER_LEN, WIRE_MAGIC, WIRE_VERSION,
+    decode_frame, CorruptKind, Decoded, FrameDecoder, FrameKind, MAX_WIRE_PAYLOAD, WIRE_HEADER_LEN,
+    WIRE_MAGIC, WIRE_VERSION,
 };
 pub use metrics::{WireMetrics, WireSnapshot};
 pub use ops::{

@@ -13,14 +13,25 @@
 //! path guarantees. For the same reason ops traffic keeps its own ledger
 //! (`ops_requested == ops_served + ops_shed`) instead of leaking into the
 //! decision ledger.
+//!
+//! Bodies use the [`harvest_log::codec`] primitives, as request and
+//! response bodies do, and decode as strictly:
+//!
+//! ```text
+//! query    := CODEC_VERSION: u8 | tag: u8
+//!             (0 Prometheus, 1 Snapshot, 2 Series, 3 Alerts,
+//!              4 AlertEvents, 5 Leaderboard, 6 WirePrometheus)
+//! response := CODEC_VERSION: u8 | 0 Report | body: str
+//!           | CODEC_VERSION: u8 | 1 Shed   | reason: u8
+//! ```
 
-use serde::{Deserialize, Serialize};
+use harvest_log::codec::{Encoder, CODEC_VERSION};
 
-use crate::frame::{encode_frame, CorruptKind, FrameKind};
-use crate::proto::ShedReason;
+use crate::frame::{encode_frame_with, CorruptKind, FrameKind};
+use crate::proto::{decode_body, ShedReason};
 
 /// What a scrape client wants rendered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpsQuery {
     /// The service's Prometheus text exposition (scope families included
     /// when the time-series plane is enabled).
@@ -42,8 +53,20 @@ pub enum OpsQuery {
     WirePrometheus,
 }
 
+/// Every query, in declaration order: a query's tag (`query as u8`) is its
+/// index here.
+const QUERIES: [OpsQuery; 7] = [
+    OpsQuery::Prometheus,
+    OpsQuery::Snapshot,
+    OpsQuery::Series,
+    OpsQuery::Alerts,
+    OpsQuery::AlertEvents,
+    OpsQuery::Leaderboard,
+    OpsQuery::WirePrometheus,
+];
+
 /// What the server answers a scrape with.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpsResponse {
     /// The rendered export. Same seed, same call sequence ⇒ byte-identical
     /// `body` across runs.
@@ -59,28 +82,60 @@ pub enum OpsResponse {
     },
 }
 
+const RESP_REPORT: u8 = 0;
+const RESP_SHED: u8 = 1;
+
 /// Encodes a scrape query into a complete ops frame.
 pub fn encode_ops_query(seq: u64, query: &OpsQuery) -> Vec<u8> {
-    let payload = serde_json::to_string(query).expect("ops queries always serialize");
-    encode_frame(FrameKind::Ops, seq, payload.as_bytes())
+    encode_frame_with(FrameKind::Ops, seq, |out| {
+        out.extend_from_slice(&[CODEC_VERSION, *query as u8])
+    })
 }
 
 /// Encodes a scrape answer into a complete ops frame.
 pub fn encode_ops_response(seq: u64, resp: &OpsResponse) -> Vec<u8> {
-    let payload = serde_json::to_string(resp).expect("ops responses always serialize");
-    encode_frame(FrameKind::Ops, seq, payload.as_bytes())
+    encode_frame_with(FrameKind::Ops, seq, |out| {
+        let mut enc = Encoder::new(out);
+        enc.put_u8(CODEC_VERSION);
+        match resp {
+            OpsResponse::Report { body } => {
+                enc.put_u8(RESP_REPORT);
+                enc.put_str(body);
+            }
+            OpsResponse::Shed { reason } => {
+                enc.put_u8(RESP_SHED);
+                enc.put_u8(reason.to_byte());
+            }
+        }
+    })
 }
 
 /// Parses a scrape query from ops-frame payload bytes.
 pub fn decode_ops_query_payload(payload: &[u8]) -> Result<OpsQuery, CorruptKind> {
-    let text = std::str::from_utf8(payload).map_err(|_| CorruptKind::BadPayload)?;
-    serde_json::from_str(text).map_err(|_| CorruptKind::BadPayload)
+    decode_body(payload, |dec| {
+        if dec.take_u8()? != CODEC_VERSION {
+            return None;
+        }
+        QUERIES.get(usize::from(dec.take_u8()?)).copied()
+    })
 }
 
 /// Parses a scrape answer from ops-frame payload bytes.
 pub fn decode_ops_response_payload(payload: &[u8]) -> Result<OpsResponse, CorruptKind> {
-    let text = std::str::from_utf8(payload).map_err(|_| CorruptKind::BadPayload)?;
-    serde_json::from_str(text).map_err(|_| CorruptKind::BadPayload)
+    decode_body(payload, |dec| {
+        if dec.take_u8()? != CODEC_VERSION {
+            return None;
+        }
+        Some(match dec.take_u8()? {
+            RESP_REPORT => OpsResponse::Report {
+                body: dec.take_str()?.to_string(),
+            },
+            RESP_SHED => OpsResponse::Shed {
+                reason: ShedReason::from_byte(dec.take_u8()?)?,
+            },
+            _ => return None,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -141,6 +196,38 @@ mod tests {
                 }
                 other => panic!("expected ops frame, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn malformed_ops_bodies_are_bad_payloads() {
+        let queries: [&[u8]; 5] = [
+            &[CODEC_VERSION, 7],     // unknown tag
+            &[CODEC_VERSION, 0, 0],  // trailing byte
+            &[CODEC_VERSION + 1, 0], // unknown version
+            &[CODEC_VERSION],        // truncated
+            b"\"Prometheus\"",       // the old JSON body
+        ];
+        for body in queries {
+            assert_eq!(
+                decode_ops_query_payload(body),
+                Err(CorruptKind::BadPayload),
+                "{body:?}"
+            );
+        }
+        let responses: [&[u8]; 5] = [
+            &[CODEC_VERSION, 2],                        // unknown tag
+            &[CODEC_VERSION, 1, 0, 0],                  // trailing byte
+            &[CODEC_VERSION, 1, 3],                     // unknown shed reason
+            &[CODEC_VERSION, 0, 5, b'a'],               // body overruns the payload
+            b"{\"Shed\":{\"reason\":\"RateLimited\"}}", // the old JSON body
+        ];
+        for body in responses {
+            assert_eq!(
+                decode_ops_response_payload(body),
+                Err(CorruptKind::BadPayload),
+                "{body:?}"
+            );
         }
     }
 

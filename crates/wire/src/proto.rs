@@ -37,7 +37,6 @@
 use harvest_core::{Context, SimpleContext};
 use harvest_log::codec::{Decoder, Encoder, CODEC_VERSION};
 use harvest_serve::{Decision, JoinOutcome};
-use serde::{Deserialize, Serialize};
 
 use crate::frame::{decode_frame, encode_frame_with, CorruptKind, Decoded, FrameKind};
 
@@ -165,7 +164,7 @@ impl From<&Decision> for WireDecision {
 }
 
 /// Why a request was shed instead of served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The connection exceeded its token-bucket rate limit.
     RateLimited,
@@ -265,7 +264,7 @@ const DECISION_DEGRADED: u8 = 1 << 1;
 const DECISION_LEN: usize = 8 + 4 + 4 + 8 + 8 + 1;
 
 impl ShedReason {
-    fn to_byte(self) -> u8 {
+    pub(crate) fn to_byte(self) -> u8 {
         match self {
             ShedReason::RateLimited => 0,
             ShedReason::QueueFull => 1,
@@ -273,7 +272,7 @@ impl ShedReason {
         }
     }
 
-    fn from_byte(b: u8) -> Option<Self> {
+    pub(crate) fn from_byte(b: u8) -> Option<Self> {
         Some(match b {
             0 => ShedReason::RateLimited,
             1 => ShedReason::QueueFull,
@@ -538,7 +537,7 @@ fn take_response(dec: &mut Decoder<'_>) -> Option<Response> {
 
 /// Runs `take` over the whole payload: any failure or trailing byte is
 /// [`CorruptKind::BadPayload`].
-fn decode_body<T>(
+pub(crate) fn decode_body<T>(
     payload: &[u8],
     take: impl FnOnce(&mut Decoder<'_>) -> Option<T>,
 ) -> Result<T, CorruptKind> {

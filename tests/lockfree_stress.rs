@@ -1,17 +1,17 @@
-//! Seeded concurrency stress over the lock-free hot path.
+//! Seeded concurrency stress over the hot path.
 //!
-//! The lock-free refactor (shard-affine cells, epoch/RCU policy reads,
-//! per-shard SPSC log rings, atomic queue budget) trades mutexes for
-//! ordering arguments — so this test hammers every one of those arguments
-//! at once and then audits the books:
+//! The per-shard SPSC log rings and the atomic queue budget rest on
+//! ordering arguments, and the shard locks and the policy registry on the
+//! claim that the hot path keeps them uncontended — so this test hammers
+//! all of them at once and then audits the books:
 //!
 //! * four shard-affine workers serve singles and batches on their own
 //!   shards while a **rogue** thread violates affinity on shard 0 (the
-//!   striped fallback path must stay correct, not just the happy path);
-//! * a promoter storms the registry with epoch/RCU hot-swaps the whole
-//!   time, so pinned readers race slot overwrites and quiescence waits;
+//!   contended shard lock must stay correct, not just the happy path);
+//! * a promoter storms the registry with hot-swaps the whole time, so
+//!   every shard's cached-generation check races the swaps;
 //! * a chaos thread arms shard wedges mid-traffic, and a checkpointer
-//!   concurrently snapshots shard states through the same cells;
+//!   concurrently snapshots shard states through the same locks;
 //! * the writer thread drains the ticket-ordered rings underneath it all.
 //!
 //! A second storm drives the whole service: shard-affine callers decide in
@@ -26,7 +26,7 @@
 //! segment stream matches the written count, wedge recoveries reconcile
 //! with the faults armed, and the registry generation equals the number of
 //! promotions. CI runs this under `-C debug-assertions` in release mode so
-//! the internal `debug_assert!`s in the lock-free modules stay armed under
+//! the internal `debug_assert!`s in the ring module stay armed under
 //! optimized codegen.
 
 use std::collections::VecDeque;
@@ -136,7 +136,7 @@ fn run_storm(capacity: usize) {
             });
         }
         // Rogue: violates shard affinity on shard 0 the whole time — the
-        // striped spin fallback must keep decide() correct under contention.
+        // shard lock must keep decide() correct under contention.
         {
             let engine = &h.engine;
             let ctx = &ctx;
@@ -148,7 +148,7 @@ fn run_storm(capacity: usize) {
                 }
             });
         }
-        // Promoter: epoch/RCU hot-swap storm against the pinned readers.
+        // Promoter: hot-swap storm against the shards' policy caches.
         {
             let registry = &h.registry;
             s.spawn(move || {
@@ -175,7 +175,7 @@ fn run_storm(capacity: usize) {
                 }
             });
         }
-        // Checkpointer: concurrent shard-state snapshots through the cells.
+        // Checkpointer: concurrent shard-state snapshots through the locks.
         {
             let engine = &h.engine;
             let done = &done;
@@ -256,7 +256,7 @@ fn run_storm(capacity: usize) {
         "no mutex was poisoned, and a wedge counts only in shard_wedges"
     );
 
-    // The promotion storm is fully serialized through the RCU cell.
+    // The promotion storm is fully serialized through the registry lock.
     assert_eq!(h.registry.generation(), PROMOTIONS);
     assert_eq!(h.registry.swap_count(), PROMOTIONS);
 }

@@ -1,15 +1,14 @@
 //! A source-level `unsafe` audit.
 //!
-//! The serve crate dropped `#![forbid(unsafe_code)]` to `#![deny]` when the
-//! lock-free hot path landed (PR "lock-free hot path"): the shard-affine
-//! cells, the epoch/RCU policy store, and the SPSC log rings each need
-//! interior mutability that safe Rust cannot express without a mutex — the
-//! very thing they exist to remove. The bargain is audited, not waived:
+//! The serve crate holds `#![deny(unsafe_code)]` rather than `#![forbid]`
+//! for one module: the per-shard SPSC log rings need interior mutability
+//! that safe Rust cannot express without a mutex — the very thing they
+//! exist to remove. The bargain is audited, not waived:
 //!
-//! 1. `unsafe` may appear **only** in the three island modules
-//!    (`cell.rs`, `rcu.rs`, `ring.rs`); everywhere else in the workspace
-//!    it is still forbidden or denied with no allow in sight.
-//! 2. Every `unsafe` block, impl, or trait-impl in the islands must be
+//! 1. `unsafe` may appear **only** in the island module (`ring.rs`);
+//!    everywhere else in the workspace it is still forbidden or denied
+//!    with no allow in sight.
+//! 2. Every `unsafe` block, impl, or trait-impl in the island must be
 //!    immediately preceded by a `// SAFETY:` comment explaining the
 //!    invariant that makes it sound.
 //!
@@ -19,11 +18,7 @@
 use std::path::{Path, PathBuf};
 
 /// The only files in the workspace allowed to contain `unsafe` code.
-const UNSAFE_ISLANDS: &[&str] = &[
-    "crates/serve/src/cell.rs",
-    "crates/serve/src/rcu.rs",
-    "crates/serve/src/ring.rs",
-];
+const UNSAFE_ISLANDS: &[&str] = &["crates/serve/src/ring.rs"];
 
 /// Crate source roots swept by the audit (every crate in the workspace).
 const SWEPT: &[&str] = &[
@@ -97,7 +92,7 @@ fn unsafe_code_is_confined_to_the_audited_islands() {
     }
     assert!(
         leaks.is_empty(),
-        "`unsafe` outside the audited islands (move it into cell/rcu/ring \
+        "`unsafe` outside the audited islands (move it into ring \
          or find a safe formulation):\n{}",
         leaks.join("\n")
     );
@@ -141,7 +136,7 @@ fn every_unsafe_in_the_islands_carries_a_safety_comment() {
     assert!(
         audited > 0,
         "audit found no unsafe code in the islands — update UNSAFE_ISLANDS \
-         if the lock-free primitives moved"
+         if the lock-free ring moved"
     );
     assert!(
         unjustified.is_empty(),
