@@ -8,14 +8,14 @@
 //! `T` thresholds × `A²` leaf actions already reaches |Π| = F·T·A², and
 //! [`DepthTwoTree`]s square that — comfortably past the paper's 10⁶.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::context::Context;
 use crate::policy::Policy;
 
 /// A one-split decision policy: test one shared feature against a
 /// threshold, take one of two actions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DecisionStump {
     /// Index into the context's shared features.
     pub feature: usize,
@@ -60,7 +60,7 @@ impl<C: Context> Policy<C> for DecisionStump {
 
 /// A depth-two tree: a root stump whose branches each delegate to another
 /// stump. |Π| grows with the square of the stump count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DepthTwoTree {
     /// The root split (its leaf actions are ignored).
     pub root_feature: usize,

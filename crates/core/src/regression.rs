@@ -6,14 +6,14 @@
 //! de-biases reward models trained on exploration data, and the propensity
 //! estimator in `harvest-log` reuses the same machinery.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::HarvestError;
 use crate::linalg::{dot, Matrix};
 
 /// A fitted linear model `ŷ = w · x` (any bias term is part of `x`, as
 /// produced by [`crate::context::phi`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LinearModel {
     /// The learned weights.
     pub weights: Vec<f64>,
@@ -111,7 +111,7 @@ impl RidgeRegression {
 ///
 /// Used by the online epoch-greedy learner, where refitting a batch solve
 /// per decision would be wasteful.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SgdRegressor {
     weights: Vec<f64>,
     lr0: f64,

@@ -12,14 +12,14 @@
 //! data.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::context::Context;
 use crate::error::HarvestError;
 use crate::policy::Policy;
 
 /// One harvested exploration datapoint `⟨x, a, r, p⟩`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LoggedDecision<C> {
     /// The context observed at decision time.
     pub context: C,
@@ -56,7 +56,7 @@ impl<C: Context> LoggedDecision<C> {
 }
 
 /// A validated collection of exploration datapoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dataset<C> {
     samples: Vec<LoggedDecision<C>>,
 }
@@ -224,7 +224,7 @@ impl<'a, C> IntoIterator for &'a Dataset<C> {
 }
 
 /// The affine map used to normalize rewards to `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RewardScaling {
     /// Subtracted before scaling.
     pub offset: f64,
@@ -269,7 +269,7 @@ impl RewardScaling {
 }
 
 /// One full-feedback datapoint: a context and the reward of *every* action.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FullFeedbackSample<C> {
     /// The context.
     pub context: C,
@@ -308,7 +308,7 @@ impl<C: Context> FullFeedbackSample<C> {
 
 /// A supervised-style dataset with the counterfactual reward of every action
 /// (the machine-health scenario, paper §3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FullFeedbackDataset<C> {
     samples: Vec<FullFeedbackSample<C>>,
 }

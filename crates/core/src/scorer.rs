@@ -2,7 +2,7 @@
 //! policies and serve as reward models for direct-method / doubly-robust
 //! estimation.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::context::Context;
 
@@ -117,7 +117,7 @@ impl Argmax {
 ///   `φ(x, a) = [shared ‖ action_features(a) ‖ 1]`. Right when actions are
 ///   interchangeable candidates described by features (eviction candidates),
 ///   so the action set may vary per context.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum LinearScorer {
     /// One weight vector per action slot.
     PerAction {
@@ -433,7 +433,7 @@ impl<C: Context> Scorer<C> for ActionPanel {
 /// A context-independent score table — one value per action. The simplest
 /// possible reward model (a multi-armed-bandit estimate); useful as a
 /// baseline and in tests.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TableScorer {
     values: Vec<f64>,
 }

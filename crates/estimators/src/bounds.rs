@@ -17,10 +17,10 @@
 //! These closed forms regenerate Fig 1 (N required vs K) and Fig 2
 //! (accuracy vs N for several ε).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Constants shared by the bound computations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BoundConfig {
     /// The small constant `C` of Eq. 1.
     pub c: f64,
@@ -117,7 +117,7 @@ pub fn empirical_bernstein_radius(
 }
 
 /// One row of the Fig 1 series: policies evaluated vs data required.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig1Row {
     /// Number of policies evaluated simultaneously.
     pub k: f64,
@@ -141,7 +141,7 @@ pub fn fig1_series(cfg: &BoundConfig, epsilon: f64, target_error: f64, ks: &[f64
 }
 
 /// One point of a Fig 2 curve: data size vs theoretical accuracy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fig2Point {
     /// Number of exploration samples.
     pub n: f64,

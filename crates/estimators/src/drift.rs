@@ -12,10 +12,10 @@
 //! Kolmogorov–Smirnov statistic, both hand-rolled.
 
 use harvest_core::{Context, Dataset};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Drift report for one shared-feature dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FeatureDrift {
     /// Feature index within the shared feature vector.
     pub feature: usize,
@@ -32,7 +32,7 @@ pub struct FeatureDrift {
 }
 
 /// A whole-context drift report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DriftReport {
     /// Per-feature drift, ordered by feature index.
     pub features: Vec<FeatureDrift>,

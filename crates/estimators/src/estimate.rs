@@ -1,9 +1,9 @@
 //! The common result type returned by every estimator.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An off-policy estimate of a policy's average reward, with diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Estimate {
     /// The estimated average reward.
     pub value: f64,

@@ -4,7 +4,7 @@
 use rand::Rng;
 
 use harvest_core::{Context, Dataset, Policy, Scorer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::direct::direct_method;
 use crate::estimate::Estimate;
@@ -98,7 +98,7 @@ where
 }
 
 /// Which model-free estimator to use.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum EstimatorKind {
     /// Plain inverse propensity scoring.
     Ips,
@@ -109,7 +109,7 @@ pub enum EstimatorKind {
 }
 
 /// Which model-based estimator to use (both need a reward model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ModelEstimatorKind {
     /// Direct method: trust the model.
     DirectMethod,
@@ -243,7 +243,7 @@ where
 
 /// Diagnostics about how well exploration data supports evaluating a
 /// particular policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DataDiagnostics {
     /// Number of samples.
     pub n: usize,

@@ -21,12 +21,12 @@
 //! the paper's argument for moving to doubly-robust hybrids.
 
 use harvest_core::{Context, StochasticPolicy};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::estimate::Estimate;
 
 /// One step of a logged episode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Step<C> {
     /// Context at this step.
     pub context: C,
@@ -39,7 +39,7 @@ pub struct Step<C> {
 }
 
 /// A logged episode: an ordered sequence of dependent decisions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Episode<C> {
     /// The steps, in time order.
     pub steps: Vec<Step<C>>,
@@ -223,7 +223,7 @@ where
 }
 
 /// How the importance-weight distribution degrades with horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WeightProfile {
     /// Horizon the profile was computed at (steps considered per episode).
     pub horizon: usize,

@@ -4,8 +4,9 @@
 //! this module does the same for the learned state that interprets it — the
 //! incumbent policy, registry version, RNG stream positions, joiner state,
 //! and the conservation-ledger counters. A checkpoint is an opaque payload
-//! (the serve crate serializes its own struct) wrapped in the same defensive
-//! framing the segments use:
+//! (the serve crate encodes its own struct with the binary record codec,
+//! [`crate::codec`]) wrapped in the same defensive framing the segments
+//! use:
 //!
 //! ```text
 //! blob := magic "HVCK" | version: u32 LE | seq: u64 LE
@@ -376,7 +377,7 @@ pub struct CheckpointRecovery {
 /// A checkpoint fails over to its predecessor on *any* validation error:
 /// truncation, bad magic/version, length mismatch, or checksum mismatch —
 /// plus an unreadable blob on a real filesystem. A caller whose payload
-/// fails to *parse* (valid frame, incomprehensible contents) should keep
+/// fails to *decode* (valid frame, incomprehensible contents) should keep
 /// walking via [`load_latest_filtered`].
 pub fn load_latest<C: CheckpointStore>(store: &C) -> (Option<Vec<u8>>, CheckpointRecovery) {
     load_latest_filtered(store, |_, payload| Some(payload.to_vec()))
@@ -385,8 +386,8 @@ pub fn load_latest<C: CheckpointStore>(store: &C) -> (Option<Vec<u8>>, Checkpoin
 /// Like [`load_latest`], but the caller's `parse` gets the first say on
 /// each structurally valid payload (newest first); returning `None` counts
 /// the checkpoint discarded and continues to the predecessor. This is how
-/// the serve crate folds JSON parse failures into the same never-silent
-/// fallback as checksum failures.
+/// the serve crate folds payload decode failures into the same
+/// never-silent fallback as checksum failures.
 pub fn load_latest_filtered<C: CheckpointStore, T>(
     store: &C,
     mut parse: impl FnMut(u64, &[u8]) -> Option<T>,

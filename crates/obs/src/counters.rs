@@ -13,9 +13,7 @@
 //! field: "prometheus_name", "Help text.", [flags] => recorder(), recorder_n(n);
 //! ```
 //!
-//! with an optional `#[serde(default)]` in front (applied to the field of
-//! the checkpoint state, for counters that older checkpoints lack) and an
-//! optional recorder list after `=>`. A row `field: stamp = init;`
+//! with an optional recorder list after `=>`. A row `field: stamp = init;`
 //! declares a logical-time stamp instead: stored, checkpointed and
 //! restored like a counter, but written only by hand-written recorders and
 //! kept out of the snapshot and the Prometheus page.
@@ -45,7 +43,9 @@
 //! - `fault_signal()` on the storage, if any row is flagged `fault`;
 //! - if the invocation names a state struct: that struct (every row,
 //!   stamps included, in table order) with `checkpoint_counters()` and
-//!   `restore_counters()`;
+//!   `restore_counters()` on the storage, and the row walk a checkpoint
+//!   codec uses: `rows()`, every value in table order, and its inverse
+//!   `from_rows()`, which refuses a slice of the wrong length;
 //! - under `cfg(test)`, `counter_cells()`: every counter row's field name,
 //!   Prometheus name and cell, for table-wide tests.
 //!
@@ -57,7 +57,7 @@
 /// the row format and what is generated.
 ///
 /// ```
-/// use serde::{Deserialize, Serialize};
+/// use serde::Serialize;
 ///
 /// harvest_obs::counter_table! {
 ///     /// Counters for a toy pipeline.
@@ -72,7 +72,7 @@
 ///         pub failure_rate: f64,
 ///     }
 ///     /// What a checkpoint of [`Toy`] carries.
-///     #[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
+///     #[derive(Debug, Default, PartialEq)]
 ///     pub struct ToyState;
 ///     rows {
 ///         seen: "toy_seen_total", "Items seen.", [series] => record_seen();
@@ -87,7 +87,10 @@
 /// assert_eq!(toy.fault_signal(), 1);
 /// let snap = toy.load_counters();
 /// assert_eq!((snap.seen, snap.failed), (1, 1));
-/// assert_eq!(toy.checkpoint_counters().last_seen_ns, u64::MAX);
+/// let state = toy.checkpoint_counters();
+/// assert_eq!(state.rows(), [1, 1, u64::MAX]);
+/// assert_eq!(ToyState::from_rows(&state.rows()), Some(state));
+/// assert_eq!(ToyState::from_rows(&[1, 1]), None);
 /// let mut page = harvest_obs::PromText::new();
 /// snap.prometheus_counters(&mut page);
 /// assert!(page.finish().contains("toy_failed_total 1\n"));
@@ -124,7 +127,7 @@ macro_rules! counter_table {
             [$(#[$snap_meta:meta])* $Snap:ident { $($snap_body:tt)* }]
             $state:tt
         }
-        [$( { [$($attr:tt)*] $f:ident $init:expr } )*]
+        [$( { $f:ident $init:expr } )*]
         [$( { $c:ident $prom:literal $help:literal [$($rec:ident($($n:ident)?))*] } )*]
         [$($fault:ident)*]
         [$($series:ident)*]
@@ -182,23 +185,22 @@ macro_rules! counter_table {
             $crate::counter_table!(@series [$($series)*]);
         }
 
-        $crate::counter_table!(@state $state $Storage [$( { [$($attr)*] $f } )*]);
+        $crate::counter_table!(@state $state $Storage [$($f)*]);
     };
     (@rows $hdr:tt [$($all:tt)*] $ctr:tt $fault:tt $series:tt
         $f:ident: stamp = $init:expr;
         $($rest:tt)*
     ) => {
-        $crate::counter_table!(@rows $hdr [$($all)* { [] $f $init }] $ctr $fault $series
+        $crate::counter_table!(@rows $hdr [$($all)* { $f $init }] $ctr $fault $series
             $($rest)*);
     };
     (@rows $hdr:tt [$($all:tt)*] [$($ctr:tt)*] $fault:tt $series:tt
-        $(#[$($attr:tt)*])*
         $f:ident: $prom:literal, $help:literal, [$($flag:ident),*]
             $(=> $($rec:ident($($n:ident)?)),+)?;
         $($rest:tt)*
     ) => {
         $crate::counter_table!(@flags $hdr
-            [$($all)* { [$(#[$($attr)*])*] $f 0 }]
+            [$($all)* { $f 0 }]
             [$($ctr)* { $f $prom $help [$($($rec($($n)?))+)?] }]
             $fault $series $f [$($flag)*]
             $($rest)*);
@@ -253,16 +255,28 @@ macro_rules! counter_table {
     };
 
     (@state [] $Storage:ident $all:tt) => {};
-    (@state [$(#[$state_meta:meta])* $State:ident]
-        $Storage:ident [$( { [$($attr:tt)*] $f:ident } )*]
-    ) => {
+    (@state [$(#[$state_meta:meta])* $State:ident] $Storage:ident [$($f:ident)*]) => {
         $(#[$state_meta])*
         pub struct $State {
             $(
-                $($attr)*
                 #[doc = concat!("`", stringify!($f), "` as checkpointed.")]
                 pub $f: u64,
             )*
+        }
+
+        impl $State {
+            /// Every row's value, in table order: what a checkpoint encodes.
+            pub fn rows(&self) -> ::std::vec::Vec<u64> {
+                ::std::vec![$(self.$f),*]
+            }
+
+            /// The state [`rows`](Self::rows) came from; `None` unless
+            /// `rows` holds exactly one value per row.
+            pub fn from_rows(rows: &[u64]) -> ::std::option::Option<Self> {
+                let mut rows = rows.iter().copied();
+                let state = $State { $( $f: rows.next()?, )* };
+                rows.next().is_none().then_some(state)
+            }
         }
 
         impl $Storage {

@@ -570,14 +570,18 @@ mod tests {
         for id in [5u64, 1, 3] {
             t.decided(id, decided(id * 10));
         }
-        let out = t.export_jsonl();
-        let ids: Vec<u64> = out
-            .lines()
-            .map(|l| {
-                let v: serde_json::Value = serde_json::from_str(l).unwrap();
-                v.get("id").unwrap().as_u64().unwrap()
-            })
-            .collect();
-        assert_eq!(ids, vec![1, 3, 5]);
+        let line = |id: u64| {
+            format!(
+                concat!(
+                    r#"{{"id":{},"decided_ns":{},"shard":0,"action":1,"propensity":0.9,"#,
+                    r#""explored":false,"degraded":false,"generation":0,"enqueued":true,"#,
+                    r#""terminal":null,"joined_ns":null,"trained_round":null}}"#,
+                ),
+                id,
+                id * 10
+            )
+        };
+        let expected: Vec<String> = [1, 3, 5].into_iter().map(line).collect();
+        assert_eq!(t.export_jsonl(), expected.join("\n") + "\n");
     }
 }

@@ -22,7 +22,7 @@ use harvest_core::{Context, SimpleContext};
 use harvest_log::record::{BatchDecision, BatchRecord, LogRecord};
 use harvest_sim_net::rng::{fork_rng_indexed, rng_from_state, rng_state, DetRng};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::batch::DecisionBatch;
 use crate::error::ServeError;
@@ -183,7 +183,7 @@ struct ShardSlot {
 /// sequence number, and the previous decision's logical stamp. Everything a
 /// warm restart needs to continue a shard's decision stream without reusing
 /// a request id or replaying a random draw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ShardState {
     /// The RNG's raw xoshiro256++ state words.
     pub rng: [u64; 4],

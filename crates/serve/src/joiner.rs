@@ -27,7 +27,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use harvest_log::record::OutcomeRecord;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::shard_of;
 use crate::metrics::ServeMetrics;
@@ -50,12 +50,12 @@ pub enum JoinOutcome {
 }
 
 /// Durable joiner state for the control-plane checkpoint: the pending map
-/// and both tombstone sets, each sorted so the serialized bytes are a pure
+/// and both tombstone sets, each sorted so the encoded bytes are a pure
 /// function of the joiner's logical state (hash iteration order never
 /// leaks into the checkpoint). A service with several shard joiners
 /// merges their states into one of these, so the format does not depend
 /// on the shard count.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct JoinerState {
     /// `(request_id, deadline)` pairs still awaiting a reward.
     pub pending: Vec<(u64, u64)>,
@@ -237,7 +237,7 @@ impl RewardJoiner {
     }
 
     /// Snapshots the joiner's durable state for a checkpoint. Sorted, so
-    /// same logical state ⇒ byte-identical serialization.
+    /// same logical state ⇒ byte-identical encoding.
     pub fn state(&self) -> JoinerState {
         let mut state = JoinerState::default();
         for (&id, slot) in &self.slots {

@@ -19,7 +19,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::obs::ServeObs;
 
@@ -55,7 +55,7 @@ harvest_obs::counter_table! {
 
     /// The durable counter set carried inside a control-plane checkpoint:
     /// every row of the table, stamps included, but not the derived rates.
-    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct MetricsState;
 
     rows {
@@ -97,8 +97,6 @@ harvest_obs::counter_table! {
         lock_recoveries: "harvest_lock_recoveries_total",
             "Poisoned locks recovered instead of propagating the panic.", [fault]
             => record_lock_recovery();
-        // Missing from pre-wedge checkpoints; restores as 0.
-        #[serde(default)]
         shard_wedges: "harvest_shard_wedges_total",
             "Wedged shard cells recovered at acquisition.", [fault]
             => record_shard_wedge();
@@ -123,8 +121,6 @@ harvest_obs::counter_table! {
         admission_shed: "harvest_admission_shed_total",
             "Requests refused at the admission door before reaching a shard.", [series]
             => record_admission_shed_n(n);
-        // Missing from pre-scope checkpoints; restores as 0.
-        #[serde(default)]
         watchdog_faults: "harvest_watchdog_faults_total",
             "Watchdog firings fed into the breaker's fault signal.", [fault]
             => record_watchdog_fault();
@@ -241,6 +237,8 @@ fn ratio(num: u64, den: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::{put_counters, take_counters};
+    use harvest_log::codec::{Decoder, Encoder};
     use proptest::prelude::*;
 
     /// The rows the breaker's fault signal sums, pinned so a flag change
@@ -274,8 +272,8 @@ mod tests {
     proptest! {
         // Every counter row, bumped by an arbitrary amount, reaches every
         // generated copy: one Prometheus family with its value, the
-        // snapshot, a checkpoint round trip through JSON, the fault signal
-        // and the window series.
+        // snapshot, a round trip through the checkpoint codec, the fault
+        // signal and the window series.
         #[test]
         fn every_counter_row_reaches_every_export(adds in proptest::collection::vec(0u64..1_000_000, 64)) {
             let m = ServeMetrics::new();
@@ -287,10 +285,13 @@ mod tests {
             let page = crate::export::export_prometheus(&m, false, None);
             let snap = serde_json::to_value(&m.snapshot());
             let state = m.checkpoint_counters();
-            let json = serde_json::to_string(&state).expect("state serializes");
-            let state_value = serde_json::to_value(&state);
+            let mut payload = Vec::new();
+            put_counters(&mut Encoder::new(&mut payload), &state);
+            let mut dec = Decoder::new(&payload);
+            let decoded = take_counters(&mut dec).expect("state decodes");
+            prop_assert_eq!(dec.finish(), Some(()));
             let restored = ServeMetrics::new();
-            restored.restore_counters(&serde_json::from_str(&json).expect("state parses"));
+            restored.restore_counters(&decoded);
             let mut fault = 0;
             let mut series = Vec::new();
             for ((field, prom, _), &n) in cells.iter().zip(&adds) {
@@ -300,7 +301,6 @@ mod tests {
                     .collect();
                 prop_assert_eq!(samples, vec![format!("{prom} {n}").as_str()]);
                 prop_assert_eq!(snap.get(field).and_then(|v| v.as_u64()), Some(n));
-                prop_assert_eq!(state_value.get(field).and_then(|v| v.as_u64()), Some(n));
                 if FAULT_ROWS.contains(field) {
                     fault += n;
                 }
@@ -315,38 +315,6 @@ mod tests {
             m.snapshot().series_counters(&mut sample);
             prop_assert_eq!(sample.counters, series);
         }
-    }
-
-    #[test]
-    fn restore_defaults_counters_older_checkpoints_lack() {
-        let m = ServeMetrics::new();
-        m.record_decision(10, true);
-        m.record_shard_wedge();
-        m.record_watchdog_fault();
-        let json = serde_json::to_string(&m.checkpoint_counters()).unwrap();
-        let old = json
-            .replace("\"shard_wedges\":1,", "")
-            .replace("\"watchdog_faults\":1,", "");
-        assert!(!old.contains("shard_wedges") && !old.contains("watchdog_faults"));
-        let restored = ServeMetrics::new();
-        restored.restore_counters(&serde_json::from_str(&old).expect("old checkpoint parses"));
-        let s = restored.snapshot();
-        assert_eq!((s.shard_wedges, s.watchdog_faults), (0, 0));
-        assert_eq!((s.decisions, s.explorations), (1, 1));
-
-        // Checkpoints written while the table still had a compaction row
-        // carry that retired field just before `restart_count`; it is
-        // skipped and every other counter restores.
-        let retired = json.replacen(
-            "\"restart_count\"",
-            "\"segments_compacted\":3,\"restart_count\"",
-            1,
-        );
-        assert_ne!(retired, json);
-        let restored = ServeMetrics::new();
-        restored.restore_counters(&serde_json::from_str(&retired).expect("retired field parses"));
-        assert_eq!(restored.checkpoint_counters(), m.checkpoint_counters());
-        assert_eq!(restored.snapshot(), m.snapshot());
     }
 
     #[test]

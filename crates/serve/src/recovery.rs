@@ -6,15 +6,40 @@
 //! config alone: the incumbent policy version, the per-shard RNG stream
 //! positions and sequence counters, the shard joiners' pending sets and
 //! tombstones (merged into one sorted state), the conservation-ledger
-//! counters, and the chaos scheduling cursors. It serializes to JSON
-//! (sorted collections, no wall clock, no hash-order leakage) and travels
-//! inside the CRC-framed checkpoint blobs of [`harvest_log::checkpoint`].
+//! counters, and the chaos scheduling cursors. It is encoded with the
+//! record codec's [`Encoder`]/[`Decoder`] primitives
+//! ([`harvest_log::codec`]) and travels inside the CRC-framed checkpoint
+//! blobs of [`harvest_log::checkpoint`]. The payload:
+//!
+//! ```text
+//! checkpoint := CODEC_VERSION: u8 | cursor: u64 | incumbent | swaps: u64
+//!               | n: varint | n × shard | joiner | counters
+//!               | promoted_rounds: u64 | train_rounds: u64
+//!               | decision_seq: u64 | reward_seq: u64
+//! incumbent  := generation: u64 | name: str | policy
+//! policy     := 0                                    (uniform)
+//!             | 1 | scorer                           (greedy)
+//! scorer     := 0 | rows: varint | rows × f64s       (per-action weights)
+//!             | 1 | f64s                             (pooled weights)
+//! shard      := rng: 4 × u64 | seq: u64 | last_ns
+//! last_ns    := 0 | 1 | u64                          (absent | present)
+//! joiner     := n: varint | n × (request_id: u64 | deadline: u64)  (pending)
+//!               | ids (joined) | ids (expired)
+//! ids        := n: varint | n × request_id: u64
+//! counters   := n: varint | n × u64                  (counter table order)
+//! ```
+//!
+//! Every collection is sorted at capture and weights are raw `f64` bits,
+//! so the same logical state always encodes to the same bytes, and `∞`,
+//! NaN and `-0.0` weights come back exactly. Decoding is strict: an unknown
+//! version, policy, scorer or stamp flag byte, a counter count other than
+//! the table's row count, a torn payload or a trailing byte all reject it.
 //!
 //! Recovery ([`DecisionService::resume`]) is **checkpoint + deterministic
 //! replay**:
 //!
-//! 1. Load the newest checkpoint that validates *and parses*; torn,
-//!    corrupt, and unparsable ones are counted discarded, never silently
+//! 1. Load the newest checkpoint that validates *and decodes*; torn,
+//!    corrupt, and undecodable ones are counted discarded, never silently
 //!    skipped. No valid checkpoint at all degenerates to a cold start —
 //!    full-log replay from the fresh state.
 //! 2. Recover the durable log segments and classify the **suffix**: a
@@ -47,28 +72,31 @@ use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use harvest_core::scorer::LinearScorer;
 use harvest_log::checkpoint::{
     load_latest_filtered, CheckpointStore, CheckpointWriter, CHECKPOINT_HEADER_LEN,
 };
+use harvest_log::codec::{Decoder, Encoder, CODEC_VERSION};
 use harvest_log::record::{DecisionRecord, LogRecord};
 use harvest_log::scavenge::context_of;
 use harvest_log::segment::{recover_segments, SegmentSink};
 use harvest_sim_net::fault::{ChaosPlan, CheckpointFault};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::{ShardState, SEQ_BITS};
 use crate::error::{lock_recovering, ServeError};
 use crate::joiner::{JoinOutcome, JoinerState};
 use crate::metrics::MetricsState;
-use crate::registry::PolicyVersion;
+use crate::registry::{PolicyVersion, ServePolicy};
 use crate::service::{DecisionService, ServeConfig};
 use crate::supervisor::WriterResume;
 
 /// The durable control-plane state: everything a warm restart needs that
-/// config cannot rederive. Serialized as JSON inside a CRC-framed
-/// checkpoint blob; all collections are sorted at capture, so the same
-/// logical state always produces byte-identical payloads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// config cannot rederive. Encoded as the binary payload of a CRC-framed
+/// checkpoint blob (grammar in the [module docs](crate::recovery)); all
+/// collections are sorted at capture, so the same logical state always
+/// produces byte-identical payloads.
+#[derive(Debug, Clone)]
 pub struct ServiceCheckpoint {
     /// Caller-defined replay cursor — opaque to the service. A wave-based
     /// driver stores "next wave index", so after a restart it knows which
@@ -96,6 +124,177 @@ pub struct ServiceCheckpoint {
     pub reward_seq: u64,
 }
 
+const POLICY_UNIFORM: u8 = 0;
+const POLICY_GREEDY: u8 = 1;
+const SCORER_PER_ACTION: u8 = 0;
+const SCORER_POOLED: u8 = 1;
+
+/// Bytes of the shortest encoded shard: four RNG words, a sequence number
+/// and an absent stamp.
+const MIN_SHARD_LEN: usize = 5 * 8 + 1;
+
+impl ServiceCheckpoint {
+    /// The checkpoint payload.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut enc = Encoder::new(&mut out);
+        enc.put_u8(CODEC_VERSION);
+        enc.put_u64(self.cursor);
+        enc.put_u64(self.incumbent.generation);
+        enc.put_str(&self.incumbent.name);
+        match &self.incumbent.policy {
+            ServePolicy::Uniform => enc.put_u8(POLICY_UNIFORM),
+            ServePolicy::Greedy(LinearScorer::PerAction { weights }) => {
+                enc.put_u8(POLICY_GREEDY);
+                enc.put_u8(SCORER_PER_ACTION);
+                enc.put_len(weights.len());
+                for row in weights {
+                    enc.put_f64s(row);
+                }
+            }
+            ServePolicy::Greedy(LinearScorer::Pooled { weights }) => {
+                enc.put_u8(POLICY_GREEDY);
+                enc.put_u8(SCORER_POOLED);
+                enc.put_f64s(weights);
+            }
+        }
+        enc.put_u64(self.swaps);
+        enc.put_len(self.shards.len());
+        for shard in &self.shards {
+            for word in shard.rng {
+                enc.put_u64(word);
+            }
+            enc.put_u64(shard.seq);
+            match shard.last_ns {
+                None => enc.put_u8(0),
+                Some(ns) => {
+                    enc.put_u8(1);
+                    enc.put_u64(ns);
+                }
+            }
+        }
+        enc.put_len(self.joiner.pending.len());
+        for &(id, deadline) in &self.joiner.pending {
+            enc.put_u64(id);
+            enc.put_u64(deadline);
+        }
+        put_u64s(&mut enc, &self.joiner.joined);
+        put_u64s(&mut enc, &self.joiner.expired);
+        put_counters(&mut enc, &self.counters);
+        for cursor in [
+            self.promoted_rounds,
+            self.train_rounds,
+            self.decision_seq,
+            self.reward_seq,
+        ] {
+            enc.put_u64(cursor);
+        }
+        out
+    }
+
+    /// Decodes a payload [`encode`](Self::encode) wrote; `None` for
+    /// anything else, including a payload with bytes left over.
+    pub(crate) fn decode(payload: &[u8]) -> Option<Self> {
+        let mut dec = Decoder::new(payload);
+        if dec.take_u8()? != CODEC_VERSION {
+            return None;
+        }
+        // Struct fields are evaluated in the order written, which is the
+        // payload's order.
+        let ckpt = ServiceCheckpoint {
+            cursor: dec.take_u64()?,
+            incumbent: PolicyVersion {
+                generation: dec.take_u64()?,
+                name: dec.take_str()?.to_string(),
+                policy: take_policy(&mut dec)?,
+            },
+            swaps: dec.take_u64()?,
+            shards: {
+                let n = dec.take_count(MIN_SHARD_LEN)?;
+                (0..n)
+                    .map(|_| take_shard(&mut dec))
+                    .collect::<Option<_>>()?
+            },
+            joiner: JoinerState {
+                pending: {
+                    let n = dec.take_count(16)?;
+                    (0..n)
+                        .map(|_| Some((dec.take_u64()?, dec.take_u64()?)))
+                        .collect::<Option<_>>()?
+                },
+                joined: take_u64s(&mut dec)?,
+                expired: take_u64s(&mut dec)?,
+            },
+            counters: take_counters(&mut dec)?,
+            promoted_rounds: dec.take_u64()?,
+            train_rounds: dec.take_u64()?,
+            decision_seq: dec.take_u64()?,
+            reward_seq: dec.take_u64()?,
+        };
+        dec.finish()?;
+        Some(ckpt)
+    }
+}
+
+fn take_policy(dec: &mut Decoder<'_>) -> Option<ServePolicy> {
+    match dec.take_u8()? {
+        POLICY_UNIFORM => Some(ServePolicy::Uniform),
+        POLICY_GREEDY => Some(ServePolicy::Greedy(match dec.take_u8()? {
+            SCORER_PER_ACTION => {
+                let rows = dec.take_count(1)?;
+                LinearScorer::PerAction {
+                    weights: (0..rows).map(|_| dec.take_f64s()).collect::<Option<_>>()?,
+                }
+            }
+            SCORER_POOLED => LinearScorer::Pooled {
+                weights: dec.take_f64s()?,
+            },
+            _ => return None,
+        })),
+        _ => None,
+    }
+}
+
+fn take_shard(dec: &mut Decoder<'_>) -> Option<ShardState> {
+    Some(ShardState {
+        rng: [
+            dec.take_u64()?,
+            dec.take_u64()?,
+            dec.take_u64()?,
+            dec.take_u64()?,
+        ],
+        seq: dec.take_u64()?,
+        last_ns: match dec.take_u8()? {
+            0 => None,
+            1 => Some(dec.take_u64()?),
+            _ => return None,
+        },
+    })
+}
+
+fn put_u64s(enc: &mut Encoder<'_>, xs: &[u64]) {
+    enc.put_len(xs.len());
+    for &x in xs {
+        enc.put_u64(x);
+    }
+}
+
+fn take_u64s(dec: &mut Decoder<'_>) -> Option<Vec<u64>> {
+    let n = dec.take_count(8)?;
+    (0..n).map(|_| dec.take_u64()).collect()
+}
+
+/// Appends the counter rows, count first, in counter-table order.
+pub(crate) fn put_counters(enc: &mut Encoder<'_>, counters: &MetricsState) {
+    put_u64s(enc, &counters.rows());
+}
+
+/// Reads what [`put_counters`] wrote; `None` unless the count is the
+/// table's row count.
+pub(crate) fn take_counters(dec: &mut Decoder<'_>) -> Option<MetricsState> {
+    MetricsState::from_rows(&take_u64s(dec)?)
+}
+
 /// What [`DecisionService::resume`] did, for logs and assertions.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct RecoveryReport {
@@ -106,7 +305,7 @@ pub struct RecoveryReport {
     pub cursor: u64,
     /// Checkpoints examined, newest first.
     pub checkpoints_scanned: u64,
-    /// Damaged or unparsable checkpoints skipped before a valid one.
+    /// Damaged or undecodable checkpoints skipped before a valid one.
     pub checkpoints_discarded: u64,
     /// Sequence number of the checkpoint that loaded, if any.
     pub loaded_seq: Option<u64>,
@@ -181,9 +380,7 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         // restoring it reports the same `checkpoints_written` the original
         // incarnation would have.
         let state = self.checkpoint_state(cursor);
-        let payload = serde_json::to_string(&state)
-            .map_err(io::Error::other)?
-            .into_bytes();
+        let payload = state.encode();
         match fault {
             Some(CheckpointFault::Tear { keep_frac }) => writer.write_damaged(&payload, |blob| {
                 let keep = ((blob.len() as f64 - 1.0) * keep_frac.clamp(0.0, 1.0)) as usize;
@@ -222,11 +419,8 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         checkpoints: &C,
         segments: &[Vec<u8>],
     ) -> Result<(Self, RecoveryReport), ServeError> {
-        let (loaded, ckpt_rec) = load_latest_filtered(checkpoints, |_, payload| {
-            std::str::from_utf8(payload)
-                .ok()
-                .and_then(|text| serde_json::from_str::<ServiceCheckpoint>(text).ok())
-        });
+        let (loaded, ckpt_rec) =
+            load_latest_filtered(checkpoints, |_, payload| ServiceCheckpoint::decode(payload));
         let (records, log_stats) = recover_segments(segments);
 
         let mut report = RecoveryReport {
@@ -375,7 +569,7 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::joiner::JoinOutcome;
     use harvest_core::SimpleContext;
-    use harvest_log::checkpoint::MemoryCheckpoints;
+    use harvest_log::checkpoint::{encode_checkpoint, MemoryCheckpoints};
     use harvest_log::segment::MemorySegments;
 
     fn config(seed: u64) -> ServeConfig {
@@ -418,26 +612,183 @@ mod tests {
             .collect()
     }
 
+    /// Weights JSON could not carry: both infinities, a quiet NaN with a
+    /// payload, and a negative zero.
+    fn special_weights() -> Vec<f64> {
+        vec![
+            f64::INFINITY,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            -0.0,
+            f64::NEG_INFINITY,
+        ]
+    }
+
+    fn weight_bits(policy: &ServePolicy) -> Vec<u64> {
+        match policy {
+            ServePolicy::Uniform => Vec::new(),
+            ServePolicy::Greedy(LinearScorer::PerAction { weights }) => {
+                weights.iter().flatten().map(|w| w.to_bits()).collect()
+            }
+            ServePolicy::Greedy(LinearScorer::Pooled { weights }) => {
+                weights.iter().map(|w| w.to_bits()).collect()
+            }
+        }
+    }
+
     #[test]
-    fn checkpoint_state_round_trips_through_json() {
+    fn checkpoint_state_round_trips_through_the_codec() {
         let svc = DecisionService::new(config(3), MemorySegments::new());
         serve(&svc, 0, 10, true);
+        // One decision left unrewarded keeps a pending join in the state.
+        serve(&svc, 10, 1, false);
         drain(&svc);
+        svc.registry.promote(
+            ServePolicy::Greedy(LinearScorer::Pooled {
+                weights: special_weights(),
+            }),
+            "pooled",
+        );
         let state = svc.checkpoint_state(7);
-        let json = serde_json::to_string(&state).unwrap();
-        let back: ServiceCheckpoint = serde_json::from_str(&json).unwrap();
+        let payload = state.encode();
+        let back = ServiceCheckpoint::decode(&payload).expect("payload decodes");
         assert_eq!(back.cursor, 7);
+        assert_eq!(back.incumbent.generation, 1);
+        assert_eq!(back.incumbent.name, "pooled");
+        assert_eq!(
+            weight_bits(&back.incumbent.policy),
+            weight_bits(&state.incumbent.policy)
+        );
+        assert_eq!(back.swaps, 1);
         assert_eq!(back.shards, state.shards);
         assert_eq!(back.joiner, state.joiner);
+        assert_eq!(back.joiner.pending.len(), 1);
         assert_eq!(back.counters, state.counters);
-        assert_eq!(back.decision_seq, 10);
+        assert_eq!(back.decision_seq, 11);
         assert_eq!(back.reward_seq, 10);
+        assert_eq!(back.encode(), payload);
         // Same quiescent state ⇒ byte-identical payload.
-        assert_eq!(
-            json,
-            serde_json::to_string(&svc.checkpoint_state(7)).unwrap()
-        );
+        assert_eq!(payload, svc.checkpoint_state(7).encode());
         svc.shutdown().unwrap();
+    }
+
+    #[test]
+    fn non_finite_and_negative_zero_weights_survive_a_warm_restart() {
+        let ckpts = MemoryCheckpoints::new();
+        let mut writer = CheckpointWriter::new(ckpts.clone(), 3).unwrap();
+        let svc = DecisionService::new(config(19), MemorySegments::new());
+        serve(&svc, 0, 10, true);
+        drain(&svc);
+        let policy = ServePolicy::Greedy(LinearScorer::PerAction {
+            weights: vec![special_weights(), vec![1.0, -0.0, f64::NAN, 0.0]],
+        });
+        let generation = svc.registry.promote(policy.clone(), "cb-round-1");
+        svc.write_checkpoint(&mut writer, 1, 900).unwrap();
+        let store = svc.shutdown().unwrap();
+
+        let (svc, report) =
+            DecisionService::resume(config(19), store.clone(), None, &ckpts, &store.snapshot())
+                .unwrap();
+        assert!(!report.cold_start, "the promoted policy must not be lost");
+        assert_eq!(report.checkpoints_discarded, 0);
+        assert_eq!(report.loaded_seq, Some(0));
+        let incumbent = svc.registry.current();
+        assert_eq!(incumbent.generation, generation);
+        assert_eq!(incumbent.name, "cb-round-1");
+        assert_eq!(weight_bits(&incumbent.policy), weight_bits(&policy));
+        svc.shutdown().unwrap();
+    }
+
+    /// A checkpoint the JSON-era build wrote for a fresh one-shard
+    /// `recovery-test` service with seed 3, cursor 1.
+    const JSON_ERA_PAYLOAD: &str = concat!(
+        r#"{"cursor":1,"incumbent":{"generation":0,"name":"bootstrap-uniform","policy":"Uniform"},"#,
+        r#""swaps":0,"shards":[{"rng":[14345945268132579830,8364608856705275009,"#,
+        r#"3904384578749502070,12150278014594303494],"seq":0,"last_ns":null}],"#,
+        r#""joiner":{"pending":[],"joined":[],"expired":[]},"counters":{"decisions":0,"#,
+        r#""explorations":0,"log_enqueued":0,"log_written":0,"log_dropped":0,"#,
+        r#""log_quarantined":0,"join_hits":0,"join_duplicates":0,"join_late":0,"#,
+        r#""join_unknown":0,"timed_out_decisions":0,"swaps":0,"#,
+        r#""first_decision_ns":18446744073709551615,"last_decision_ns":0,"#,
+        r#""lock_recoveries":0,"shard_wedges":0,"writer_restarts":0,"trainer_crashes":0,"#,
+        r#""breaker_trips":0,"breaker_rearms":0,"degraded_decisions":0,"rewards_lost":0,"#,
+        r#""admission_shed":0,"watchdog_faults":0,"checkpoints_written":0,"#,
+        r#""checkpoints_discarded":0,"last_checkpoint_ns":18446744073709551615,"#,
+        r#""recovered_records":0,"replayed_joins":0,"restart_count":0},"#,
+        r#""promoted_rounds":0,"train_rounds":0,"decision_seq":0,"reward_seq":0}"#,
+    );
+
+    #[test]
+    fn malformed_payloads_are_discarded_and_the_older_checkpoint_loads() {
+        let mut cfg = config(3);
+        cfg.engine.shards = 1;
+        let ckpts = MemoryCheckpoints::new();
+        let mut writer = CheckpointWriter::new(ckpts.clone(), 3).unwrap();
+        let svc = DecisionService::new(cfg.clone(), MemorySegments::new());
+        let name = "cb-round-1";
+        svc.registry.promote(
+            ServePolicy::Greedy(LinearScorer::PerAction {
+                weights: vec![vec![0.5, -1.0]; 3],
+            }),
+            name,
+        );
+        svc.write_checkpoint(&mut writer, 1, 400).unwrap();
+        let older = ckpts.raw(0).unwrap();
+        let good = svc.checkpoint_state(2).encode();
+        let segments = svc.shutdown().unwrap().snapshot();
+
+        // Offsets into `good`: the policy and scorer tags follow the
+        // version, cursor, generation and name; the counter count sits
+        // before the rows and the four trailing cursors.
+        let policy_tag = 1 + 8 + 8 + 1 + name.len();
+        let rows = MetricsState::default().rows().len();
+        let count_at = good.len() - 4 * 8 - rows * 8 - 1;
+        assert_eq!(usize::from(good[count_at]), rows);
+        let with = |at: usize, byte: u8| {
+            let mut p = good.clone();
+            p[at] = byte;
+            p
+        };
+        let mut one_row_short = with(count_at, rows as u8 - 1);
+        one_row_short.drain(count_at + 1..count_at + 9);
+        let mut one_row_long = with(count_at, rows as u8 + 1);
+        one_row_long.splice(count_at + 1..count_at + 1, [0; 8]);
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("truncated", good[..good.len() / 2].to_vec()),
+            ("last byte torn", good[..good.len() - 1].to_vec()),
+            ("trailing byte", [good.as_slice(), &[0]].concat()),
+            ("unknown version", with(0, CODEC_VERSION + 1)),
+            ("unknown policy tag", with(policy_tag, 2)),
+            ("unknown scorer tag", with(policy_tag + 1, 2)),
+            ("one counter row short", one_row_short),
+            ("one counter row long", one_row_long),
+            ("JSON-era payload", JSON_ERA_PAYLOAD.as_bytes().to_vec()),
+        ];
+
+        let resume_with_newest = |payload: &[u8]| {
+            let mut store = MemoryCheckpoints::new();
+            store.publish(0, &older).unwrap();
+            store.publish(1, &encode_checkpoint(1, payload)).unwrap();
+            let (svc, report) = DecisionService::resume(
+                cfg.clone(),
+                MemorySegments::new(),
+                None,
+                &store,
+                &segments,
+            )
+            .unwrap();
+            svc.shutdown().unwrap();
+            report
+        };
+        let control = resume_with_newest(&good);
+        assert_eq!((control.loaded_seq, control.cursor), (Some(1), 2));
+        for (label, payload) in cases {
+            assert!(ServiceCheckpoint::decode(&payload).is_none(), "{label}");
+            let report = resume_with_newest(&payload);
+            assert!(!report.cold_start, "{label}");
+            assert_eq!(report.checkpoints_discarded, 1, "{label}");
+            assert_eq!(report.loaded_seq, Some(0), "{label}");
+            assert_eq!(report.cursor, 1, "{label}");
+        }
     }
 
     #[test]

@@ -13,13 +13,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use harvest_core::scorer::{LinearScorer, Scorer};
 use harvest_core::{Context, SimpleContext};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A servable policy: either the explore-only bootstrap or a learned scorer
 /// exploited greedily. The engine wraps either in an ε exploration floor.
-/// Serializable because the incumbent is part of the durable control-plane
-/// checkpoint (see [`crate::recovery`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The incumbent is part of the durable control-plane checkpoint (see
+/// [`crate::recovery`]); its JSON rendering is what the restart demo and
+/// suite print and compare.
+#[derive(Debug, Clone, Serialize)]
 pub enum ServePolicy {
     /// Uniform over the action set — the bootstrap incumbent before any
     /// model has been trained. Every action has propensity `1/K`.
@@ -62,7 +63,7 @@ impl ServePolicy {
 }
 
 /// One immutable registered policy version.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PolicyVersion {
     /// Monotone version number; the bootstrap incumbent is generation 0.
     pub generation: u64,

@@ -1,6 +1,6 @@
 //! Cluster and server configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One backend server's latency model (Fig 5): for a request of class `k`
 /// admitted with `c` open connections,
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Per-class bases model server heterogeneity (a server with a fast path
 /// for one request type), which is the "request type" context of Table 1;
 /// a single-entry `bases` gives the homogeneous Fig 5 cartoon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServerConfig {
     /// Base latency per request class, in seconds.
     pub bases: Vec<f64>,
@@ -47,7 +47,7 @@ impl ServerConfig {
 }
 
 /// A cluster of backend servers plus workload parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClusterConfig {
     /// The backend servers.
     pub servers: Vec<ServerConfig>,

@@ -1,7 +1,7 @@
 //! The routing context: what the balancer sees when it picks a server.
 
 use harvest_core::SimpleContext;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The decision context at request-arrival time.
 ///
@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// Front Door may know the load of each endpoint because all requests are
 /// routed back through them") plus request-intrinsic attributes like the
 /// URI class (Table 1: context is "request type, server load").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LbContext {
     /// Open connections per server at decision time.
     pub connections: Vec<u32>,

@@ -15,7 +15,7 @@
 //! policy can exploit and a fixed wait time cannot.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use harvest_sim_net::rng::DetRng;
 
@@ -35,7 +35,7 @@ pub fn wait_minutes(action: usize) -> f64 {
 }
 
 /// One incident with its latent (unobservable) ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Incident {
     /// The machine's observable context.
     pub spec: MachineSpec,

@@ -1,14 +1,14 @@
 //! Machine specifications and their feature encoding.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use harvest_sim_net::rng::DetRng;
 
 /// Hardware generation of a machine. Azure logs "detailed
 /// hardware/configuration information about each machine" (§3); we model
 /// the part that plausibly predicts recovery behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum HardwareSku {
     /// Oldest generation: slow boot firmware, flaky NICs.
     Gen4,
@@ -33,7 +33,7 @@ impl HardwareSku {
 
 /// The kind of the machine's most recent failure — logged failure history
 /// is part of the context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FailureKind {
     /// Network partition / NIC flap: usually transient.
     Network,
@@ -67,7 +67,7 @@ impl FailureKind {
 /// Everything the controller knows about a machine when it goes
 /// unresponsive. "Neither is fast-changing" (§3) — these are all
 /// slow-moving inventory facts, safe to read from logs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MachineSpec {
     /// Hardware generation.
     pub sku: HardwareSku,

@@ -8,13 +8,13 @@
 //! service times.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
 /// What a fault does to the targeted component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum FaultKind {
     /// The component is unavailable for the duration; requests routed to it
     /// fail or queue (simulator's choice).
@@ -32,7 +32,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault: a component, a window, and an effect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Fault {
     /// Index of the targeted component (server, endpoint…).
     pub target: usize,
@@ -76,7 +76,7 @@ impl Default for FaultPlanConfig {
 }
 
 /// A deterministic schedule of faults over a simulation horizon.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct FaultPlan {
     faults: Vec<Fault>,
 }
@@ -205,7 +205,7 @@ impl FaultEffect {
 
 /// A fault aimed at the decision-log writer thread, keyed by the index of
 /// the record it is about to process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum WriterFault {
     /// The writer thread panics *before* popping the record: nothing is
     /// lost — the record stays queued for the restarted incarnation.
@@ -220,7 +220,7 @@ pub enum WriterFault {
 }
 
 /// A fault applied to one reward delivery, keyed by reward-call index.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum RewardFault {
     /// The reward never reaches the joiner (network loss); the decision
     /// eventually expires as missing-outcome.
@@ -237,7 +237,7 @@ pub enum RewardFault {
 /// variants are *crash-consistent*: they never remove whole frames or touch
 /// headers, so recovery can still count every damaged record and the
 /// accounting invariant stays exact.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum AtRestFault {
     /// Bit rot: XOR one byte inside the payload of a frame. Recovery
     /// quarantines that frame and everything after it in the segment.
@@ -263,7 +263,7 @@ pub enum AtRestFault {
 /// `DecisionService::checkpoint` call). The first two variants model a crash
 /// racing the checkpoint write; the last two damage the checkpoint itself —
 /// recovery must fall back to the previous valid one, counted never silent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum CheckpointFault {
     /// The process dies before any checkpoint bytes are written: the newest
     /// durable state is the *previous* checkpoint plus the decision log.

@@ -9,14 +9,14 @@
 //! * [`Histogram`] — log-bucketed latency histogram for cheap distribution
 //!   summaries in long simulations.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Welford's online algorithm for mean and variance.
 ///
 /// Numerically stable for long streams; merging two accumulators is exact
 /// (parallel variance formula), which the experiment harness uses to combine
 /// per-trial statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -125,7 +125,7 @@ impl RunningStats {
 /// Retains every pushed value; `quantile` sorts lazily on demand. Suitable
 /// for the sample sizes in this reproduction (≤ millions), where exactness
 /// matters more than memory.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct QuantileSketch {
     samples: Vec<f64>,
     sorted: bool,
@@ -203,7 +203,7 @@ impl QuantileSketch {
 /// the first bound land in bucket 0, values above the last in the overflow
 /// bucket. Quantile queries return the upper bound of the containing bucket
 /// (a conservative estimate).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Histogram {
     first_bound: f64,
     growth: f64,

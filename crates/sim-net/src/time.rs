@@ -9,7 +9,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
@@ -19,7 +19,7 @@ pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 /// `SimTime` is a thin wrapper over `u64`; arithmetic with [`SimDuration`]
 /// saturates rather than wrapping so that a buggy caller produces a stuck
 /// clock (easy to spot in tests) instead of time travel.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -113,7 +113,7 @@ impl Sub<SimTime> for SimTime {
 }
 
 /// A span of simulated time, in nanoseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

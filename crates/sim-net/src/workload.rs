@@ -9,14 +9,14 @@
 
 use rand::Rng;
 use rand_distr::{Distribution, Exp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 
 /// One generated request: an arrival instant plus the key it touches and the
 /// payload size in bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Request {
     /// When the request arrives.
     pub at: SimTime,
