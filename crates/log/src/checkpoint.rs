@@ -17,7 +17,7 @@
 //! sequence number in one step (rename on a directory store, map insert on
 //! the in-memory store) — a reader never observes a half-published
 //! checkpoint *except* through deliberate fault injection, which is exactly
-//! what the validation path is for. [`load_latest`] walks checkpoints newest
+//! what the validation path is for. [`load_latest_filtered`] walks checkpoints newest
 //! to oldest and returns the first one that validates; everything newer is
 //! counted discarded, never silently skipped. Retention keeps the last K
 //! checkpoints ([`CheckpointWriter`]), pruning oldest-first.
@@ -359,7 +359,7 @@ impl<C: CheckpointStore> CheckpointWriter<C> {
     }
 }
 
-/// What [`load_latest`] found.
+/// What [`load_latest_filtered`] found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointRecovery {
     /// Checkpoints examined, newest first.
@@ -371,23 +371,17 @@ pub struct CheckpointRecovery {
     pub loaded_seq: Option<u64>,
 }
 
-/// Loads the newest checkpoint that validates, walking backwards over
-/// damaged ones. Returns the payload alongside the accounting.
+/// Loads the newest checkpoint that validates and that `parse` accepts,
+/// walking backwards over the rest. Returns the parsed payload alongside
+/// the accounting.
 ///
 /// A checkpoint fails over to its predecessor on *any* validation error:
 /// truncation, bad magic/version, length mismatch, or checksum mismatch —
-/// plus an unreadable blob on a real filesystem. A caller whose payload
-/// fails to *decode* (valid frame, incomprehensible contents) should keep
-/// walking via [`load_latest_filtered`].
-pub fn load_latest<C: CheckpointStore>(store: &C) -> (Option<Vec<u8>>, CheckpointRecovery) {
-    load_latest_filtered(store, |_, payload| Some(payload.to_vec()))
-}
-
-/// Like [`load_latest`], but the caller's `parse` gets the first say on
-/// each structurally valid payload (newest first); returning `None` counts
-/// the checkpoint discarded and continues to the predecessor. This is how
-/// the serve crate folds payload decode failures into the same
-/// never-silent fallback as checksum failures.
+/// plus an unreadable blob on a real filesystem. The caller's `parse` then
+/// gets the first say on each structurally valid payload (newest first);
+/// returning `None` counts the checkpoint discarded and continues to the
+/// predecessor. This is how the serve crate folds payload decode failures
+/// into the same never-silent fallback as checksum failures.
 pub fn load_latest_filtered<C: CheckpointStore, T>(
     store: &C,
     mut parse: impl FnMut(u64, &[u8]) -> Option<T>,
@@ -416,6 +410,10 @@ pub fn load_latest_filtered<C: CheckpointStore, T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn accept_all(_seq: u64, payload: &[u8]) -> Option<Vec<u8>> {
+        Some(payload.to_vec())
+    }
 
     fn payload(i: u64) -> Vec<u8> {
         format!("{{\"model\":{i}}}").into_bytes()
@@ -462,7 +460,7 @@ mod tests {
             assert_eq!(w.write(&payload(i)).unwrap(), i);
         }
         assert_eq!(store.list().unwrap(), vec![3, 4, 5]);
-        let (latest, rec) = load_latest(&store);
+        let (latest, rec) = load_latest_filtered(&store, accept_all);
         assert_eq!(latest.unwrap(), payload(5));
         assert_eq!(rec.loaded_seq, Some(5));
         assert_eq!(rec.discarded, 0);
@@ -488,7 +486,7 @@ mod tests {
         w.write(&payload(1)).unwrap();
         w.write(&payload(2)).unwrap();
         assert!(store.tear(2, 0.5));
-        let (latest, rec) = load_latest(&store);
+        let (latest, rec) = load_latest_filtered(&store, accept_all);
         assert_eq!(latest.unwrap(), payload(1));
         assert_eq!(rec.loaded_seq, Some(1));
         assert_eq!(rec.discarded, 1);
@@ -502,7 +500,7 @@ mod tests {
         w.write(&payload(0)).unwrap();
         w.write(&payload(1)).unwrap();
         assert!(store.corrupt(1, 0x10));
-        let (latest, rec) = load_latest(&store);
+        let (latest, rec) = load_latest_filtered(&store, accept_all);
         assert_eq!(latest.unwrap(), payload(0));
         assert_eq!(rec.discarded, 1);
     }
@@ -515,7 +513,7 @@ mod tests {
         w.write(&payload(1)).unwrap();
         assert!(store.tear(0, 0.3));
         assert!(store.corrupt(1, 0x01));
-        let (latest, rec) = load_latest(&store);
+        let (latest, rec) = load_latest_filtered(&store, accept_all);
         assert!(latest.is_none());
         assert_eq!(rec.scanned, 2);
         assert_eq!(rec.discarded, 2);
@@ -548,7 +546,7 @@ mod tests {
             .publish(1, &encode_checkpoint(1, &payload(1)))
             .unwrap();
         assert_eq!(store.list().unwrap(), vec![0, 1]);
-        let (latest, rec) = load_latest(&store);
+        let (latest, rec) = load_latest_filtered(&store, accept_all);
         assert_eq!(latest.unwrap(), payload(1));
         assert_eq!(rec.loaded_seq, Some(1));
         store.remove(0).unwrap();
@@ -566,7 +564,7 @@ mod tests {
             s.publish(3, &encode_checkpoint(9, &payload(9))).unwrap();
             s
         };
-        let (latest, rec) = load_latest(&store);
+        let (latest, rec) = load_latest_filtered(&store, accept_all);
         assert!(latest.is_none());
         assert_eq!(rec.discarded, 1);
     }

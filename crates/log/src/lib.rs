@@ -47,13 +47,13 @@ pub mod scavenge;
 pub mod segment;
 
 pub use checkpoint::{
-    decode_checkpoint, encode_checkpoint, load_latest, load_latest_filtered, CheckpointError,
+    decode_checkpoint, encode_checkpoint, load_latest_filtered, CheckpointError,
     CheckpointRecovery, CheckpointStore, CheckpointWriter, DirCheckpoints, MemoryCheckpoints,
 };
 pub use pipeline::{HarvestPipeline, HarvestReport};
 pub use propensity::{EstimatedPropensity, KnownPropensity, PropensityModel};
 pub use record::{DecisionRecord, OutcomeRecord};
 pub use segment::{
-    recover_segment, recover_segments, MemorySegments, RecoveryStats, SealObserver, SegmentConfig,
-    SegmentedLogWriter,
+    recover_segment, recover_segments, GroupWriteError, MemorySegments, RecoveryStats,
+    SealObserver, SegmentConfig, SegmentedLogWriter,
 };

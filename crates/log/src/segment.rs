@@ -113,24 +113,25 @@ pub fn encode_frame(record: &LogRecord) -> io::Result<Vec<u8>> {
     Ok(frame)
 }
 
-/// Encodes one record's complete frame into `frame`, replacing its
-/// contents: the payload is encoded in place behind a header patched
-/// afterwards. Fails when the payload exceeds [`MAX_FRAME_LEN`], since
-/// recovery would reject such a frame.
-fn encode_frame_into(record: &LogRecord, frame: &mut Vec<u8>) -> io::Result<()> {
-    frame.clear();
-    frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-    codec::encode_record(record, frame);
-    let len = frame.len() - FRAME_HEADER_LEN;
+/// Appends one record's complete frame to `out`: the payload is encoded
+/// in place behind a header patched afterwards. Fails, leaving `out` as it
+/// was, when the payload exceeds [`MAX_FRAME_LEN`], since recovery would
+/// reject such a frame.
+fn encode_frame_into(record: &LogRecord, out: &mut Vec<u8>) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    codec::encode_record(record, out);
+    let len = out.len() - start - FRAME_HEADER_LEN;
     if len > MAX_FRAME_LEN {
+        out.truncate(start);
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("record payload of {len} bytes exceeds the {MAX_FRAME_LEN} byte frame limit"),
         ));
     }
-    let crc = crc32(&frame[FRAME_HEADER_LEN..]);
-    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    frame[4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    let crc = crc32(&out[start + FRAME_HEADER_LEN..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..start + FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     Ok(())
 }
 
@@ -304,6 +305,20 @@ pub trait SealObserver: Send + Sync {
     fn segment_sealed(&self, records: usize, bytes: usize);
 }
 
+/// Why [`SegmentedLogWriter::write_all`] stopped before the end of its
+/// group. Every record before `written` is in the sink; the `failed`
+/// records after them may be partly there.
+#[derive(Debug)]
+pub struct GroupWriteError {
+    /// Records of the group appended before the failure.
+    pub written: usize,
+    /// Records the failure covers, starting at `written`: the one record
+    /// that did not encode or rotate, or every record of a refused append.
+    pub failed: usize,
+    /// What went wrong.
+    pub error: io::Error,
+}
+
 /// Writes framed records into rotating segments of a [`SegmentSink`].
 pub struct SegmentedLogWriter<S> {
     sink: S,
@@ -313,8 +328,9 @@ pub struct SegmentedLogWriter<S> {
     bytes_in_segment: usize,
     first_ts_in_segment: Option<u64>,
     observer: Option<Arc<dyn SealObserver>>,
-    /// Reused frame buffer: steady-state writes allocate nothing.
-    frame: Vec<u8>,
+    /// Reused buffer for the frames of one group within one segment:
+    /// steady-state writes allocate nothing.
+    frames: Vec<u8>,
 }
 
 impl<S: fmt::Debug> fmt::Debug for SegmentedLogWriter<S> {
@@ -349,7 +365,7 @@ impl<S: SegmentSink> SegmentedLogWriter<S> {
             bytes_in_segment: 0,
             first_ts_in_segment: None,
             observer: None,
-            frame: Vec::new(),
+            frames: Vec::new(),
         }
     }
 
@@ -364,27 +380,91 @@ impl<S: SegmentSink> SegmentedLogWriter<S> {
     }
 
     /// Frames and appends one record, rotating first if the current segment
-    /// is full. A [`LogRecord::Batch`] is one frame but counts as its batch
-    /// length toward the record-rotation threshold, so segment sizes stay
-    /// bounded in *logical* records regardless of batching. Returns the
-    /// number of frame bytes appended.
+    /// is full: the one-record case of [`write_all`](Self::write_all).
+    /// Returns the number of frame bytes appended.
     pub fn write(&mut self, record: &LogRecord) -> io::Result<usize> {
-        let ts = record.timestamp_ns();
-        let span_full = self
-            .first_ts_in_segment
-            .is_some_and(|first| ts.saturating_sub(first) >= self.cfg.max_span_ns);
-        if self.records_in_segment >= self.cfg.max_records
-            || self.bytes_in_segment >= self.cfg.max_bytes
-            || span_full
-        {
-            self.rotate()?;
+        self.write_all(std::slice::from_ref(record))
+            .map_err(|e| e.error)
+    }
+
+    /// Frames and appends `records` in order. Before each record the
+    /// writer rotates if the current segment is full, so segments end at
+    /// exactly the record boundaries one [`write`](Self::write) per record
+    /// would give them, with the same [`SealObserver`] calls. A
+    /// [`LogRecord::Batch`] is one frame but counts as its batch length
+    /// toward the record-rotation threshold, so segment sizes stay bounded
+    /// in *logical* records regardless of batching. The frames bound for
+    /// one segment are encoded back to back into one buffer and handed to
+    /// the sink in one `append`. Returns the number of frame bytes
+    /// appended.
+    pub fn write_all(&mut self, records: &[LogRecord]) -> Result<usize, GroupWriteError> {
+        let mut frames = std::mem::take(&mut self.frames);
+        frames.clear();
+        let result = self.write_group(records, &mut frames);
+        self.frames = frames;
+        result
+    }
+
+    fn write_group(
+        &mut self,
+        records: &[LogRecord],
+        frames: &mut Vec<u8>,
+    ) -> Result<usize, GroupWriteError> {
+        let mut appended = 0;
+        // Index of the first record whose frame sits in `frames`.
+        let mut pending = 0;
+        for (i, record) in records.iter().enumerate() {
+            let ts = record.timestamp_ns();
+            let span_full = self
+                .first_ts_in_segment
+                .is_some_and(|first| ts.saturating_sub(first) >= self.cfg.max_span_ns);
+            if self.records_in_segment >= self.cfg.max_records
+                || self.bytes_in_segment >= self.cfg.max_bytes
+                || span_full
+            {
+                appended += self.append_frames(frames, pending, i)?;
+                pending = i;
+                self.rotate().map_err(|error| GroupWriteError {
+                    written: i,
+                    failed: 1,
+                    error,
+                })?;
+            }
+            let start = frames.len();
+            if let Err(error) = encode_frame_into(record, frames) {
+                self.append_frames(frames, pending, i)?;
+                return Err(GroupWriteError {
+                    written: i,
+                    failed: 1,
+                    error,
+                });
+            }
+            self.records_in_segment += record.record_count();
+            self.bytes_in_segment += frames.len() - start;
+            self.first_ts_in_segment.get_or_insert(ts);
         }
-        encode_frame_into(record, &mut self.frame)?;
-        self.sink.append(self.segment, &self.frame)?;
-        self.records_in_segment += record.record_count();
-        self.bytes_in_segment += self.frame.len();
-        self.first_ts_in_segment.get_or_insert(ts);
-        Ok(self.frame.len())
+        Ok(appended + self.append_frames(frames, pending, records.len())?)
+    }
+
+    /// Appends the buffered frames of records `from..to` to the current
+    /// segment and empties the buffer.
+    fn append_frames(
+        &mut self,
+        frames: &mut Vec<u8>,
+        from: usize,
+        to: usize,
+    ) -> Result<usize, GroupWriteError> {
+        if frames.is_empty() {
+            return Ok(0);
+        }
+        let len = frames.len();
+        let result = self.sink.append(self.segment, frames);
+        frames.clear();
+        result.map(|()| len).map_err(|error| GroupWriteError {
+            written: from,
+            failed: to - from,
+            error,
+        })
     }
 
     /// Appends raw bytes to the current segment without frame accounting.

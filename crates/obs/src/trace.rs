@@ -150,7 +150,7 @@ pub struct Tracer {
     slot_mask: u64,
     /// Bit position splitting `id` into `(engine_shard, seq)`.
     seq_bits: u32,
-    /// Terminal events parked by [`terminal_deferred`](Self::terminal_deferred)
+    /// Terminal events parked by [`terminal_deferred_many`](Self::terminal_deferred_many)
     /// awaiting a batched apply. Touched only by the log-writer thread
     /// and the export paths — never by the deciding hot path — so the
     /// writer stops ping-ponging the per-shard locks against deciders.
@@ -259,25 +259,28 @@ impl Tracer {
         Self::set_terminal(&mut guard, slot, id, t);
     }
 
-    /// Park a terminal for a later batched apply instead of taking the
-    /// trace-shard lock now. This is the log-writer's path: applying one
-    /// terminal per written record would contend the shard locks against
-    /// the deciding threads on every single record, and the futex churn
-    /// dominates the whole tracing overhead. Parked events are applied
-    /// every 64 events (`TERMINAL_BATCH`, one lock per shard per batch) and
-    /// flushed by every audit/export, so a drained pipeline still audits
-    /// complete.
-    pub fn terminal_deferred(&self, id: u64, t: Terminal) {
+    /// Park one terminal per id, all of class `t`, for a later batched
+    /// apply instead of taking the trace-shard locks now. This is the
+    /// log-writer's path: applying one terminal per written record would
+    /// contend the shard locks against the deciding threads on every
+    /// single record, and the futex churn dominates the whole tracing
+    /// overhead. The writer parks a whole written group under one inbox
+    /// lock; the parked events are applied every 64 events
+    /// (`TERMINAL_BATCH`, one lock per shard per batch) — the same flush
+    /// points one call per id would hit — and flushed by every
+    /// audit/export, so a drained pipeline still audits complete.
+    pub fn terminal_deferred_many(&self, ids: impl IntoIterator<Item = u64>, t: Terminal) {
         let mut inbox = match self.inbox.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        inbox.push((id, t));
-        if inbox.len() >= TERMINAL_BATCH {
-            let events = std::mem::take(&mut *inbox);
-            drop(inbox);
-            self.flush_depths.record(events.len() as u64);
-            self.apply_terminals(&events);
+        for id in ids {
+            inbox.push((id, t));
+            if inbox.len() >= TERMINAL_BATCH {
+                self.flush_depths.record(inbox.len() as u64);
+                self.apply_terminals(&inbox);
+                inbox.clear();
+            }
         }
     }
 
@@ -551,11 +554,12 @@ mod tests {
         for id in 0..100u64 {
             t.decided(id, decided(id));
         }
-        for id in 0..100u64 {
-            t.terminal_deferred(id, Terminal::Written);
+        // 100 deferred terminals in uneven groups: the batch of 64 applies
+        // inline in the middle of the second group, and the audit drains
+        // the remaining 36 — the flush points of one call per id.
+        for ids in [0..30u64, 30..80, 80..100] {
+            t.terminal_deferred_many(ids, Terminal::Written);
         }
-        // 100 deferred terminals: one full batch of 64 applies inline,
-        // the audit drains the remaining 36.
         let audit = t.audit();
         assert_eq!(audit.written, 100);
         let h = t.flush_depth_histogram();

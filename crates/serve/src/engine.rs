@@ -153,8 +153,7 @@ pub const SEQ_BITS: u32 = 40;
 
 /// Which of `shards` owns `request_id`: the shard that decided it, folded
 /// into range for ids no shard of this engine could have made. The log
-/// rings, the frame return rings and the service's reward joiners all
-/// route by it.
+/// frame return lists and the service's reward joiners route by it.
 pub(crate) fn shard_of(request_id: u64, shards: usize) -> usize {
     ((request_id >> SEQ_BITS) as usize) % shards
 }

@@ -13,10 +13,10 @@
 //!                   │                    │    │ Arc hot-swap
 //!                   │                    │    └── PolicyRegistry ◀── promote
 //!                   ▼                    ▼                            │ gate:
-//!              safe policy    per-shard SPSC rings (ticket order)    │ LCB >
+//!              safe policy    one swap queue (arrival order)         │ LCB >
 //!           (still logged with          │                            │ incumbent
 //!            exact propensities)        ▼                            │
-//!              supervised writer (restart + backoff, sealed tails)   │
+//!     supervised writer (group commit, restart + backoff, sealed)    │
 //!                   │                                                │
 //!                   ▼                                                │
 //!        crash-safe segments (len ‖ crc32 ‖ payload) ──▶ recovery ──▶ Trainer
@@ -58,11 +58,7 @@
 //! the load-balancer simulator, and `examples/chaos_harvest.rs` for the
 //! same loop under a seeded fault schedule.
 
-// `unsafe` is denied crate-wide and re-allowed in exactly one audited
-// island — the lock-free log ring `ring` — where every block carries a
-// `// SAFETY:` comment (checked by `tests/unsafe_audit.rs` and a CI grep).
-// Everything else in the crate is unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;
@@ -78,8 +74,6 @@ pub mod metrics;
 pub mod obs;
 pub mod recovery;
 pub mod registry;
-#[allow(unsafe_code)]
-mod ring;
 pub mod scope;
 pub mod service;
 pub mod supervisor;

@@ -1,15 +1,20 @@
-//! The decision-log producer: per-shard SPSC rings into the supervised
-//! writer.
+//! The decision-log producer: one swap queue into the supervised writer.
 //!
-//! The decision path must never do file I/O, so shards push records into
-//! their own single-producer rings (the private `ring` module) and the supervised
-//! writer thread (see [`supervisor`](crate::supervisor)) drains the rings
-//! in global ticket order into crash-safe log segments
-//! ([`harvest_log::segment`]). The record-weighted [`QueueBudget`] bound
-//! blocks the decision path until the writer catches up: no record is
-//! refused at the door, so what the log loses can never depend on load.
-//! A permanently-failed writer still discards — and counts as `dropped` —
-//! what it cannot persist, so blocked callers are never wedged.
+//! The decision path must never do file I/O, so callers push records into
+//! one `Mutex<Vec<LogRecord>>` and the supervised writer thread (see
+//! [`supervisor`](crate::supervisor)) swaps the whole vector out for its
+//! empty spare and persists the group into crash-safe log segments
+//! ([`harvest_log::segment`]) under one writer lock. A push under the lock
+//! *is* arrival order, so for any deterministic call sequence the
+//! persisted stream is the call order, with no ticket to draw or merge.
+//!
+//! The record-weighted [`QueueBudget`] bound blocks the decision path until
+//! the writer catches up: no record is refused at the door, so what the log
+//! loses can never depend on load. The writer holds a record's reservation
+//! until the record is persisted and counted, so the budget bounds queued
+//! *plus* in-flight records (`log_backlog ≤ capacity`). A permanently
+//! failed writer still discards — and counts as `dropped` — what it cannot
+//! persist, so blocked callers are never wedged.
 //!
 //! Accounting invariant, checked by property and chaos tests: **every**
 //! record offered to the queue is counted `enqueued`, and
@@ -19,21 +24,19 @@
 //!
 //! [`QueueBudget`]: crate::admission::QueueBudget
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use harvest_log::record::{BatchRecord, LogRecord};
 use harvest_log::segment::SegmentConfig;
 
-// The queue bound lives in [`crate::admission`] (promoted to a shared
-// admission primitive; the wire front-end bounds its in-flight work with
-// the same type). The rings are sized in frames (frames ≤ records, so no
-// ring can fill before the budget does); the budget is the real bound. The
-// writer releases a frame's weight when it pops the frame — *before*
-// persisting it, so an injected mid-write panic can never leak capacity
-// and wedge blocked producers.
+// The queue bound lives in [`crate::admission`] (a shared admission
+// primitive; the wire front-end bounds its in-flight work with the same
+// type).
 use crate::admission::QueueBudget;
+use crate::engine::shard_of;
 use crate::metrics::ServeMetrics;
-use crate::ring::LogRings;
 
 /// A push wakes a parked writer once the queue holds this fraction
 /// (1 / `BELL_FRACTION`) of its capacity.
@@ -95,24 +98,154 @@ impl LoggerConfigBuilder {
     }
 }
 
+/// Written batch frames each shard's return list holds for reuse.
+const RETURN_FRAMES: usize = 8;
+
+/// The queue shared by every [`DecisionLogger`] clone and the supervised
+/// writer: queued records in arrival order, the written frames on their
+/// way back to their shards, and the writer's doorbell.
+pub(crate) struct LogQueue {
+    records: Mutex<Vec<LogRecord>>,
+    /// Written batch frames going back to the shard that built them, one
+    /// list per shard, so the feature buffers a caller allocates are the
+    /// ones it refills instead of being freed on the writer thread.
+    returns: Box<[Mutex<Vec<BatchRecord>>]>,
+    /// Set once the last producer handle is gone.
+    hung_up: AtomicBool,
+    /// Writer parked flag: producers ring the doorbell only when set, so
+    /// the steady-state push path makes no futex call.
+    sleeping: AtomicBool,
+    bell: Condvar,
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Every holder leaves the vectors whole, so a panic elsewhere loses
+    // nothing here.
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl LogQueue {
+    /// A queue whose written frames return to `shards` shards.
+    pub(crate) fn new(shards: usize) -> Self {
+        LogQueue {
+            records: Mutex::new(Vec::new()),
+            returns: (0..shards.max(1))
+                .map(|_| Mutex::new(Vec::with_capacity(RETURN_FRAMES)))
+                .collect(),
+            hung_up: AtomicBool::new(false),
+            sleeping: AtomicBool::new(false),
+            bell: Condvar::new(),
+        }
+    }
+
+    /// Appends one admitted frame. The caller must hold the frame's
+    /// record-weighted budget reservation: that, not the vector, is the
+    /// bound.
+    fn push(&self, record: LogRecord) {
+        lock(&self.records).push(record);
+    }
+
+    /// Wakes the writer if it is parked; one atomic swap when it is
+    /// already running. The parked writer released the queue lock only by
+    /// waiting, so a push that went in after its last look is followed by
+    /// this notify, never lost.
+    fn ring_bell(&self) {
+        if self.sleeping.swap(false, Ordering::AcqRel) {
+            self.bell.notify_all();
+        }
+    }
+
+    /// Marks the producers gone and wakes the writer so it can drain and
+    /// exit.
+    fn hang_up(&self) {
+        let _queue = lock(&self.records);
+        self.hung_up.store(true, Ordering::Release);
+        self.bell.notify_all();
+    }
+
+    /// Swaps every queued record into `group`, which must be empty,
+    /// parking until there is one. Returns `false`, leaving `group` empty,
+    /// only once the producers are gone and the queue is drained — the
+    /// writer's clean-exit condition. The park has a 1 ms timeout: the
+    /// liveness floor, and the normal wake-up for a backlog below the
+    /// producers' bell mark.
+    pub(crate) fn take_all(&self, group: &mut Vec<LogRecord>) -> bool {
+        debug_assert!(group.is_empty());
+        let mut queue = lock(&self.records);
+        loop {
+            if !queue.is_empty() {
+                std::mem::swap(&mut *queue, group);
+                return true;
+            }
+            if self.hung_up.load(Ordering::Acquire) {
+                return false;
+            }
+            self.sleeping.store(true, Ordering::Release);
+            queue = self
+                .bell
+                .wait_timeout(queue, Duration::from_millis(1))
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            self.sleeping.store(false, Ordering::Release);
+        }
+    }
+
+    /// Puts records the writer took but did not persist back at the front
+    /// of the queue, ahead of anything pushed since, so the next take sees
+    /// the arrival order unchanged.
+    pub(crate) fn put_back(&self, tail: Vec<LogRecord>) {
+        let mut queue = lock(&self.records);
+        queue.splice(0..0, tail);
+    }
+
+    /// Hands a written frame's buffers back to the shard that built it,
+    /// leaving an empty frame behind. Only batch frames come back; a full
+    /// return list leaves the frame as it is.
+    pub(crate) fn recycle(&self, record: &mut LogRecord) {
+        let LogRecord::Batch(frame) = record else {
+            return;
+        };
+        let first = frame.decisions.first().map_or(0, |d| d.request_id);
+        let mut returns = lock(&self.returns[shard_of(first, self.returns.len())]);
+        if returns.len() < RETURN_FRAMES {
+            returns.push(BatchRecord {
+                component: std::mem::take(&mut frame.component),
+                decisions: std::mem::take(&mut frame.decisions),
+            });
+        }
+    }
+
+    /// A written frame handed back to `shard`, if one is waiting.
+    fn reclaim(&self, shard: usize) -> Option<BatchRecord> {
+        lock(&self.returns[shard % self.returns.len()]).pop()
+    }
+}
+
+impl std::fmt::Debug for LogQueue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LogQueue")
+            .field("queued", &lock(&self.records).len())
+            .finish_non_exhaustive()
+    }
+}
+
 /// Hang-up token: every [`DecisionLogger`] clone shares one; when the last
-/// clone drops, the writer learns the producers are gone — the ring
-/// equivalent of the old channel disconnect.
+/// clone drops, the writer learns the producers are gone.
 #[derive(Debug)]
 struct ProducerToken {
-    rings: Arc<LogRings>,
+    queue: Arc<LogQueue>,
 }
 
 impl Drop for ProducerToken {
     fn drop(&mut self) {
-        self.rings.producer_gone();
+        self.queue.hang_up();
     }
 }
 
 /// The producer half: cheap to clone, one per shard or caller thread.
 #[derive(Debug, Clone)]
 pub struct DecisionLogger {
-    rings: Arc<LogRings>,
+    queue: Arc<LogQueue>,
     budget: Arc<QueueBudget>,
     /// Queued records at which a push wakes a parked writer.
     bell_at: u64,
@@ -121,20 +254,20 @@ pub struct DecisionLogger {
 }
 
 impl DecisionLogger {
-    /// Builds the producer half over an existing ring set. Crate-internal:
+    /// Builds the producer half over an existing queue. Crate-internal:
     /// producers come from
     /// [`spawn_supervised_writer`](crate::supervisor::spawn_supervised_writer).
     pub(crate) fn new(
-        rings: Arc<LogRings>,
+        queue: Arc<LogQueue>,
         budget: Arc<QueueBudget>,
         metrics: Arc<ServeMetrics>,
     ) -> Self {
         let token = Arc::new(ProducerToken {
-            rings: Arc::clone(&rings),
+            queue: Arc::clone(&queue),
         });
         DecisionLogger {
             bell_at: (budget.capacity() / BELL_FRACTION).max(1),
-            rings,
+            queue,
             budget,
             metrics,
             _token: token,
@@ -161,9 +294,8 @@ impl DecisionLogger {
 
     /// Offers a frame whose capacity was reserved by
     /// [`reserve`](DecisionLogger::reserve), counting it `enqueued`. The
-    /// reservation guarantees ring space (frames ≤ records), so the push
-    /// cannot be refused — as long as any producer is alive the writer (or
-    /// its post-mortem drain) pops.
+    /// push cannot be refused: as long as any producer is alive the writer
+    /// (or its post-mortem drain) takes from the queue.
     ///
     /// The push wakes a parked writer only once the queue holds at least
     /// 1 / [`BELL_FRACTION`] of its capacity. Below that mark the writer
@@ -172,15 +304,15 @@ impl DecisionLogger {
     pub(crate) fn send_reserved(&self, record: LogRecord) {
         let n = record.record_count() as u64;
         self.metrics.record_enqueued_n(n);
-        self.rings.push(record);
+        self.queue.push(record);
         if self.budget.in_use() >= self.bell_at {
-            self.rings.ring_bell();
+            self.queue.ring_bell();
         }
     }
 
     /// A batch frame the writer has persisted and handed back to `shard`,
     /// for the engine to refill instead of allocating a new one.
     pub(crate) fn reclaim_frame(&self, shard: usize) -> Option<BatchRecord> {
-        self.rings.reclaim(shard)
+        self.queue.reclaim(shard)
     }
 }

@@ -152,21 +152,27 @@ impl ServeObs {
         }
     }
 
-    /// Journals one decision terminal for the stage timeline: the
-    /// decision's logical stamp plus the terminal class it reached. The
-    /// writer thread calls this alongside the trace terminal; the next
+    /// Journals decision terminals for the stage timeline: each decision's
+    /// logical stamp plus the terminal class it reached. The writer thread
+    /// calls this once per group, alongside the trace terminals; the next
     /// [`drain_stage_journal`](Self::drain_stage_journal) (a scope tick)
     /// turns entries into decide→terminal latency samples.
-    pub fn journal_stage_terminal(&self, decided_ns: u64, terminal: Terminal) {
+    pub fn journal_stage_terminals(
+        &self,
+        decided_ns: impl IntoIterator<Item = u64>,
+        terminal: Terminal,
+    ) {
         let mut journal = self.stage_journal.lock().unwrap_or_else(|e| e.into_inner());
-        if journal.len() >= STAGE_JOURNAL_CAP {
-            journal.pop_front();
-            self.stage_journal_dropped.fetch_add(1, Ordering::Relaxed);
+        for ns in decided_ns {
+            if journal.len() >= STAGE_JOURNAL_CAP {
+                journal.pop_front();
+                self.stage_journal_dropped.fetch_add(1, Ordering::Relaxed);
+            }
+            journal.push_back((ns, terminal));
         }
-        journal.push_back((decided_ns, terminal));
     }
 
-    /// Drains every journaled terminal, in writer (global ticket) order.
+    /// Drains every journaled terminal, in writer (arrival) order.
     pub fn drain_stage_journal(&self) -> Vec<(u64, Terminal)> {
         let mut journal = self.stage_journal.lock().unwrap_or_else(|e| e.into_inner());
         Vec::from(std::mem::take(&mut *journal))
@@ -297,9 +303,7 @@ mod tests {
     fn a_full_stage_journal_drops_its_oldest_entries_counted() {
         let obs = ServeObs::new();
         let pushed = STAGE_JOURNAL_CAP as u64 + 3;
-        for ns in 0..pushed {
-            obs.journal_stage_terminal(ns, Terminal::Written);
-        }
+        obs.journal_stage_terminals(0..pushed, Terminal::Written);
         assert_eq!(obs.stage_journal_dropped(), 3);
         let drained = obs.drain_stage_journal();
         assert_eq!(drained.len(), STAGE_JOURNAL_CAP);

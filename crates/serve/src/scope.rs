@@ -382,9 +382,8 @@ mod tests {
     fn stage_journal_becomes_latency_histograms() {
         let m = scoped_metrics();
         let obs = Arc::clone(m.obs().unwrap());
-        obs.journal_stage_terminal(100, Terminal::Written);
-        obs.journal_stage_terminal(300, Terminal::Written);
-        obs.journal_stage_terminal(200, Terminal::Dropped);
+        obs.journal_stage_terminals([100, 300], Terminal::Written);
+        obs.journal_stage_terminals([200], Terminal::Dropped);
         let cfg = ScopeConfig::builder().window_ns(1_000).build();
         let mut scope = HarvestScope::new(&cfg);
         scope.tick(1_000, &m, false);
@@ -508,7 +507,7 @@ mod tests {
                 }
                 m.obs()
                     .unwrap()
-                    .journal_stage_terminal(w * 100 - 10, Terminal::Written);
+                    .journal_stage_terminals([w * 100 - 10], Terminal::Written);
                 scope.tick(w * 100, &m, false);
             }
             let mut p = PromText::new();

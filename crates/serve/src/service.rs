@@ -287,9 +287,8 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
             ServePolicy::Uniform,
             "bootstrap-uniform",
         ));
-        // One SPSC ring per engine shard: each shard pushes to its own ring
-        // and the writer merges in ticket order, so log hand-off never
-        // contends across shards.
+        // One frame return list per engine shard, so a written batch frame
+        // goes back to the shard that built it.
         let (logger, writer) = spawn_resumed_writer(
             cfg.logger,
             cfg.supervisor,
@@ -645,7 +644,7 @@ impl<S: SegmentSink + Send + 'static> DecisionService<S> {
         let Some(writer) = self.writer.take() else {
             return Err(io::Error::other("service writer already shut down"));
         };
-        // Drop both producer handles so the rings signal hang-up.
+        // Drop both producer handles so the queue signals hang-up.
         drop(self.engine);
         drop(self.logger);
         writer.finish()
@@ -798,8 +797,8 @@ mod tests {
             ChaosPlan::none().kill_writer_at(0),
         );
         let ctx = SimpleContext::new(vec![0.5], 4);
-        // The kill fires as the writer thread starts (pre-pop, index 0);
-        // wait for the supervisor to observe the crash and give up.
+        // The kill fires as the writer thread starts (index 0, before any
+        // record); wait for the supervisor to observe the crash and give up.
         while svc.writer_alive() {
             std::thread::yield_now();
         }

@@ -9,25 +9,33 @@
 //!   incarnation. The bounded queue holds the backlog across the gap, so a
 //!   writer crash costs latency, never records.
 //!
+//! An incarnation commits in groups: it swaps the whole log queue (see
+//! [`logger`](crate::logger)) for its empty spare and persists everything
+//! it took under one writer lock, a slice of up to 64 frames per
+//! [`SegmentedLogWriter::write_all`], counting each slice with one ledger
+//! bump, one tracer-inbox lock and one stage-journal lock. A slice's
+//! budget reservation is released only after it is counted, or on unwind,
+//! so the queue budget bounds queued plus in-flight records.
+//!
 //! When the restart budget is exhausted the writer is declared permanently
-//! down: the supervisor keeps draining the queue, counting every record
-//! `dropped` — blocked producers are never wedged, and the conservation
-//! ledger (`enqueued == written + dropped + quarantined`) stays exact. The
-//! circuit breaker sees `alive() == false` and falls back to the safe
-//! policy.
+//! down: the supervisor keeps draining the queue, a group at a time,
+//! counting every record `dropped` — blocked producers are never wedged,
+//! and the conservation ledger (`enqueued == written + dropped +
+//! quarantined`) stays exact. The circuit breaker sees `alive() == false`
+//! and falls back to the safe policy.
 //!
 //! Fault injection rides the same path: a [`ChaosPlan`] keyed by record
-//! index can kill an incarnation before a pop (the record survives in the
+//! index can kill an incarnation before a record (the record survives in the
 //! queue) or tear a frame mid-append (the partial frame is counted
-//! quarantined here and again, identically, by segment recovery). Indices
-//! count *popped* records, so a kill — which pops nothing — cannot re-fire
-//! after restart; a cursor over the sorted kill list advances exactly once
-//! per scheduled kill.
-//!
-//! The queue itself is the per-shard SPSC ring set (the `ring` module): the
-//! writer pops frames in global ticket order, so the persisted stream for
-//! any deterministic call sequence is identical to what the old bounded
-//! MPSC channel produced, while producers never share a channel lock.
+//! quarantined here and again, identically, by segment recovery). The
+//! group is cut at its first scheduled fault: the records before it are
+//! written as a group, the fault is applied to its record, and the
+//! unwritten tail goes back to the front of the queue still holding its
+//! reservation, so the next incarnation sees exactly the stream a
+//! record-at-a-time writer would have. Indices count *attempted* records,
+//! so a kill — which attempts nothing — cannot re-fire after restart; a
+//! cursor over the sorted kill list advances exactly once per scheduled
+//! kill.
 
 use std::io;
 use std::panic;
@@ -44,10 +52,9 @@ use harvest_obs::Terminal;
 
 use crate::admission::QueueBudget;
 use crate::error::lock_recovering;
-use crate::logger::{DecisionLogger, LoggerConfig};
+use crate::logger::{DecisionLogger, LogQueue, LoggerConfig};
 use crate::metrics::ServeMetrics;
 use crate::obs::seal_observer;
-use crate::ring::LogRings;
 
 const SEQ: Ordering = Ordering::SeqCst;
 
@@ -117,13 +124,13 @@ impl SupervisorConfigBuilder {
 
 /// State shared between incarnations, the supervisor, and the handle.
 struct WriterShared<S> {
-    /// The per-shard ring set; popped in global ticket order.
-    rings: Arc<LogRings>,
-    /// Record-weighted queue bound, released as frames are popped.
+    /// The log queue; taken a whole group at a time.
+    queue: Arc<LogQueue>,
+    /// Record-weighted queue bound, released as groups are counted.
     budget: Arc<QueueBudget>,
     /// `Some` until [`WriterSupervisorHandle::finish`] takes the writer.
     writer: Mutex<Option<SegmentedLogWriter<S>>>,
-    /// Records popped from the queue so far — the fault-index clock.
+    /// Records attempted so far — the fault-index clock.
     attempted: AtomicU64,
     /// Sorted record indices with a scheduled kill, consumed left to right.
     kills: Vec<u64>,
@@ -132,134 +139,241 @@ struct WriterShared<S> {
     metrics: Arc<ServeMetrics>,
 }
 
-impl<S: SegmentSink> WriterShared<S> {
-    /// Marks a decision record's trace terminal. Must be called *before*
-    /// the matching ledger metric is bumped, so that a drained backlog
-    /// (`log_backlog == 0`) implies every trace has reached its terminal —
-    /// the tracer parks the event and every audit/export flushes parked
-    /// events first, which preserves that implication without this thread
-    /// taking a trace-shard lock per record. Outcome records carry no
-    /// trace of their own and are skipped.
-    fn note_terminal(&self, record: &LogRecord, terminal: Terminal) {
-        let Some(obs) = self.metrics.obs() else {
-            return;
-        };
-        match record {
-            LogRecord::Decision(d) => {
-                obs.tracer().terminal_deferred(d.request_id, terminal);
-                obs.journal_stage_terminal(d.timestamp_ns, terminal);
-            }
-            // A batch frame terminates every decision it carries — same
-            // terminal, one inbox push per id.
-            LogRecord::Batch(b) => {
-                for d in &b.decisions {
-                    obs.tracer().terminal_deferred(d.request_id, terminal);
-                    obs.journal_stage_terminal(d.timestamp_ns, terminal);
-                }
-            }
-            LogRecord::Outcome(_) => {}
-        }
-    }
+/// Logical records a frame carries: its weight in the queue budget and in
+/// the ledger.
+fn weight(records: &[LogRecord]) -> u64 {
+    records.iter().map(|r| r.record_count() as u64).sum()
+}
 
-    /// Panics if a kill is scheduled at or before `next_index`. Called
-    /// *before* popping, so the record in question stays queued for the
-    /// next incarnation.
-    fn maybe_fire_kill(&self, next_index: u64) {
-        let cursor = self.kill_cursor.load(SEQ);
-        if cursor < self.kills.len() && next_index >= self.kills[cursor] {
-            self.kill_cursor.store(cursor + 1, SEQ);
-            panic!("chaos: writer killed before record {next_index}");
-        }
-    }
+/// Frames the writer persists, counts and releases at a time. A taken
+/// group can hold the whole queue; committing it a slice at a time lets
+/// the producers refill the queue, and take back their written batch
+/// frames, while the rest of the group is written. Committing it at the
+/// end would hold the producers for the whole group and leave their next
+/// batches to allocate fresh frames.
+const SLICE_FRAMES: usize = 64;
 
-    /// Persists one popped record, applying any scheduled tear fault. A
-    /// batch frame advances the fault-index clock by its batch length (the
-    /// clock counts *logical* records, matching the single-call run), and a
-    /// fault scheduled anywhere inside that range fires on the whole frame.
-    /// A written batch frame goes back to its shard for reuse.
-    fn write_one(&self, record: LogRecord) {
-        let count = record.record_count() as u64;
-        let index = self.attempted.fetch_add(count.max(1), SEQ);
-        let fault = self
-            .chaos
-            .as_ref()
-            .and_then(|c| (index..index + count.max(1)).find_map(|i| c.writer_fault_at(i)));
-        let mut guard = lock_recovering(&self.writer, Some(&self.metrics));
-        let Some(writer) = guard.as_mut() else {
-            // The writer was already taken at shutdown; nothing to do but
-            // keep the ledger honest.
-            self.note_terminal(&record, Terminal::Dropped);
-            self.metrics.record_dropped_n(count);
-            return;
-        };
-        if let Some(WriterFault::Tear { keep_frac }) = fault {
-            // A crash mid-append: persist a strict prefix of the frame,
-            // count the record(s) quarantined, and die holding the lock —
-            // the poisoned mutex is part of the fault being injected. The
-            // runtime ledger counts the whole batch; at-rest recovery of a
-            // torn *batch* frame can only count the unparsable partial
-            // frame once, an undercount DESIGN.md §10 records.
-            if let Ok(frame) = encode_frame(&record) {
-                let keep = (((frame.len() - 1) as f64) * keep_frac.clamp(0.0, 1.0)) as usize;
-                let keep = keep.clamp(1, frame.len() - 1);
-                let _ = writer.append_raw(&frame[..keep]);
-            }
-            self.note_terminal(&record, Terminal::Quarantined);
-            self.metrics.record_quarantined(count);
-            panic!("chaos: torn write of record {index}");
-        }
-        match writer.write(&record) {
-            Ok(_) => {
-                self.note_terminal(&record, Terminal::Written);
-                // Handed back before it counts as written, so a drained
-                // ledger means every written frame is back (or was dropped
-                // by a full return ring).
-                self.rings.recycle(record);
-                self.metrics.record_written_n(count);
-            }
-            Err(_) => {
-                // The sink refused the append; the frame may be partial.
-                // Count the record(s) quarantined and seal the segment so
-                // the damage cannot spread into later frames.
-                self.note_terminal(&record, Terminal::Quarantined);
-                self.metrics.record_quarantined(count);
-                let _ = writer.rotate();
-            }
+/// A taken group's budget reservation. Each slice's share is released once
+/// the slice is counted; dropping the reservation releases the rest —
+/// on unwind too, so an injected panic can never leak queue capacity and
+/// wedge blocked producers.
+struct Reservation<'a> {
+    budget: &'a QueueBudget,
+    records: u64,
+}
+
+impl Reservation<'_> {
+    fn release(&mut self, records: u64) {
+        self.records -= records;
+        self.budget.release(records);
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        if self.records > 0 {
+            self.budget.release(self.records);
         }
     }
 }
 
-/// One writer incarnation: drain the rings (in global ticket order) in
-/// batches until the producers hang up. Returns normally only on hang-up.
-fn incarnation<S: SegmentSink>(shared: &WriterShared<S>) {
-    loop {
-        shared.maybe_fire_kill(shared.attempted.load(SEQ));
-        let Some(first) = shared.rings.pop_next(true) else {
-            // Producers gone and rings empty: flush and exit cleanly.
-            let mut guard = lock_recovering(&shared.writer, Some(&shared.metrics));
-            if let Some(w) = guard.as_mut() {
-                let _ = w.flush();
-            }
+/// Where a group is cut: the first record with a scheduled fault.
+enum Cut {
+    /// Kill the incarnation before this record.
+    Kill,
+    /// Tear this record's frame, keeping this fraction of it.
+    Tear(f64),
+}
+
+impl<S: SegmentSink> WriterShared<S> {
+    /// Marks the trace terminal of every decision `records` carry. Must be
+    /// called *before* the matching ledger metric is bumped, so that a
+    /// drained backlog (`log_backlog == 0`) implies every trace has reached
+    /// its terminal — the tracer parks the events and every audit/export
+    /// flushes parked events first, which preserves that implication
+    /// without this thread taking a trace-shard lock per record. Outcome
+    /// records carry no trace of their own and are skipped.
+    fn note_terminals(&self, records: &[LogRecord], terminal: Terminal) {
+        let Some(obs) = self.metrics.obs() else {
             return;
         };
-        // Release the budget at pop, before persisting: an injected
-        // mid-write panic must never leak queue capacity.
-        shared.budget.release(first.record_count() as u64);
-        shared.write_one(first);
-        // Batch: drain whatever is already queued before one flush.
-        loop {
-            shared.maybe_fire_kill(shared.attempted.load(SEQ));
-            match shared.rings.pop_next(false) {
-                Some(record) => {
-                    shared.budget.release(record.record_count() as u64);
-                    shared.write_one(record);
-                }
-                None => break,
+        let decisions = || {
+            records.iter().flat_map(|r| {
+                let (single, batch) = match r {
+                    LogRecord::Decision(d) => (Some((d.request_id, d.timestamp_ns)), &[][..]),
+                    LogRecord::Batch(b) => (None, &b.decisions[..]),
+                    LogRecord::Outcome(_) => (None, &[][..]),
+                };
+                single
+                    .into_iter()
+                    .chain(batch.iter().map(|d| (d.request_id, d.timestamp_ns)))
+            })
+        };
+        obs.tracer()
+            .terminal_deferred_many(decisions().map(|(id, _)| id), terminal);
+        obs.journal_stage_terminals(decisions().map(|(_, ts)| ts), terminal);
+    }
+
+    /// Whether a kill is scheduled at or before record `index`.
+    fn kill_due(&self, index: u64) -> bool {
+        self.kills
+            .get(self.kill_cursor.load(SEQ))
+            .is_some_and(|&kill| index >= kill)
+    }
+
+    /// Consumes the due kill and panics.
+    fn fire_kill(&self, index: u64) -> ! {
+        self.kill_cursor.fetch_add(1, SEQ);
+        panic!("chaos: writer killed before record {index}");
+    }
+
+    /// The first scheduled fault in `group`, with its position and the
+    /// fault-index clock at that record. A batch frame spans its batch
+    /// length on the clock (the clock counts *logical* records, matching
+    /// the single-call run), and a tear scheduled anywhere inside that span
+    /// fires on the whole frame, unless a kill comes first in the span.
+    fn first_fault(&self, group: &[LogRecord]) -> (usize, u64, Option<Cut>) {
+        let mut index = self.attempted.load(SEQ);
+        for (i, record) in group.iter().enumerate() {
+            if self.kill_due(index) {
+                return (i, index, Some(Cut::Kill));
             }
+            let span = record.record_count().max(1) as u64;
+            let fault = self
+                .chaos
+                .as_ref()
+                .and_then(|c| (index..index + span).find_map(|i| c.writer_fault_at(i)));
+            if let Some(WriterFault::Tear { keep_frac }) = fault {
+                return (i, index, Some(Cut::Tear(keep_frac)));
+            }
+            index += span;
+        }
+        (group.len(), index, None)
+    }
+
+    /// Persists one taken group, cut at its first scheduled fault, and
+    /// leaves `group` empty. Panics (after putting the unwritten tail back
+    /// on the queue) when the cut is a fault.
+    fn persist(&self, group: &mut Vec<LogRecord>) {
+        let mut reservation = Reservation {
+            budget: &self.budget,
+            records: weight(group),
+        };
+        let mut guard = lock_recovering(&self.writer, Some(&self.metrics));
+        let Some(writer) = guard.as_mut() else {
+            // The writer was already taken at shutdown; nothing to do but
+            // keep the ledger honest.
+            self.note_terminals(group, Terminal::Dropped);
+            self.metrics.record_dropped_n(weight(group));
+            group.clear();
+            return;
+        };
+        let (cut, index, fault) = self.first_fault(group);
+        let mut torn = None;
+        if let Some(fault) = &fault {
+            // The records past the fault are not attempted: they go back to
+            // the queue front, still holding their reservation.
+            let tail = group.split_off(cut + matches!(fault, Cut::Tear(_)) as usize);
+            reservation.records -= weight(&tail);
+            self.queue.put_back(tail);
+            if let Cut::Tear(_) = fault {
+                torn = group.pop();
+            }
+        }
+        for slice in group.chunks_mut(SLICE_FRAMES) {
+            let (written, quarantined) = self.write_group(writer, slice);
+            // Handed back before they count as written, so a drained ledger
+            // means every written frame is back (or was dropped by a full
+            // return list).
+            for record in slice {
+                self.queue.recycle(record);
+            }
+            self.metrics.record_quarantined(quarantined);
+            self.metrics.record_written_n(written);
+            reservation.release(written + quarantined);
+        }
+        group.clear();
+        self.attempted.store(index, SEQ);
+        match (fault, torn) {
+            (Some(Cut::Kill), _) => {
+                // A kill attempts nothing and holds no lock: unlike a torn
+                // write, it leaves the writer mutex unpoisoned.
+                drop(guard);
+                self.fire_kill(index);
+            }
+            (Some(Cut::Tear(keep_frac)), Some(torn)) => {
+                // A crash mid-append: persist a strict prefix of the frame,
+                // count the record(s) quarantined, and die holding the lock —
+                // the poisoned mutex is part of the fault being injected. The
+                // runtime ledger counts the whole batch; at-rest recovery of a
+                // torn *batch* frame can only count the unparsable partial
+                // frame once, an undercount DESIGN.md §10 records.
+                self.attempted
+                    .store(index + torn.record_count().max(1) as u64, SEQ);
+                if let Ok(frame) = encode_frame(&torn) {
+                    let keep = (((frame.len() - 1) as f64) * keep_frac.clamp(0.0, 1.0)) as usize;
+                    let keep = keep.clamp(1, frame.len() - 1);
+                    let _ = writer.append_raw(&frame[..keep]);
+                }
+                let torn = std::slice::from_ref(&torn);
+                self.note_terminals(torn, Terminal::Quarantined);
+                self.metrics.record_quarantined(weight(torn));
+                panic!("chaos: torn write of record {index}");
+            }
+            _ => {}
+        }
+    }
+
+    /// Writes `records` as one group and marks their terminals, returning
+    /// the logical records written and quarantined. A record the writer
+    /// refuses (its frame would exceed the frame limit, or the sink refused
+    /// the append) is quarantined with whatever the failure covers, and the
+    /// segment is sealed so the damage cannot spread into later frames; the
+    /// rest of the group is still written.
+    fn write_group(&self, writer: &mut SegmentedLogWriter<S>, records: &[LogRecord]) -> (u64, u64) {
+        let (mut written, mut quarantined) = (0, 0);
+        let mut rest = records;
+        while !rest.is_empty() {
+            let (ok, failed) = match writer.write_all(rest) {
+                Ok(_) => (rest.len(), 0),
+                Err(e) => (e.written, e.failed.max(1)),
+            };
+            let (ok_records, after) = rest.split_at(ok);
+            let (failed_records, after) = after.split_at(failed);
+            self.note_terminals(ok_records, Terminal::Written);
+            written += weight(ok_records);
+            if !failed_records.is_empty() {
+                self.note_terminals(failed_records, Terminal::Quarantined);
+                quarantined += weight(failed_records);
+                let _ = writer.rotate();
+            }
+            rest = after;
+        }
+        (written, quarantined)
+    }
+}
+
+/// One writer incarnation: take the queue a group at a time until the
+/// producers hang up. Returns normally only on hang-up.
+fn incarnation<S: SegmentSink>(shared: &WriterShared<S>) {
+    // The spare the queue is swapped into; its capacity is reused.
+    let mut group = Vec::new();
+    loop {
+        let index = shared.attempted.load(SEQ);
+        if shared.kill_due(index) {
+            shared.fire_kill(index);
+        }
+        let taken = shared.queue.take_all(&mut group);
+        if taken {
+            shared.persist(&mut group);
         }
         let mut guard = lock_recovering(&shared.writer, Some(&shared.metrics));
         if let Some(w) = guard.as_mut() {
             let _ = w.flush();
+        }
+        if !taken {
+            // Producers gone and the queue drained.
+            return;
         }
     }
 }
@@ -297,12 +411,15 @@ fn supervise<S: SegmentSink + Send + 'static>(
                     // producers never wedge; every queued or future record
                     // is counted dropped.
                     alive.store(false, SEQ);
-                    while let Some(record) = shared.rings.pop_next(true) {
-                        shared.budget.release(record.record_count() as u64);
-                        shared.note_terminal(&record, Terminal::Dropped);
-                        shared
-                            .metrics
-                            .record_dropped_n(record.record_count() as u64);
+                    let mut group = Vec::new();
+                    while shared.queue.take_all(&mut group) {
+                        let _reservation = Reservation {
+                            budget: &shared.budget,
+                            records: weight(&group),
+                        };
+                        shared.note_terminals(&group, Terminal::Dropped);
+                        shared.metrics.record_dropped_n(weight(&group));
+                        group.clear();
                     }
                     return;
                 }
@@ -364,7 +481,7 @@ pub(crate) struct WriterResume {
     /// already on disk, so the new incarnation appends instead of
     /// overwriting history.
     pub(crate) first_segment: u64,
-    /// Starting value of the fault-index clock (records popped so far): the
+    /// Starting value of the fault-index clock (records attempted so far): the
     /// records the previous incarnations durably accounted (`written +
     /// quarantined`), so a seeded [`ChaosPlan`]'s writer faults keyed below
     /// it — already consumed before the crash — can never re-fire.
@@ -372,15 +489,15 @@ pub(crate) struct WriterResume {
 }
 
 /// Spawns the supervised writer over `sink` and returns the producer half
-/// plus the supervisor handle. `shard_rings` is the number of per-shard
-/// SPSC rings producers push into — the engine's shard count, so each
-/// shard owns a ring; records route by deciding shard, so any value ≥ 1 is
-/// correct and fewer rings than shards just shares them. `chaos` is the
+/// plus the supervisor handle. `shards` is the number of shards the
+/// writer hands written batch frames back to — the engine's shard count;
+/// frames route by deciding shard, so any value ≥ 1 is correct and fewer
+/// than the shards just shares the return lists. `chaos` is the
 /// deterministic fault schedule (`None` in production).
 pub fn spawn_supervised_writer<S: SegmentSink + Send + 'static>(
     cfg: LoggerConfig,
     sup: SupervisorConfig,
-    shard_rings: usize,
+    shards: usize,
     metrics: Arc<ServeMetrics>,
     chaos: Option<Arc<ChaosPlan>>,
     sink: S,
@@ -388,7 +505,7 @@ pub fn spawn_supervised_writer<S: SegmentSink + Send + 'static>(
     spawn_resumed_writer(
         cfg,
         sup,
-        shard_rings,
+        shards,
         metrics,
         chaos,
         sink,
@@ -401,16 +518,26 @@ pub fn spawn_supervised_writer<S: SegmentSink + Send + 'static>(
 pub(crate) fn spawn_resumed_writer<S: SegmentSink + Send + 'static>(
     cfg: LoggerConfig,
     sup: SupervisorConfig,
-    shard_rings: usize,
+    shards: usize,
     metrics: Arc<ServeMetrics>,
     chaos: Option<Arc<ChaosPlan>>,
     sink: S,
     resume: WriterResume,
 ) -> (DecisionLogger, WriterSupervisorHandle<S>) {
-    // The rings are sized in frames only as a backstop; the record-
-    // weighted QueueBudget is the real bound (frames ≤ records, so no ring
-    // can fill while the budget has room).
-    let rings = Arc::new(LogRings::new(shard_rings.max(1), cfg.capacity.max(1)));
+    let (logger, shared) = writer_parts(cfg, shards, metrics, chaos, sink, resume);
+    (logger, launch(shared, sup))
+}
+
+/// The producer half and the writer state, before any writer runs.
+fn writer_parts<S: SegmentSink>(
+    cfg: LoggerConfig,
+    shards: usize,
+    metrics: Arc<ServeMetrics>,
+    chaos: Option<Arc<ChaosPlan>>,
+    sink: S,
+    resume: WriterResume,
+) -> (DecisionLogger, Arc<WriterShared<S>>) {
+    let queue = Arc::new(LogQueue::new(shards));
     let budget = Arc::new(QueueBudget::new(cfg.capacity.max(1) as u64));
     let kills = chaos.as_ref().map(|c| c.writer_kills()).unwrap_or_default();
     let mut writer = SegmentedLogWriter::with_start(sink, cfg.segment, resume.first_segment);
@@ -420,10 +547,10 @@ pub(crate) fn spawn_resumed_writer<S: SegmentSink + Send + 'static>(
     // Resume the fault-index clock where the previous incarnation durably
     // left it: kills keyed strictly below it already fired before the
     // crash, so the cursor starts past them; a kill keyed exactly at the
-    // resume index targets a record not yet popped and stays armed.
+    // resume index targets a record not yet attempted and stays armed.
     let kill_cursor = kills.partition_point(|&k| k < resume.first_record_index);
     let shared = Arc::new(WriterShared {
-        rings: Arc::clone(&rings),
+        queue: Arc::clone(&queue),
         budget: Arc::clone(&budget),
         writer: Mutex::new(Some(writer)),
         attempted: AtomicU64::new(resume.first_record_index),
@@ -432,6 +559,14 @@ pub(crate) fn spawn_resumed_writer<S: SegmentSink + Send + 'static>(
         chaos,
         metrics: Arc::clone(&metrics),
     });
+    (DecisionLogger::new(queue, budget, metrics), shared)
+}
+
+/// Starts the supervisor, and through it the first writer incarnation.
+fn launch<S: SegmentSink + Send + 'static>(
+    shared: Arc<WriterShared<S>>,
+    sup: SupervisorConfig,
+) -> WriterSupervisorHandle<S> {
     let alive = Arc::new(AtomicBool::new(true));
     let supervisor = {
         let shared = Arc::clone(&shared);
@@ -441,21 +576,19 @@ pub(crate) fn spawn_resumed_writer<S: SegmentSink + Send + 'static>(
             .spawn(move || supervise(shared, sup, alive))
             .expect("spawn log writer supervisor")
     };
-    (
-        DecisionLogger::new(rings, budget, metrics),
-        WriterSupervisorHandle {
-            supervisor,
-            shared,
-            alive,
-        },
-    )
+    WriterSupervisorHandle {
+        supervisor,
+        shared,
+        alive,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harvest_log::record::OutcomeRecord;
-    use harvest_log::segment::{MemorySegments, SegmentConfig};
+    use crate::metrics::MetricsSnapshot;
+    use harvest_log::record::{BatchDecision, BatchRecord, DecisionRecord, OutcomeRecord};
+    use harvest_log::segment::{MemorySegments, SegmentConfig, MAX_FRAME_LEN};
 
     fn outcome(id: u64) -> LogRecord {
         LogRecord::Outcome(OutcomeRecord {
@@ -598,9 +731,9 @@ mod tests {
         let store = handle.finish().unwrap();
         let (_, stats) = store.recover();
         let s = metrics.snapshot();
-        // Incarnation 0 dies pre-pop; each restarted incarnation writes one
-        // record before the next per-record kill fires; the third kill
-        // exhausts the budget of 2 restarts.
+        // Incarnation 0 dies before its first record; each restarted
+        // incarnation writes one record before the next per-record kill
+        // fires; the third kill exhausts the budget of 2 restarts.
         assert_eq!(s.writer_restarts, 2);
         assert_eq!(s.log_written, 2);
         assert_eq!(s.log_enqueued, 100);
@@ -641,5 +774,139 @@ mod tests {
         let a = run();
         let b = run();
         assert_eq!(a, b, "same schedule must leave byte-identical segments");
+    }
+
+    /// A frame of 16 decisions with ids `first..first + 16`.
+    fn batch(first: u64) -> LogRecord {
+        LogRecord::Batch(BatchRecord {
+            component: "batch".to_string(),
+            decisions: (first..first + 16)
+                .map(|id| BatchDecision {
+                    request_id: id,
+                    timestamp_ns: id,
+                    shared_features: vec![id as f64],
+                    action_features: None,
+                    num_actions: 4,
+                    action: (id % 4) as usize,
+                    propensity: Some(0.25),
+                    reward: None,
+                })
+                .collect(),
+        })
+    }
+
+    /// Writes `records` under `plan` and returns the segment bytes and the
+    /// ledger. `prefilled` queues the whole schedule before the first
+    /// incarnation starts, so the writer takes it as one group and cuts it
+    /// at each fault; otherwise each record is logged only once the
+    /// previous one is accounted, one record per group.
+    fn run_schedule(
+        plan: ChaosPlan,
+        records: &[LogRecord],
+        prefilled: bool,
+    ) -> (Vec<Vec<u8>>, MetricsSnapshot) {
+        let metrics = Arc::new(ServeMetrics::new());
+        let (logger, shared) = writer_parts(
+            cfg(256),
+            1,
+            Arc::clone(&metrics),
+            Some(Arc::new(plan)),
+            MemorySegments::new(),
+            WriterResume::default(),
+        );
+        let handle = if prefilled {
+            for record in records {
+                logger.log(record.clone());
+            }
+            launch(shared, SupervisorConfig::default())
+        } else {
+            let handle = launch(shared, SupervisorConfig::default());
+            for record in records {
+                logger.log(record.clone());
+                let mut waited_ms = 0;
+                while metrics.snapshot().log_backlog > 0 {
+                    waited_ms += 1;
+                    assert!(waited_ms < 10_000, "a record was never accounted");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            handle
+        };
+        drop(logger);
+        (handle.finish().unwrap().snapshot(), metrics.snapshot())
+    }
+
+    /// The ledger rows a fault schedule moves.
+    fn ledger(s: &MetricsSnapshot) -> [u64; 6] {
+        [
+            s.log_enqueued,
+            s.log_written,
+            s.log_dropped,
+            s.log_quarantined,
+            s.writer_restarts,
+            s.lock_recoveries,
+        ]
+    }
+
+    #[test]
+    fn a_group_cut_at_its_faults_matches_one_record_at_a_time() {
+        // 40 frames; every fifth, from the third, is a 16-decision batch.
+        // On the logical-record clock, frame 2 spans 2..18, frames 3 and 4
+        // sit at 18 and 19, frame 7 spans 22..38 and frame 12 spans 42..58.
+        let records: Vec<LogRecord> = (0..40u64)
+            .map(|i| {
+                if i % 5 == 2 {
+                    batch(1_000 + i * 16)
+                } else {
+                    outcome(i)
+                }
+            })
+            .collect();
+        let plan = || {
+            ChaosPlan::none()
+                // Before frame 4.
+                .kill_writer_at(19)
+                // Inside frame 7's batch: the whole frame tears.
+                .tear_writer_at(27, 0.4)
+                // Inside frame 12's batch: fires before frame 13.
+                .kill_writer_at(45)
+        };
+        let (grouped, grouped_ledger) = run_schedule(plan(), &records, true);
+        let (single, single_ledger) = run_schedule(plan(), &records, false);
+        assert_eq!(grouped, single, "segment bytes differ");
+        assert_eq!(ledger(&grouped_ledger), ledger(&single_ledger));
+        // 8 batches of 16 and 32 outcomes; the torn batch is quarantined,
+        // each fault costs one restart, and the tear poisons the writer
+        // lock once.
+        assert_eq!(ledger(&grouped_ledger), [160, 144, 0, 16, 3, 1]);
+    }
+
+    #[test]
+    fn an_oversized_record_is_quarantined_alone_and_its_neighbours_are_written() {
+        let big = LogRecord::Decision(DecisionRecord {
+            request_id: 2,
+            timestamp_ns: 2,
+            component: "x".repeat(MAX_FRAME_LEN),
+            shared_features: Vec::new(),
+            action_features: None,
+            num_actions: 2,
+            action: 0,
+            propensity: Some(0.5),
+            reward: None,
+        });
+        let records = [outcome(0), outcome(1), big, outcome(3), outcome(4)];
+        let (grouped, grouped_ledger) = run_schedule(ChaosPlan::none(), &records, true);
+        let (single, single_ledger) = run_schedule(ChaosPlan::none(), &records, false);
+        assert_eq!(grouped, single, "segment bytes differ");
+        assert_eq!(ledger(&grouped_ledger), ledger(&single_ledger));
+        assert_eq!(ledger(&grouped_ledger), [5, 4, 0, 1, 0, 0]);
+        // The refusal seals the segment; nothing of the record reached it.
+        assert_eq!(grouped.len(), 2);
+        let (recovered, stats) = harvest_log::segment::recover_segments(&grouped);
+        assert_eq!(
+            recovered,
+            vec![outcome(0), outcome(1), outcome(3), outcome(4)]
+        );
+        assert_eq!(stats.quarantined_records, 0);
     }
 }

@@ -207,10 +207,10 @@ impl FaultEffect {
 /// the record it is about to process.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum WriterFault {
-    /// The writer thread panics *before* popping the record: nothing is
+    /// The writer thread panics *before* attempting the record: nothing is
     /// lost — the record stays queued for the restarted incarnation.
     Kill,
-    /// The writer pops the record, appends only `keep_frac` of its frame
+    /// The writer attempts the record, appends only `keep_frac` of its frame
     /// bytes (clamped to at least one and at most all-but-one), then
     /// panics: the at-rest image of a crash mid-`write(2)`.
     Tear {

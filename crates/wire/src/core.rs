@@ -394,9 +394,9 @@ impl<S: SegmentSink + Send + 'static> WireCore<S> {
     /// decisions *and* the rewards joining back to them — lands on one
     /// worker. This is the worker-pool half of the engine's shard-affinity
     /// contract: with each shard owned by one worker, the shard lock stays
-    /// uncontended and the shard's SPSC log-ring producer gate stays
-    /// private to that worker. Cross-worker traffic would still be
-    /// *correct* (it waits on the shard lock), but it pays cache-line
+    /// uncontended and the shard's log frame return list stays private to
+    /// that worker. Cross-worker traffic would still be *correct* (it
+    /// waits on the shard lock), but it pays cache-line
     /// handoffs the affine path never sees — so routing here is a
     /// performance invariant, not a safety one.
     /// Pings and unroutable requests go to worker 0.

@@ -181,7 +181,7 @@ fn main() {
         snapshot.degraded_decisions,
     );
     // Read the log ledger only after shutdown has drained the writer:
-    // records still in the ring count as enqueued but not yet written.
+    // records still queued count as enqueued but not yet written.
     let handle = svc.metrics_handle();
     svc.shutdown().unwrap();
     let drained = handle.snapshot();

@@ -101,7 +101,7 @@ fn main() {
         .ok()
         .expect("all wire handles released");
     // Snapshot the log ledger only after shutdown has drained the writer:
-    // records still in the ring count as enqueued but not yet written.
+    // records still queued count as enqueued but not yet written.
     let handle = svc.metrics_handle();
     svc.shutdown().expect("clean shutdown");
     let metrics = handle.snapshot();

@@ -1,9 +1,9 @@
 //! Seeded concurrency stress over the hot path.
 //!
-//! The per-shard SPSC log rings and the atomic queue budget rest on
-//! ordering arguments, and the shard locks and the policy registry on the
-//! claim that the hot path keeps them uncontended — so this test hammers
-//! all of them at once and then audits the books:
+//! The log queue and the atomic queue budget rest on ordering arguments,
+//! and the shard locks and the policy registry on the claim that the hot
+//! path keeps them uncontended — so this test hammers all of them at once
+//! and then audits the books:
 //!
 //! * four shard-affine workers serve singles and batches on their own
 //!   shards while a **rogue** thread violates affinity on shard 0 (the
@@ -12,9 +12,15 @@
 //!   every shard's cached-generation check races the swaps;
 //! * a chaos thread arms shard wedges mid-traffic, and a checkpointer
 //!   concurrently snapshots shard states through the same locks;
-//! * the writer thread drains the ticket-ordered rings underneath it all.
+//! * the writer thread takes the queue a group at a time underneath it
+//!   all.
 //!
-//! A second storm drives the whole service: shard-affine callers decide in
+//! A two-producer run against a deliberately slow sink samples the ledger
+//! throughout: the writer holds each group's budget reservation until the
+//! group is counted, so the backlog — queued plus in-flight records —
+//! never exceeds the queue capacity.
+//!
+//! A third storm drives the whole service: shard-affine callers decide in
 //! batches and reward on their own shard's joiner after a lag, while a
 //! rogue thread rewards ids of every shard, twice each. Every reward
 //! offered must land in exactly one join counter, every join must reach the
@@ -26,16 +32,17 @@
 //! segment stream matches the written count, wedge recoveries reconcile
 //! with the faults armed, and the registry generation equals the number of
 //! promotions. CI runs this under `-C debug-assertions` in release mode so
-//! the internal `debug_assert!`s in the ring module stay armed under
-//! optimized codegen.
+//! the internal `debug_assert!`s stay armed under optimized codegen.
 
 use std::collections::VecDeque;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use harvest::core::SimpleContext;
-use harvest::logs::record::LogRecord;
-use harvest::logs::segment::MemorySegments;
+use harvest::logs::record::{LogRecord, OutcomeRecord};
+use harvest::logs::segment::{MemorySegments, SegmentSink};
 use harvest::serve::{
     spawn_supervised_writer, DecisionBatch, DecisionEngine, DecisionService, EngineConfig,
     LoggerConfig, PolicyRegistry, ServeConfig, ServeMetrics, ServePolicy, SupervisorConfig,
@@ -271,6 +278,81 @@ fn storm_with_blocking_backpressure_loses_nothing() {
 #[test]
 fn storm_on_a_nearly_full_queue_blocks_and_loses_nothing() {
     run_storm(32);
+}
+
+/// A sink that takes its time over every append, so a group stays in
+/// flight long enough for the producers to refill the queue behind it.
+#[derive(Default)]
+struct SlowSink(MemorySegments);
+
+impl SegmentSink for SlowSink {
+    fn append(&mut self, segment: u64, bytes: &[u8]) -> io::Result<()> {
+        std::thread::sleep(Duration::from_micros(200));
+        self.0.append(segment, bytes)
+    }
+
+    fn flush(&mut self, segment: u64) -> io::Result<()> {
+        self.0.flush(segment)
+    }
+}
+
+/// Two producers against a slow writer: the backlog the ledger reports —
+/// records enqueued but not yet written, dropped or quarantined — stays
+/// within the queue capacity at every sample, and the ledger balances.
+#[test]
+fn backlog_never_exceeds_the_capacity_behind_a_slow_writer() {
+    const CAPACITY: usize = 32;
+    const PER_PRODUCER: u64 = 2_000;
+    let metrics = Arc::new(ServeMetrics::new());
+    let (logger, writer) = spawn_supervised_writer(
+        LoggerConfig::builder().capacity(CAPACITY).build(),
+        SupervisorConfig::default(),
+        2,
+        Arc::clone(&metrics),
+        None,
+        SlowSink::default(),
+    );
+    let peak_backlog = AtomicU64::new(0);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let producers: Vec<_> = (0..2u64)
+            .map(|shard| {
+                let logger = logger.clone();
+                s.spawn(move || {
+                    for seq in 0..PER_PRODUCER {
+                        logger.log(LogRecord::Outcome(OutcomeRecord {
+                            request_id: (shard << SEQ_BITS) | seq,
+                            timestamp_ns: seq,
+                            reward: 1.0,
+                        }));
+                    }
+                })
+            })
+            .collect();
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                let backlog = metrics.snapshot().log_backlog;
+                peak_backlog.fetch_max(backlog, Ordering::Relaxed);
+                std::thread::yield_now();
+            }
+        });
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    drop(logger);
+    let store = writer.finish().unwrap();
+    let s = metrics.snapshot();
+    assert_eq!(s.log_enqueued, 2 * PER_PRODUCER);
+    assert_eq!(s.log_written, s.log_enqueued, "{s:?}");
+    assert_eq!(s.log_backlog, 0);
+    assert_eq!(store.0.recover().0.len() as u64, s.log_written);
+    let peak_backlog = peak_backlog.load(Ordering::Relaxed);
+    assert!(
+        peak_backlog <= CAPACITY as u64,
+        "backlog reached {peak_backlog} records against a capacity of {CAPACITY}"
+    );
 }
 
 const STORM_BATCHES: usize = 400; // per shard-affine caller
