@@ -4,7 +4,6 @@ use harvest_core::learner::{ModelingMode, RegressionCbLearner, SampleWeighting};
 use harvest_core::policy::UniformPolicy;
 use harvest_core::simulate::simulate_exploration;
 use harvest_estimators::direct::direct_method;
-use harvest_estimators::evaluator::ModelEstimatorKind;
 use harvest_estimators::{EstimatorKind, OffPolicyEvaluator};
 use harvest_sim_mh::{generate_dataset, MachineHealthConfig};
 use harvest_sim_net::rng::fork_rng_indexed;
@@ -60,13 +59,7 @@ pub fn estimator_ablation(cfg: &ExperimentConfig) -> Vec<EstimatorRow> {
                 .evaluate(&expl, &policy)
                 .value,
             direct_method(&expl, &policy, &model).value,
-            OffPolicyEvaluator::evaluate_with_model(
-                &expl,
-                &policy,
-                &model,
-                ModelEstimatorKind::DoublyRobust,
-            )
-            .value,
+            OffPolicyEvaluator::evaluate_with_model(&expl, &policy, &model).value,
         ];
         for (i, v) in values.into_iter().enumerate() {
             sums[i] += v;

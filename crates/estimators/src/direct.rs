@@ -34,21 +34,6 @@ where
     Estimate::from_terms(&terms, matched)
 }
 
-/// Direct-method estimate over bare contexts (no logged actions needed) —
-/// usable on any stream of contexts, e.g. a holdout set.
-pub fn direct_method_on_contexts<C, P, M>(contexts: &[C], policy: &P, model: &M) -> Estimate
-where
-    C: Context,
-    P: Policy<C> + ?Sized,
-    M: Scorer<C> + ?Sized,
-{
-    let terms: Vec<f64> = contexts
-        .iter()
-        .map(|c| model.score(c, policy.choose(c)))
-        .collect();
-    Estimate::from_terms(&terms, 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,14 +116,5 @@ mod tests {
         let e = direct_method(&data, &ConstantPolicy::new(0), &wrong);
         assert_eq!(e.value, 1.0); // no amount of data fixes it
         assert_eq!(e.std_err, 0.0);
-    }
-
-    #[test]
-    fn contexts_only_variant() {
-        let contexts: Vec<SimpleContext> = (0..10).map(|_| SimpleContext::contextless(2)).collect();
-        let model = TableScorer::new(vec![0.25, 0.5]);
-        let e = direct_method_on_contexts(&contexts, &ConstantPolicy::new(1), &model);
-        assert_eq!(e.value, 0.5);
-        assert_eq!(e.n, 10);
     }
 }

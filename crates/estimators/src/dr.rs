@@ -14,14 +14,13 @@
 #[cfg(test)]
 mod tests {
     use crate::direct::direct_method;
-    use crate::evaluator::{eval_dr, eval_ips};
-    use crate::ips::ips_terms;
+    use crate::{EstimatorKind, OffPolicyEvaluator};
     use harvest_core::policy::{ConstantPolicy, UniformPolicy};
     use harvest_core::sample::{FullFeedbackDataset, FullFeedbackSample, LoggedDecision};
     use harvest_core::scorer::TableScorer;
     use harvest_core::simulate::simulate_exploration;
     use harvest_core::Dataset;
-    use harvest_core::SimpleContext;
+    use harvest_core::{Policy, SimpleContext};
     use rand::Rng;
     use rand::SeedableRng;
 
@@ -56,7 +55,7 @@ mod tests {
         )
         .unwrap();
         let perfect = TableScorer::new(vec![0.3, 0.8]);
-        let e = eval_dr(&data, &ConstantPolicy::new(1), &perfect);
+        let e = OffPolicyEvaluator::evaluate_with_model(&data, &ConstantPolicy::new(1), &perfect);
         assert!((e.value - 0.8).abs() < 1e-12);
         assert!(e.std_err < 1e-12, "residuals are zero -> no variance");
     }
@@ -71,7 +70,7 @@ mod tests {
         let truth = full.value_of_policy(&pol).unwrap();
         let dm = direct_method(&expl, &pol, &wrong);
         assert!((dm.value - truth).abs() > 0.3, "DM should be badly biased");
-        let dr = eval_dr(&expl, &pol, &wrong);
+        let dr = OffPolicyEvaluator::evaluate_with_model(&expl, &pol, &wrong);
         assert!(
             (dr.value - truth).abs() < 0.03,
             "DR {} vs truth {truth}",
@@ -88,8 +87,8 @@ mod tests {
         // matches E[r] so residuals are centered.
         let model = TableScorer::new(vec![0.5, 0.5]);
         let pol = ConstantPolicy::new(0);
-        let dr = eval_dr(&expl, &pol, &model);
-        let ips_e = eval_ips(&expl, &pol);
+        let dr = OffPolicyEvaluator::evaluate_with_model(&expl, &pol, &model);
+        let ips_e = OffPolicyEvaluator::new(EstimatorKind::Ips).evaluate(&expl, &pol);
         assert!(
             dr.std_err < ips_e.std_err,
             "dr se {} vs ips se {}",
@@ -107,8 +106,17 @@ mod tests {
         let expl = simulate_exploration(&full, &UniformPolicy::new(), &mut rng);
         let zero = TableScorer::new(vec![0.0, 0.0]);
         let pol = ConstantPolicy::new(1);
-        let dr = eval_dr(&expl, &pol, &zero);
-        let terms = ips_terms(&expl, &pol);
+        let dr = OffPolicyEvaluator::evaluate_with_model(&expl, &pol, &zero);
+        let terms: Vec<f64> = expl
+            .iter()
+            .map(|s| {
+                if pol.choose(&s.context) == s.action {
+                    s.reward / s.propensity
+                } else {
+                    0.0
+                }
+            })
+            .collect();
         let ips_value = terms.iter().sum::<f64>() / terms.len() as f64;
         assert!((dr.value - ips_value).abs() < 1e-12);
     }

@@ -1,100 +1,48 @@
 //! A unified evaluation front end: estimator selection, bootstrap
 //! confidence intervals, and exploration-data diagnostics.
+//!
+//! Every estimate here is a one-candidate fold over the portfolio's
+//! accumulators: a deterministic policy is a candidate whose weight is
+//! `1{π(x)=a}/p`, and its IPS, SNIPS and DR terms are the ones the
+//! promotion gate folds over segment logs.
 
 use rand::Rng;
 
-use harvest_core::{Context, Dataset, Policy, Scorer};
+use harvest_core::{Context, Dataset, LoggedDecision, Policy, Scorer};
 use serde::Serialize;
 
-use crate::direct::direct_method;
 use crate::estimate::Estimate;
+use crate::fold::CandidateState;
 
-/// Implementation behind [`EstimatorKind::Ips`].
-pub(crate) fn eval_ips<C: Context, P: Policy<C> + ?Sized>(
-    data: &Dataset<C>,
+/// Folds `samples` through one candidate's accumulators for the
+/// deterministic `policy`: each sample's weight is `1{π(x)=a}/p`, its DR
+/// baseline `r̂(x, π(x))` and its logged-action score `r̂(x, a)`. Returns
+/// the fold and the number of samples on which `policy` chose the logged
+/// action.
+fn fold<'a, C, P>(
+    samples: impl IntoIterator<Item = &'a LoggedDecision<C>>,
     policy: &P,
-) -> Estimate {
-    eval_clipped_ips(data, policy, f64::INFINITY)
-}
-
-/// Implementation behind [`EstimatorKind::ClippedIps`].
-pub(crate) fn eval_clipped_ips<C: Context, P: Policy<C> + ?Sized>(
-    data: &Dataset<C>,
-    policy: &P,
-    max_weight: f64,
-) -> Estimate {
-    assert!(max_weight > 0.0, "max_weight must be positive");
-    let mut terms = Vec::with_capacity(data.len());
-    let mut matched = 0;
-    for s in data {
-        if policy.choose(&s.context) == s.action {
-            matched += 1;
-            let w = (1.0 / s.propensity).min(max_weight);
-            terms.push(s.reward * w);
-        } else {
-            terms.push(0.0);
-        }
-    }
-    Estimate::from_terms(&terms, matched)
-}
-
-/// Implementation behind [`EstimatorKind::Snips`].
-pub(crate) fn eval_snips<C: Context, P: Policy<C> + ?Sized>(
-    data: &Dataset<C>,
-    policy: &P,
-) -> Estimate {
-    let mut num = 0.0;
-    let mut den = 0.0;
-    let mut matched = 0;
-    let mut matched_terms = Vec::new();
-    for s in data {
-        if policy.choose(&s.context) == s.action {
-            matched += 1;
-            let w = 1.0 / s.propensity;
-            num += s.reward * w;
-            den += w;
-            matched_terms.push(s.reward);
-        }
-    }
-    if den == 0.0 {
-        return Estimate {
-            value: 0.0,
-            n: data.len(),
-            matched: 0,
-            std_err: 0.0,
-        };
-    }
-    // Std-err proxy: spread of matched rewards over √matched. (The exact
-    // delta-method variance needs weight covariances; this proxy is
-    // reported for diagnostics only.)
-    let est = Estimate::from_terms(&matched_terms, matched);
-    Estimate {
-        value: num / den,
-        n: data.len(),
-        matched,
-        std_err: est.std_err,
-    }
-}
-
-/// Implementation behind [`ModelEstimatorKind::DoublyRobust`].
-pub(crate) fn eval_dr<C, P, M>(data: &Dataset<C>, policy: &P, model: &M) -> Estimate
+    clip: f64,
+    model: impl Fn(&C, usize) -> f64,
+) -> (CandidateState, usize)
 where
-    C: Context,
+    C: Context + 'a,
     P: Policy<C> + ?Sized,
-    M: Scorer<C> + ?Sized,
 {
-    let mut terms = Vec::with_capacity(data.len());
+    let mut state = CandidateState::new(clip);
     let mut matched = 0;
-    for s in data {
-        let a_pi = policy.choose(&s.context);
-        let mut term = model.score(&s.context, a_pi);
-        if a_pi == s.action {
+    for s in samples {
+        let chosen = policy.choose(&s.context);
+        let weight = if chosen == s.action {
             matched += 1;
-            term += (s.reward - model.score(&s.context, s.action)) / s.propensity;
-        }
-        terms.push(term);
+            1.0 / s.propensity
+        } else {
+            0.0
+        };
+        let baseline = model(&s.context, chosen);
+        state.observe(s.reward, weight, baseline, model(&s.context, s.action));
     }
-    Estimate::from_terms(&terms, matched)
+    (state, matched)
 }
 
 /// Which model-free estimator to use.
@@ -106,15 +54,6 @@ pub enum EstimatorKind {
     ClippedIps(f64),
     /// Self-normalized IPS.
     Snips,
-}
-
-/// Which model-based estimator to use (both need a reward model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum ModelEstimatorKind {
-    /// Direct method: trust the model.
-    DirectMethod,
-    /// Doubly robust: model baseline + IPS correction.
-    DoublyRobust,
 }
 
 /// Evaluates policies on exploration data with a chosen estimator.
@@ -140,29 +79,46 @@ impl OffPolicyEvaluator {
         data: &Dataset<C>,
         policy: &P,
     ) -> Estimate {
+        self.estimate(data, policy)
+    }
+
+    /// The configured estimator over `samples`: IPS or clipped IPS reads the
+    /// fold's mean, SNIPS its `Σ w·r / Σ w`.
+    fn estimate<'a, C, P>(
+        &self,
+        samples: impl IntoIterator<Item = &'a LoggedDecision<C>>,
+        policy: &P,
+    ) -> Estimate
+    where
+        C: Context + 'a,
+        P: Policy<C> + ?Sized,
+    {
+        let clip = match self.kind {
+            EstimatorKind::ClippedIps(max) => {
+                assert!(max > 0.0, "max_weight must be positive");
+                max
+            }
+            EstimatorKind::Ips | EstimatorKind::Snips => f64::INFINITY,
+        };
+        let (state, matched) = fold(samples, policy, clip, |_, _| 0.0);
         match self.kind {
-            EstimatorKind::Ips => eval_ips(data, policy),
-            EstimatorKind::ClippedIps(max) => eval_clipped_ips(data, policy, max),
-            EstimatorKind::Snips => eval_snips(data, policy),
+            EstimatorKind::Snips => state.snips.estimate(state.snips_value(), matched),
+            EstimatorKind::Ips | EstimatorKind::ClippedIps(_) => {
+                state.ips.estimate(state.ips.mean(), matched)
+            }
         }
     }
 
-    /// Point estimate with a reward model (direct method / doubly robust).
-    pub fn evaluate_with_model<C, P, M>(
-        data: &Dataset<C>,
-        policy: &P,
-        model: &M,
-        kind: ModelEstimatorKind,
-    ) -> Estimate
+    /// Doubly-robust estimate of `policy` on `data`: the reward model's
+    /// baseline plus the IPS-weighted residual.
+    pub fn evaluate_with_model<C, P, M>(data: &Dataset<C>, policy: &P, model: &M) -> Estimate
     where
         C: Context,
         P: Policy<C> + ?Sized,
         M: Scorer<C> + ?Sized,
     {
-        match kind {
-            ModelEstimatorKind::DirectMethod => direct_method(data, policy, model),
-            ModelEstimatorKind::DoublyRobust => eval_dr(data, policy, model),
-        }
+        let (state, matched) = fold(data, policy, f64::INFINITY, |x, a| model.score(x, a));
+        state.dr.estimate(state.dr.mean(), matched)
     }
 
     /// Bootstrap percentile confidence interval for the estimate.
@@ -180,7 +136,7 @@ impl OffPolicyEvaluator {
         rng: &mut R,
     ) -> (f64, f64)
     where
-        C: Context + Clone,
+        C: Context,
         P: Policy<C> + ?Sized,
         R: Rng + ?Sized,
     {
@@ -193,11 +149,8 @@ impl OffPolicyEvaluator {
         let samples = data.samples();
         let mut values = Vec::with_capacity(reps);
         for _ in 0..reps {
-            let resample: Vec<_> = (0..n)
-                .map(|_| samples[rng.gen_range(0..n)].clone())
-                .collect();
-            let ds = Dataset::from_samples(resample).expect("resampled from valid data");
-            values.push(self.evaluate(&ds, policy).value);
+            let resample = (0..n).map(|_| &samples[rng.gen_range(0..n)]);
+            values.push(self.estimate(resample, policy).value);
         }
         values.sort_by(|a, b| a.partial_cmp(b).expect("finite estimates"));
         let pick = |q: f64| {
@@ -209,36 +162,6 @@ impl OffPolicyEvaluator {
         };
         (pick(lo_q), pick(hi_q))
     }
-}
-
-/// The IPS estimate of `policy` together with a data-dependent empirical
-/// Bernstein confidence radius (simultaneously valid for `k` policies at
-/// the bound config's δ).
-///
-/// Tighter than Eq. 1 whenever the realized importance weights are benign;
-/// this is the bound a production evaluator would report per candidate.
-pub fn ips_with_bernstein<C, P>(
-    data: &Dataset<C>,
-    policy: &P,
-    cfg: &crate::bounds::BoundConfig,
-    k: f64,
-) -> (Estimate, f64)
-where
-    C: Context,
-    P: Policy<C> + ?Sized,
-{
-    let terms = crate::ips::ips_terms(data, policy);
-    let est = Estimate::from_terms(&terms, 0);
-    let n = terms.len() as f64;
-    if n < 2.0 {
-        return (eval_ips(data, policy), f64::INFINITY);
-    }
-    let mean = est.value;
-    let var = terms.iter().map(|t| (t - mean) * (t - mean)).sum::<f64>() / (n - 1.0);
-    let lo = terms.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = terms.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let radius = crate::bounds::empirical_bernstein_radius(cfg, var, hi - lo, n, k);
-    (eval_ips(data, policy), radius)
 }
 
 /// Diagnostics about how well exploration data supports evaluating a
@@ -262,19 +185,7 @@ pub fn diagnose<C: Context, P: Policy<C> + ?Sized>(
     data: &Dataset<C>,
     policy: &P,
 ) -> DataDiagnostics {
-    let mut matched = 0usize;
-    let mut sum_w = 0.0;
-    let mut sum_w2 = 0.0;
-    let mut max_w: f64 = 0.0;
-    for s in data {
-        if policy.choose(&s.context) == s.action {
-            matched += 1;
-            let w = 1.0 / s.propensity;
-            sum_w += w;
-            sum_w2 += w * w;
-            max_w = max_w.max(w);
-        }
-    }
+    let (state, matched) = fold(data, policy, f64::INFINITY, |_, _| 0.0);
     DataDiagnostics {
         n: data.len(),
         match_rate: if data.is_empty() {
@@ -282,12 +193,8 @@ pub fn diagnose<C: Context, P: Policy<C> + ?Sized>(
         } else {
             matched as f64 / data.len() as f64
         },
-        effective_sample_size: if sum_w2 > 0.0 {
-            sum_w * sum_w / sum_w2
-        } else {
-            0.0
-        },
-        max_weight: max_w,
+        effective_sample_size: state.weights.ess(),
+        max_weight: state.weights.max_or_zero(),
         min_propensity: data.min_propensity().unwrap_or(0.0),
     }
 }
@@ -295,6 +202,7 @@ pub fn diagnose<C: Context, P: Policy<C> + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::direct::direct_method;
     use harvest_core::policy::{ConstantPolicy, UniformPolicy};
     use harvest_core::sample::{FullFeedbackDataset, FullFeedbackSample, LoggedDecision};
     use harvest_core::scorer::TableScorer;
@@ -344,19 +252,9 @@ mod tests {
         let (_, expl) = bandit_exploration(2000, 2);
         let pol = ConstantPolicy::new(1);
         let model = TableScorer::new(vec![0.3, 0.7]);
-        let dm = OffPolicyEvaluator::evaluate_with_model(
-            &expl,
-            &pol,
-            &model,
-            ModelEstimatorKind::DirectMethod,
-        );
+        let dm = direct_method(&expl, &pol, &model);
         assert!((dm.value - 0.7).abs() < 1e-12);
-        let dr = OffPolicyEvaluator::evaluate_with_model(
-            &expl,
-            &pol,
-            &model,
-            ModelEstimatorKind::DoublyRobust,
-        );
+        let dr = OffPolicyEvaluator::evaluate_with_model(&expl, &pol, &model);
         assert!((dr.value - 0.7).abs() < 1e-12);
     }
 
@@ -384,39 +282,6 @@ mod tests {
             eval.bootstrap_ci(&data, &ConstantPolicy::new(0), 10, 0.05, 0.95, &mut rng),
             (0.0, 0.0)
         );
-    }
-
-    #[test]
-    fn bernstein_radius_brackets_the_truth() {
-        let (full, expl) = bandit_exploration(20_000, 9);
-        let pol = ConstantPolicy::new(1);
-        let truth = full.value_of_policy(&pol).unwrap();
-        let cfg = crate::bounds::BoundConfig {
-            c: 2.0,
-            delta: 0.05,
-        };
-        let (est, radius) = ips_with_bernstein(&expl, &pol, &cfg, 100.0);
-        assert!(radius.is_finite() && radius > 0.0);
-        assert!(
-            (est.value - truth).abs() < radius,
-            "estimate {} truth {truth} radius {radius}",
-            est.value
-        );
-        // More data tightens the radius.
-        let (_, expl_small) = bandit_exploration(2_000, 10);
-        let (_, small_radius) = ips_with_bernstein(&expl_small, &pol, &cfg, 100.0);
-        assert!(radius < small_radius);
-    }
-
-    #[test]
-    fn bernstein_on_tiny_data_is_infinite() {
-        let (_, expl) = bandit_exploration(1, 11);
-        let cfg = crate::bounds::BoundConfig {
-            c: 2.0,
-            delta: 0.05,
-        };
-        let (_, radius) = ips_with_bernstein(&expl, &ConstantPolicy::new(0), &cfg, 1.0);
-        assert!(radius.is_infinite());
     }
 
     #[test]

@@ -11,34 +11,23 @@
 //! as `p → 0`. [`EstimatorKind::ClippedIps`](crate::EstimatorKind::ClippedIps)
 //! trades a little bias for bounded weights.
 
-use harvest_core::{Context, Dataset, Policy};
-
-/// The per-sample IPS terms (useful for bootstrap and variance analysis).
-pub fn ips_terms<C: Context, P: Policy<C> + ?Sized>(data: &Dataset<C>, policy: &P) -> Vec<f64> {
-    data.iter()
-        .map(|s| {
-            if policy.choose(&s.context) == s.action {
-                s.reward / s.propensity
-            } else {
-                0.0
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::ips_terms;
-    use crate::evaluator::{eval_clipped_ips, eval_ips};
+    use crate::estimate::Estimate;
+    use crate::{EstimatorKind, OffPolicyEvaluator};
     use harvest_core::policy::{ConstantPolicy, UniformPolicy, WeightedPolicy};
     use harvest_core::sample::{FullFeedbackDataset, FullFeedbackSample, LoggedDecision};
     use harvest_core::simulate::simulate_exploration;
     use harvest_core::Dataset;
-    use harvest_core::SimpleContext;
+    use harvest_core::{Policy, SimpleContext};
     use rand::SeedableRng;
 
     fn ctx(k: usize) -> SimpleContext {
         SimpleContext::contextless(k)
+    }
+
+    fn eval_ips(data: &Dataset<SimpleContext>, pol: &ConstantPolicy) -> Estimate {
+        OffPolicyEvaluator::new(EstimatorKind::Ips).evaluate(data, pol)
     }
 
     #[test]
@@ -124,7 +113,8 @@ mod tests {
         .unwrap();
         let raw = eval_ips(&data, &ConstantPolicy::new(0));
         assert_eq!(raw.value, 100.0);
-        let clipped = eval_clipped_ips(&data, &ConstantPolicy::new(0), 10.0);
+        let clipped = OffPolicyEvaluator::new(EstimatorKind::ClippedIps(10.0))
+            .evaluate(&data, &ConstantPolicy::new(0));
         assert_eq!(clipped.value, 10.0);
         assert!(clipped.value <= raw.value);
     }
@@ -161,7 +151,16 @@ mod tests {
         ])
         .unwrap();
         let pol = ConstantPolicy::new(0);
-        let terms = ips_terms(&data, &pol);
+        let terms: Vec<f64> = data
+            .iter()
+            .map(|s| {
+                if pol.choose(&s.context) == s.action {
+                    s.reward / s.propensity
+                } else {
+                    0.0
+                }
+            })
+            .collect();
         assert_eq!(terms, vec![8.0, 0.0]);
         assert_eq!(eval_ips(&data, &pol).value, 4.0);
     }

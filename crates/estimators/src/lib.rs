@@ -9,13 +9,14 @@
 //!
 //! * [`ips`] — inverse propensity scoring (Horvitz–Thompson), the paper's
 //!   Eq. before (1): unbiased, possibly high variance. Includes a clipped
-//!   variant.
+//!   variant. Its terms `r · min(w, clip)` are the portfolio's.
 //! * [`snips`] — self-normalized IPS: biased but lower variance, bounded by
-//!   the observed reward range.
+//!   the observed reward range; `Σ w·r / Σ w` over the portfolio's terms.
 //! * [`direct`] — the direct method: plug in a reward model `r̂(x, a)`.
 //!   Biased when the model is wrong.
 //! * [`dr`] — doubly robust: model plus IPS correction (Dudík–Langford–Li),
-//!   the paper's §5 plan for variance reduction.
+//!   the paper's §5 plan for variance reduction; the portfolio's DR terms
+//!   with the model's score of the policy's action as baseline.
 //! * [`trajectory`] — per-trajectory and per-decision importance sampling
 //!   over episodes, the paper's §5 route to "estimators that account for
 //!   long-term effects" (and a demonstration of their variance blow-up).
@@ -26,9 +27,11 @@
 //!   counterpart, used to regenerate Figs. 1 and 2.
 //! * [`ab`] — a simulated A/B test that splits data across policies, the
 //!   baseline CB is measured against.
-//! * [`evaluator`] — one entry point over all estimators with bootstrap
-//!   confidence intervals and data diagnostics (match rate, effective
-//!   sample size).
+//! * [`evaluator`] — the single-policy entry point over IPS, clipped IPS,
+//!   SNIPS and DR, with bootstrap confidence intervals and data
+//!   diagnostics (match rate, effective sample size). Each call is a
+//!   one-candidate fold over the portfolio's accumulators, so the paper
+//!   figures and the promotion gate score with one set of formulas.
 //! * [`portfolio`] — the streaming portfolio evaluator and the one policy
 //!   search ("optimize over a large class of policies" §1): one pass over
 //!   recovered segment logs scores 100+ candidate policies in parallel,
@@ -52,6 +55,7 @@ pub mod snips;
 pub mod trajectory;
 
 mod estimate;
+mod fold;
 
 pub use diagnostics::{harvest_quality, HarvestColumns, HarvestQuality, WeightStats};
 pub use estimate::Estimate;

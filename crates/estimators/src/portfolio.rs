@@ -52,8 +52,9 @@ use harvest_log::scavenge::SegmentJoin;
 use harvest_log::segment::RecoveryStats;
 use serde::{Serialize, Value};
 
-use crate::bounds::{empirical_bernstein_radius, BoundConfig};
+use crate::bounds::BoundConfig;
 use crate::diagnostics::WeightStats;
+use crate::fold::CandidateState;
 
 /// A point estimate with its simultaneous confidence interval and the
 /// sample-support diagnostics a promotion decision needs.
@@ -69,135 +70,6 @@ pub struct PolicyEstimate {
     pub ess: f64,
     /// Records observed.
     pub n: u64,
-}
-
-/// Streaming moments of the per-record estimator terms, enough for the
-/// empirical-Bernstein radius: count, sum, sum of squares, range.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-struct TermMoments {
-    n: u64,
-    sum: f64,
-    sum_sq: f64,
-    min: f64,
-    max: f64,
-}
-
-impl TermMoments {
-    fn new() -> Self {
-        TermMoments {
-            n: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    fn observe(&mut self, t: f64) {
-        self.n += 1;
-        self.sum += t;
-        self.sum_sq += t * t;
-        self.min = self.min.min(t);
-        self.max = self.max.max(t);
-    }
-
-    fn merge(&mut self, other: &TermMoments) {
-        self.n += other.n;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    fn mean(&self) -> f64 {
-        if self.n > 0 {
-            self.sum / self.n as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Bernstein radius around [`Self::mean`] at the config's δ,
-    /// simultaneously valid for `k` candidates; `∞` when `n ≤ 1`.
-    fn radius(&self, bound: &BoundConfig, k: f64) -> f64 {
-        if self.n <= 1 {
-            return f64::INFINITY;
-        }
-        let n = self.n as f64;
-        // Sample variance from the streaming moments, floored at zero
-        // against cancellation noise.
-        let var = ((self.sum_sq - self.sum * self.sum / n) / (n - 1.0)).max(0.0);
-        empirical_bernstein_radius(bound, var, self.max - self.min, n, k)
-    }
-}
-
-/// One candidate's accumulators over a record range: the per-record terms
-/// of its three estimators and the importance-weight moments they share.
-/// Partials merge in a fixed order, so a fixed partition of the records
-/// gives the same estimates whichever thread folded each partial.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CandidateState {
-    /// Clipped IPS terms `r · min(w, clip)`.
-    ips: TermMoments,
-    /// SNIPS terms `w · r`; the estimate divides their sum by `Σ w`.
-    snips: TermMoments,
-    /// Doubly-robust terms `Σₐ π(a|x) r̂(x,a) + w (r − r̂(x, aₜ))`.
-    dr: TermMoments,
-    weights: WeightStats,
-}
-
-impl CandidateState {
-    fn new(clip: f64) -> Self {
-        CandidateState {
-            ips: TermMoments::new(),
-            snips: TermMoments::new(),
-            dr: TermMoments::new(),
-            weights: WeightStats::new(clip),
-        }
-    }
-
-    /// Folds one record: its reward, its importance weight `π(aₜ|xₜ)/pₜ`
-    /// (uncapped), the model baseline `Σₐ π(a|xₜ) r̂(xₜ, a)` and the model's
-    /// score for the logged action (both 0 without a model).
-    fn observe(&mut self, reward: f64, weight: f64, baseline: f64, model_logged: f64) {
-        self.ips.observe(reward * weight.min(self.weights.clip));
-        self.snips.observe(reward * weight);
-        self.dr.observe(baseline + weight * (reward - model_logged));
-        self.weights.observe(weight);
-    }
-
-    /// Merges the partial over the next record range.
-    fn merge(&mut self, other: &Self) {
-        self.ips.merge(&other.ips);
-        self.snips.merge(&other.snips);
-        self.dr.merge(&other.dr);
-        self.weights.merge(&other.weights);
-    }
-
-    /// The IPS, SNIPS and DR estimates, each interval simultaneously valid
-    /// for `k` candidates.
-    fn estimates(&self, bound: &BoundConfig, k: f64) -> [PolicyEstimate; 3] {
-        let estimate = |terms: &TermMoments, point: f64| {
-            let radius = terms.radius(bound, k);
-            PolicyEstimate {
-                point,
-                lcb: point - radius,
-                ucb: point + radius,
-                ess: self.weights.ess(),
-                n: terms.n,
-            }
-        };
-        let snips = if self.weights.sum > 0.0 {
-            self.snips.sum / self.weights.sum
-        } else {
-            0.0
-        };
-        [
-            estimate(&self.ips, self.ips.mean()),
-            estimate(&self.snips, snips),
-            estimate(&self.dr, self.dr.mean()),
-        ]
-    }
 }
 
 /// A candidate decision rule the portfolio can score: fills the action
@@ -726,8 +598,6 @@ impl PortfolioEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluator::{eval_dr, eval_ips, eval_snips};
-    use harvest_core::policy::GreedyPolicy;
     use harvest_core::sample::LoggedDecision;
     use harvest_core::Dataset;
     use harvest_log::record::{DecisionRecord, LogRecord};
@@ -824,41 +694,6 @@ mod tests {
             }
         }
         w.into_sink().unwrap().snapshot()
-    }
-
-    #[test]
-    fn accumulators_match_batch_estimators_on_deterministic_policy() {
-        // With ε = 0 the candidate is a deterministic greedy policy and
-        // the streaming weights reduce to the classic indicator form, so
-        // the accumulators must reproduce the batch estimators exactly.
-        let data = crossing_data(200);
-        let cfg = EvaluatorConfig::builder().clip(f64::MAX).build();
-        let candidate = GreedyScorerCandidate::new(scorer(1.0, 1.0), 0.0);
-        let policy = GreedyPolicy::new(scorer(1.0, 1.0));
-
-        let mut state = CandidateState::new(cfg.clip);
-        let model = scorer(0.5, 0.5);
-        let mut probs = Vec::new();
-        for s in &data {
-            candidate.fill_probabilities(&s.context, &mut probs);
-            let weight = probs[s.action] / s.propensity;
-            let a_pi = probs.iter().position(|&p| p > 0.5).unwrap();
-            let baseline = model.score(&s.context, a_pi);
-            state.observe(
-                s.reward,
-                weight,
-                baseline,
-                model.score(&s.context, s.action),
-            );
-        }
-        let [ips, snips, dr] = state.estimates(&cfg.bound, 1.0);
-
-        let want_ips = eval_ips(&data, &policy);
-        let want_snips = eval_snips(&data, &policy);
-        let want_dr = eval_dr(&data, &policy, &model);
-        assert!((ips.point - want_ips.value).abs() < 1e-12);
-        assert!((snips.point - want_snips.value).abs() < 1e-12);
-        assert!((dr.point - want_dr.value).abs() < 1e-12);
     }
 
     #[test]

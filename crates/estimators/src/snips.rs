@@ -12,7 +12,8 @@
 
 #[cfg(test)]
 mod tests {
-    use crate::evaluator::{eval_ips, eval_snips};
+    use crate::estimate::Estimate;
+    use crate::{EstimatorKind, OffPolicyEvaluator};
     use harvest_core::policy::{ConstantPolicy, UniformPolicy};
     use harvest_core::sample::{FullFeedbackDataset, FullFeedbackSample, LoggedDecision};
     use harvest_core::simulate::simulate_exploration;
@@ -23,6 +24,10 @@ mod tests {
 
     fn ctx(k: usize) -> SimpleContext {
         SimpleContext::contextless(k)
+    }
+
+    fn eval_snips(data: &Dataset<SimpleContext>, pol: &ConstantPolicy) -> Estimate {
+        OffPolicyEvaluator::new(EstimatorKind::Snips).evaluate(data, pol)
     }
 
     #[test]
@@ -73,7 +78,12 @@ mod tests {
         ])
         .unwrap();
         let pol = ConstantPolicy::new(0);
-        assert!(eval_ips(&data, &pol).value > 100.0);
+        assert!(
+            OffPolicyEvaluator::new(EstimatorKind::Ips)
+                .evaluate(&data, &pol)
+                .value
+                > 100.0
+        );
         let e = eval_snips(&data, &pol);
         assert!(e.value >= 0.0 && e.value <= 1.0, "snips {}", e.value);
     }

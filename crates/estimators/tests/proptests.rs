@@ -10,8 +10,7 @@ use harvest_core::SimpleContext;
 use harvest_estimators::ab::ab_test;
 use harvest_estimators::bounds::{ab_radius, ips_min_n, ips_radius, BoundConfig};
 use harvest_estimators::direct::direct_method;
-use harvest_estimators::evaluator::{diagnose, ModelEstimatorKind};
-use harvest_estimators::ips::ips_terms;
+use harvest_estimators::evaluator::diagnose;
 use harvest_estimators::trajectory::{per_decision_is, trajectory_is, Episode, Step};
 use harvest_estimators::{EstimatorKind, OffPolicyEvaluator};
 
@@ -35,11 +34,66 @@ proptest! {
     #[test]
     fn ips_value_equals_mean_of_terms(data in arb_dataset(4), target in 0usize..4) {
         let pol = ConstantPolicy::new(target);
-        let terms = ips_terms(&data, &pol);
+        let terms: Vec<f64> = data
+            .iter()
+            .map(|s| if s.action == target { s.reward / s.propensity } else { 0.0 })
+            .collect();
         let est = OffPolicyEvaluator::new(EstimatorKind::Ips).evaluate(&data, &pol);
         let mean = terms.iter().sum::<f64>() / terms.len() as f64;
         prop_assert!((est.value - mean).abs() < 1e-9);
         prop_assert_eq!(est.n, data.len());
+    }
+
+    #[test]
+    fn evaluate_matches_textbook_formulas(
+        data in arb_dataset(3),
+        target in 0usize..3,
+        max_w in 1.0f64..20.0,
+        model_scores in proptest::collection::vec(-2.0f64..2.0, 3)
+    ) {
+        // IPS (1/N) Σ 1{π(x)=a}·r·(1/p), its clipped form, SNIPS
+        // Σ 1{π(x)=a}·r·(1/p) / Σ 1{π(x)=a}·(1/p) and DR
+        // (1/N) Σ [r̂(x,π(x)) + 1{π(x)=a}(r − r̂(x,a))/p], summed in
+        // sample order.
+        let pol = ConstantPolicy::new(target);
+        let model = TableScorer::new(model_scores.clone());
+        let (mut ips, mut clipped, mut num, mut den, mut dr, mut dr_scale) =
+            (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
+        let mut matched = 0;
+        for s in &data {
+            let mut dr_term = model_scores[target];
+            if s.action == target {
+                matched += 1;
+                let w = 1.0 / s.propensity;
+                ips += s.reward * w;
+                clipped += s.reward * w.min(max_w);
+                num += s.reward * w;
+                den += w;
+                dr_term += (s.reward - model_scores[s.action]) / s.propensity;
+            }
+            dr += dr_term;
+            dr_scale += dr_term.abs();
+        }
+        let n = data.len();
+        let snips = if den > 0.0 { num / den } else { 0.0 };
+        for (kind, want) in [
+            (EstimatorKind::Ips, ips / n as f64),
+            (EstimatorKind::ClippedIps(max_w), clipped / n as f64),
+            (EstimatorKind::Snips, snips),
+        ] {
+            let est = OffPolicyEvaluator::new(kind).evaluate(&data, &pol);
+            prop_assert_eq!(est.value, want, "{:?}", kind);
+            prop_assert_eq!(est.n, n);
+            prop_assert_eq!(est.matched, matched);
+        }
+        let est = OffPolicyEvaluator::evaluate_with_model(&data, &pol, &model);
+        let want = dr / n as f64;
+        prop_assert!(
+            (est.value - want).abs() <= 1e-12 * (dr_scale / n as f64).max(1.0),
+            "dr {} vs {}", est.value, want
+        );
+        prop_assert_eq!(est.n, n);
+        prop_assert_eq!(est.matched, matched);
     }
 
     #[test]
@@ -63,8 +117,7 @@ proptest! {
     fn dr_with_zero_model_equals_ips(data in arb_dataset(3), target in 0usize..3) {
         let pol = ConstantPolicy::new(target);
         let zero = TableScorer::new(vec![0.0; 3]);
-        let dr = OffPolicyEvaluator::evaluate_with_model(
-            &data, &pol, &zero, ModelEstimatorKind::DoublyRobust);
+        let dr = OffPolicyEvaluator::evaluate_with_model(&data, &pol, &zero);
         let plain = OffPolicyEvaluator::new(EstimatorKind::Ips).evaluate(&data, &pol);
         prop_assert!((dr.value - plain.value).abs() < 1e-9);
     }
