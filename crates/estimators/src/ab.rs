@@ -16,6 +16,7 @@ use rand::Rng;
 use harvest_core::{Context, FullFeedbackDataset, Policy};
 
 use crate::estimate::Estimate;
+use crate::fold::TermMoments;
 
 /// The outcome of one arm of a simulated A/B test.
 #[derive(Debug, Clone)]
@@ -39,20 +40,24 @@ where
 {
     assert!(!policies.is_empty(), "need at least one arm");
     let k = policies.len();
-    let mut terms: Vec<Vec<f64>> = vec![Vec::new(); k];
+    let mut arms = vec![TermMoments::new(); k];
     for s in data.samples() {
         let arm = rng.gen_range(0..k);
         let a = policies[arm].choose(&s.context).min(s.rewards.len() - 1);
-        terms[arm].push(s.rewards[a]);
+        arms[arm].observe(s.rewards[a]);
     }
     policies
         .iter()
-        .zip(terms)
+        .zip(arms)
         .map(|(p, t)| {
-            let matched = t.len();
+            let estimate = t.estimate(t.mean(), 0);
             AbArm {
                 name: p.name(),
-                estimate: Estimate::from_terms(&t, matched),
+                // Every sample an arm sees is its own policy's action.
+                estimate: Estimate {
+                    matched: estimate.n,
+                    ..estimate
+                },
             }
         })
         .collect()

@@ -16,114 +16,7 @@ use harvest_core::Context;
 use serde::Serialize;
 
 use crate::drift::{feature_drift, DriftReport};
-
-/// Streaming, mergeable moments of a stream of importance weights.
-///
-/// One record's weight `w = π(aₜ|xₜ)/pₜ` is computed **once** and then
-/// shared by everything that needs it: the ESS and clipped-mass gauges
-/// here, and each of the `k` portfolio accumulators on the streaming path
-/// ([`crate::portfolio`]). Before this type existed, each diagnostic pass
-/// re-walked the weight vector; now the gauges fall out of five running
-/// sums that merge associatively across per-segment partials.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct WeightStats {
-    /// Weights observed.
-    pub n: u64,
-    /// `Σ w`.
-    pub sum: f64,
-    /// `Σ w²`.
-    pub sum_sq: f64,
-    /// `Σ w · 1{w > clip}` — the mass above the diagnostic clip.
-    pub clipped_sum: f64,
-    /// Smallest weight seen (`+∞` when empty).
-    pub min: f64,
-    /// Largest weight seen (`−∞` when empty).
-    pub max: f64,
-    /// The clip threshold this accumulator counts mass against.
-    pub clip: f64,
-}
-
-impl WeightStats {
-    /// An empty accumulator counting clipped mass above `clip`.
-    pub fn new(clip: f64) -> Self {
-        WeightStats {
-            n: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            clipped_sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            clip,
-        }
-    }
-
-    /// Folds in one precomputed importance weight.
-    pub fn observe(&mut self, w: f64) {
-        self.n += 1;
-        self.sum += w;
-        self.sum_sq += w * w;
-        if w > self.clip {
-            self.clipped_sum += w;
-        }
-        self.min = self.min.min(w);
-        self.max = self.max.max(w);
-    }
-
-    /// Componentwise merge of two partials over disjoint record ranges.
-    ///
-    /// f64 addition is not associative, so a merged result is not in
-    /// general bitwise equal to one global left-to-right fold — but for a
-    /// *fixed* partition into segments merged in a *fixed* order, the
-    /// result is a pure function of the data, independent of which thread
-    /// computed each partial. That is the invariant the portfolio
-    /// evaluator's parallel-equals-sequential guarantee rests on.
-    pub fn merge(&mut self, other: &WeightStats) {
-        debug_assert_eq!(self.clip, other.clip, "merging mismatched clips");
-        self.n += other.n;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.clipped_sum += other.clipped_sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Kish effective sample size `(Σw)² / Σw²` (0 when empty).
-    pub fn ess(&self) -> f64 {
-        if self.sum_sq > 0.0 {
-            self.sum * self.sum / self.sum_sq
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of total weight mass above the clip (0 when empty). The
-    /// `+ 0.0` keeps an all-below-clip stream at plain `0`, not `-0`.
-    pub fn clipped_mass(&self) -> f64 {
-        if self.sum > 0.0 {
-            self.clipped_sum / self.sum + 0.0
-        } else {
-            0.0
-        }
-    }
-
-    /// Smallest weight, 0 when empty (export-friendly).
-    pub fn min_or_zero(&self) -> f64 {
-        if self.min.is_finite() {
-            self.min
-        } else {
-            0.0
-        }
-    }
-
-    /// Largest weight, 0 when empty (export-friendly).
-    pub fn max_or_zero(&self) -> f64 {
-        if self.max.is_finite() {
-            self.max
-        } else {
-            0.0
-        }
-    }
-}
+pub use crate::fold::WeightStats;
 
 /// Per-round data-quality gauges for a harvested dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -216,7 +109,7 @@ impl HarvestColumns {
 /// Computes the quality gauges for the decisions in `columns` under the
 /// importance-weight moments `stats` folded over them (one weight per
 /// decision, `π(aₜ|xₜ)/pₜ`, as a portfolio pass folds them; clipped mass
-/// counts against `stats.clip`).
+/// counts against the clip `stats` was built with).
 ///
 /// Weight gauges fall back to [`HarvestQuality::empty`] values when
 /// `stats` is empty or its count disagrees with the decisions'.
@@ -227,7 +120,7 @@ pub fn harvest_quality(columns: HarvestColumns, stats: &WeightStats) -> HarvestQ
         ..HarvestQuality::empty()
     };
 
-    if n > 0 && stats.n == n as u64 {
+    if n > 0 && stats.n() == n as u64 {
         q.effective_sample_size = stats.ess();
         q.ess_fraction = q.effective_sample_size / n as f64;
         q.min_weight = stats.min_or_zero();
@@ -331,49 +224,6 @@ mod tests {
         let q = harvest_quality(columns(&points, 0.1), &stats(&[1.0; 100]));
         assert!(q.drift_suspected, "{q:?}");
         assert!(q.drift_max_effect_size > 3.0);
-    }
-
-    #[test]
-    fn weight_stats_merge_is_deterministic_and_close_to_sequential() {
-        let weights = [0.25, 3.0, 11.5, 0.125, 7.0, 10.0001, 0.5];
-        let mut sequential = WeightStats::new(10.0);
-        for &w in &weights {
-            sequential.observe(w);
-        }
-        let partial = |range: &[f64]| {
-            let mut s = WeightStats::new(10.0);
-            for &w in range {
-                s.observe(w);
-            }
-            s
-        };
-        for split in 0..=weights.len() {
-            let (a, b) = weights.split_at(split);
-            // Recomputing the same partials and merging in the same order
-            // is bit-identical — the parallel-pass invariant.
-            let mut first = partial(a);
-            first.merge(&partial(b));
-            let mut second = partial(a);
-            second.merge(&partial(b));
-            assert_eq!(first.sum.to_bits(), second.sum.to_bits());
-            assert_eq!(first, second);
-            // And numerically indistinguishable from one global fold.
-            assert_eq!(first.n, sequential.n);
-            assert_eq!(first.min, sequential.min);
-            assert_eq!(first.max, sequential.max);
-            assert!((first.sum - sequential.sum).abs() < 1e-9);
-            assert!((first.sum_sq - sequential.sum_sq).abs() < 1e-9);
-            assert!((first.clipped_sum - sequential.clipped_sum).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn empty_weight_stats_export_zeros() {
-        let stats = WeightStats::new(10.0);
-        assert_eq!(stats.ess(), 0.0);
-        assert_eq!(stats.clipped_mass(), 0.0);
-        assert_eq!(stats.min_or_zero(), 0.0);
-        assert_eq!(stats.max_or_zero(), 0.0);
     }
 
     #[test]

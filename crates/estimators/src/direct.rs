@@ -13,6 +13,7 @@
 use harvest_core::{Context, Dataset, Policy, Scorer};
 
 use crate::estimate::Estimate;
+use crate::fold::TermMoments;
 
 /// The direct-method estimate of `policy` on `data` under reward model
 /// `model`.
@@ -22,16 +23,16 @@ where
     P: Policy<C> + ?Sized,
     M: Scorer<C> + ?Sized,
 {
-    let mut terms = Vec::with_capacity(data.len());
+    let mut terms = TermMoments::new();
     let mut matched = 0;
     for s in data {
         let a = policy.choose(&s.context);
         if a == s.action {
             matched += 1;
         }
-        terms.push(model.score(&s.context, a));
+        terms.observe(model.score(&s.context, a));
     }
-    Estimate::from_terms(&terms, matched)
+    terms.estimate(terms.mean(), matched)
 }
 
 #[cfg(test)]

@@ -38,6 +38,15 @@
 //!   byte-identical at any worker count.
 //! * [`drift`] — context-drift detection (standardized mean shifts and KS
 //!   distances), the operational tripwire for assumption-A1 violations.
+//!
+//! Every estimate and weight gauge comes out of one streaming accumulator
+//! of per-record terms (count, `Σt`, `Σt²`, range): the portfolio's IPS,
+//! SNIPS and DR terms, the importance weights behind [`WeightStats`]' ESS
+//! and clipped mass, and the terms of the direct method, each A/B arm and
+//! the trajectory estimators. Each value is the in-order `Σt/n` of its
+//! terms, and its standard error is read from `Σt²`. Weighted PDIS, which
+//! normalizes per step rather than averaging per-episode terms, is the one
+//! estimate outside it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

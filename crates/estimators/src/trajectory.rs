@@ -23,7 +23,9 @@
 use harvest_core::{Context, StochasticPolicy};
 use serde::Serialize;
 
+use crate::diagnostics::WeightStats;
 use crate::estimate::Estimate;
+use crate::fold::TermMoments;
 
 /// One step of a logged episode.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -66,7 +68,7 @@ where
     C: Context,
     P: StochasticPolicy<C>,
 {
-    let mut terms = Vec::with_capacity(episodes.len());
+    let mut terms = TermMoments::new();
     let mut matched = 0;
     for ep in episodes {
         let mut w = 1.0;
@@ -79,9 +81,9 @@ where
         if w > 0.0 {
             matched += 1;
         }
-        terms.push(w * ep.episode_return());
+        terms.observe(w * ep.episode_return());
     }
-    Estimate::from_terms(&terms, matched)
+    terms.estimate(terms.mean(), matched)
 }
 
 /// Doubly-robust per-decision importance sampling (Jiang & Li 2016 — the
@@ -106,7 +108,7 @@ where
     P: StochasticPolicy<C>,
     M: harvest_core::Scorer<C>,
 {
-    let mut terms = Vec::with_capacity(episodes.len());
+    let mut terms = TermMoments::new();
     let mut matched = 0;
     let mut scores = Vec::new();
     for ep in episodes {
@@ -134,9 +136,9 @@ where
         if any {
             matched += 1;
         }
-        terms.push(total);
+        terms.observe(total);
     }
-    Estimate::from_terms(&terms, matched)
+    terms.estimate(terms.mean(), matched)
 }
 
 /// Per-decision importance sampling (PDIS): each reward is weighted by the
@@ -148,7 +150,7 @@ where
     C: Context,
     P: StochasticPolicy<C>,
 {
-    let mut terms = Vec::with_capacity(episodes.len());
+    let mut terms = TermMoments::new();
     let mut matched = 0;
     for ep in episodes {
         let mut w = 1.0;
@@ -165,9 +167,9 @@ where
         if any {
             matched += 1;
         }
-        terms.push(total);
+        terms.observe(total);
     }
-    Estimate::from_terms(&terms, matched)
+    terms.estimate(terms.mean(), matched)
 }
 
 /// Weighted (self-normalized) per-decision importance sampling: at each
@@ -252,32 +254,26 @@ where
 {
     (1..=max_horizon)
         .map(|h| {
-            let weights: Vec<f64> = episodes
-                .iter()
-                .map(|ep| {
-                    let mut w = 1.0;
-                    for s in ep.steps.iter().take(h) {
-                        w *= target.propensity_of(&s.context, s.action) / s.propensity;
-                        if w == 0.0 {
-                            break;
-                        }
+            let mut weights = WeightStats::new(f64::INFINITY);
+            let mut nonzero = 0;
+            for ep in episodes {
+                let mut w = 1.0;
+                for s in ep.steps.iter().take(h) {
+                    w *= target.propensity_of(&s.context, s.action) / s.propensity;
+                    if w == 0.0 {
+                        break;
                     }
-                    w
-                })
-                .collect();
-            let sum: f64 = weights.iter().sum();
-            let sum_sq: f64 = weights.iter().map(|w| w * w).sum();
-            let nonzero = weights.iter().filter(|&&w| w > 0.0).count();
+                }
+                weights.observe(w);
+                nonzero += usize::from(w > 0.0);
+            }
+            let n = episodes.len() as f64;
             WeightProfile {
                 horizon: h,
-                mean_weight: sum / weights.len() as f64,
-                max_weight: weights.iter().cloned().fold(0.0, f64::max),
-                effective_sample_size: if sum_sq > 0.0 {
-                    sum * sum / sum_sq
-                } else {
-                    0.0
-                },
-                match_fraction: nonzero as f64 / weights.len() as f64,
+                mean_weight: weights.sum() / n,
+                max_weight: weights.max_or_zero(),
+                effective_sample_size: weights.ess(),
+                match_fraction: nonzero as f64 / n,
             }
         })
         .collect()

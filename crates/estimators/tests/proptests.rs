@@ -2,17 +2,21 @@
 
 use proptest::prelude::*;
 
-use harvest_core::policy::{ConstantPolicy, PointMassPolicy, UniformPolicy};
+use harvest_core::policy::{
+    ConstantPolicy, FnPolicy, PointMassPolicy, StochasticPolicy, UniformPolicy, WeightedPolicy,
+};
 use harvest_core::sample::{Dataset, FullFeedbackDataset, FullFeedbackSample, LoggedDecision};
-use harvest_core::scorer::TableScorer;
+use harvest_core::scorer::{LinearScorer, Scorer, TableScorer};
 use harvest_core::simulate::simulate_exploration;
-use harvest_core::SimpleContext;
+use harvest_core::{Context, Policy, SimpleContext};
 use harvest_estimators::ab::ab_test;
 use harvest_estimators::bounds::{ab_radius, ips_min_n, ips_radius, BoundConfig};
 use harvest_estimators::direct::direct_method;
 use harvest_estimators::evaluator::diagnose;
-use harvest_estimators::trajectory::{per_decision_is, trajectory_is, Episode, Step};
-use harvest_estimators::{EstimatorKind, OffPolicyEvaluator};
+use harvest_estimators::trajectory::{
+    doubly_robust_pdis, per_decision_is, trajectory_is, variance_profile, Episode, Step,
+};
+use harvest_estimators::{Estimate, EstimatorKind, OffPolicyEvaluator};
 
 fn arb_dataset(k: usize) -> impl Strategy<Value = Dataset<SimpleContext>> {
     proptest::collection::vec((0..k, -3.0f64..3.0, 0.05f64..1.0), 1..80).prop_map(move |v| {
@@ -28,6 +32,70 @@ fn arb_dataset(k: usize) -> impl Strategy<Value = Dataset<SimpleContext>> {
         )
         .unwrap()
     })
+}
+
+/// Checks that `est` is the mean of `terms`: `value` is the in-order
+/// `Σt/n` bit for bit, and `std_err` is within 1e-9 relative of the
+/// two-pass `√(Σ(t − mean)² / ((n − 1) n))`, and exactly 0 when every term
+/// is equal.
+fn assert_mean_of(est: &Estimate, terms: &[f64]) -> Result<(), TestCaseError> {
+    let n = terms.len();
+    prop_assert_eq!(est.n, n);
+    let mean = if n > 0 {
+        terms.iter().fold(0.0, |sum, t| sum + t) / n as f64
+    } else {
+        0.0
+    };
+    prop_assert_eq!(
+        est.value.to_bits(),
+        mean.to_bits(),
+        "{} vs {}",
+        est.value,
+        mean
+    );
+    if n <= 1 || terms.iter().all(|&t| t == terms[0]) {
+        prop_assert_eq!(est.std_err, 0.0);
+    } else {
+        let ss: f64 = terms.iter().map(|t| (t - mean).powi(2)).sum();
+        let se = (ss / (n - 1) as f64 / n as f64).sqrt();
+        prop_assert!(
+            (est.std_err - se).abs() <= 1e-9 * se,
+            "std_err {} vs two-pass {}",
+            est.std_err,
+            se
+        );
+    }
+    Ok(())
+}
+
+/// Episodes of 1–5 two-action steps with contexts `[x]`, logged at
+/// propensities in `[0.1, 1)`.
+fn arb_episodes() -> impl Strategy<Value = Vec<Episode<SimpleContext>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((-1.0f64..1.0, 0usize..2, -2.0f64..2.0, 0.1f64..1.0), 1..6),
+        0..40,
+    )
+    .prop_map(|episodes| {
+        episodes
+            .into_iter()
+            .map(|steps| Episode {
+                steps: steps
+                    .into_iter()
+                    .map(|(x, action, reward, propensity)| Step {
+                        context: SimpleContext::new(vec![x], 2),
+                        action,
+                        reward,
+                        propensity,
+                    })
+                    .collect(),
+            })
+            .collect()
+    })
+}
+
+/// The importance ratio `π(a|x)/p` of one logged step.
+fn ratio<P: StochasticPolicy<SimpleContext>>(target: &P, s: &Step<SimpleContext>) -> f64 {
+    target.propensity_of(&s.context, s.action) / s.propensity
 }
 
 proptest! {
@@ -271,6 +339,106 @@ proptest! {
 }
 
 proptest! {
+    #[test]
+    fn direct_method_is_the_mean_of_its_model_scores(
+        points in proptest::collection::vec((-2.0f64..2.0, 0usize..3), 0..60),
+        rows in proptest::collection::vec(proptest::collection::vec(-2.0f64..2.0, 2), 3)
+    ) {
+        let data = Dataset::from_samples(points.iter().map(|&(x, a)| LoggedDecision {
+            context: SimpleContext::new(vec![x], 3),
+            action: a, reward: 0.0, propensity: 0.5,
+        }).collect()).unwrap();
+        let pol = FnPolicy::new("by x", |c: &SimpleContext| {
+            (c.shared_features()[0].abs() * 1.5) as usize % 3
+        });
+        let model = LinearScorer::PerAction { weights: rows };
+        let terms: Vec<f64> =
+            data.iter().map(|s| model.score(&s.context, pol.choose(&s.context))).collect();
+        assert_mean_of(&direct_method(&data, &pol, &model), &terms)?;
+    }
+
+    #[test]
+    fn ab_arms_are_the_means_of_their_rewards(
+        rewards in proptest::collection::vec(proptest::collection::vec(-1.0f64..1.0, 2), 0..120),
+        arms in 1usize..5,
+        seed in 0u64..1000
+    ) {
+        use rand::{Rng, SeedableRng};
+        let data = FullFeedbackDataset::from_samples(rewards.iter().map(|r| FullFeedbackSample {
+            context: SimpleContext::contextless(2),
+            rewards: r.clone(),
+        }).collect()).unwrap();
+        let policies: Vec<ConstantPolicy> = (0..arms).map(|i| ConstantPolicy::new(i % 2)).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut split = rng.clone();
+        let mut terms = vec![Vec::new(); arms];
+        for r in &rewards {
+            let arm = split.gen_range(0..arms);
+            terms[arm].push(r[arm % 2]);
+        }
+        for (arm, terms) in ab_test(&data, &policies, &mut rng).iter().zip(&terms) {
+            assert_mean_of(&arm.estimate, terms)?;
+            prop_assert_eq!(arm.estimate.matched, terms.len());
+        }
+    }
+
+    #[test]
+    fn trajectory_estimators_are_the_means_of_their_episode_terms(
+        episodes in arb_episodes(),
+        q in 0.05f64..0.95,
+        rows in proptest::collection::vec(proptest::collection::vec(-2.0f64..2.0, 2), 2)
+    ) {
+        let target = WeightedPolicy::new(vec![q, 1.0 - q]).unwrap();
+        let model = LinearScorer::PerAction { weights: rows };
+        let (mut tis, mut pdis, mut dr) = (Vec::new(), Vec::new(), Vec::new());
+        let mut scores = Vec::new();
+        for ep in &episodes {
+            // Running weights, multiplied in each estimator's own order.
+            let (mut w, mut w_dr, mut pd, mut d) = (1.0, 1.0, 0.0, 0.0);
+            for s in &ep.steps {
+                w *= ratio(&target, s);
+                pd += w * s.reward;
+                let probs = target.action_probabilities(&s.context);
+                model.score_all(&s.context, &mut scores);
+                let v_hat: f64 = probs.iter().zip(&scores).map(|(p, r)| p * r).sum();
+                d += w_dr * v_hat;
+                w_dr = w_dr * target.propensity_of(&s.context, s.action) / s.propensity;
+                d += w_dr * (s.reward - scores[s.action]);
+            }
+            tis.push(w * ep.episode_return());
+            pdis.push(pd);
+            dr.push(d);
+        }
+        assert_mean_of(&trajectory_is(&episodes, &target), &tis)?;
+        assert_mean_of(&per_decision_is(&episodes, &target), &pdis)?;
+        assert_mean_of(&doubly_robust_pdis(&episodes, &target, &model), &dr)?;
+    }
+
+    #[test]
+    fn variance_profile_reads_the_weight_moments(
+        episodes in arb_episodes(),
+        target in 0usize..2,
+        max_horizon in 1usize..6
+    ) {
+        let target = PointMassPolicy::new(ConstantPolicy::new(target));
+        let profile = variance_profile(&episodes, &target, max_horizon);
+        prop_assert_eq!(profile.len(), max_horizon);
+        for p in &profile {
+            let weights: Vec<f64> = episodes.iter().map(|ep| {
+                ep.steps.iter().take(p.horizon).fold(1.0, |w, s| w * ratio(&target, s))
+            }).collect();
+            let sum: f64 = weights.iter().sum();
+            let sum_sq: f64 = weights.iter().map(|w| w * w).sum();
+            let ess = if sum_sq > 0.0 { sum * sum / sum_sq } else { 0.0 };
+            let mean = sum / weights.len() as f64;
+            prop_assert!(
+                p.mean_weight.to_bits() == mean.to_bits() || (mean.is_nan() && p.mean_weight.is_nan())
+            );
+            prop_assert_eq!(p.effective_sample_size.to_bits(), ess.to_bits());
+            prop_assert_eq!(p.max_weight, weights.iter().cloned().fold(0.0, f64::max));
+        }
+    }
+
     #[test]
     fn drift_report_is_reflexively_clean_and_ks_bounded(
         values in proptest::collection::vec(-100.0f64..100.0, 2..80),

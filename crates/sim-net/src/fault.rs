@@ -117,8 +117,7 @@ impl FaultPlan {
             let mut t = 0.0;
             let horizon_s = horizon.as_secs_f64();
             loop {
-                // Exponential gap via inverse CDF (keeps rand_distr out of
-                // the per-fault path).
+                // Exponential gap via inverse CDF on u ∈ [ε, 1).
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 t += -u.ln() / cfg.rate_per_component;
                 if t >= horizon_s {

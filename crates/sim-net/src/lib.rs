@@ -23,8 +23,8 @@
 //!   faults (crashes, slowdowns, latency spikes) used to widen exploration
 //!   coverage per §5 of the paper, and operation-indexed [`fault::ChaosPlan`]
 //!   schedules that drive the serve loop's chaos-hardening tests.
-//! * [`stats`] — online statistics (Welford mean/variance, exact quantiles,
-//!   log-bucketed histograms) used to report latency distributions.
+//! * [`stats`] — online statistics (Welford mean/variance, exact quantiles)
+//!   used to report latency distributions.
 //!
 //! Everything is synchronous and single-threaded by design: the workloads in
 //! this reproduction are CPU-bound simulations, where an async runtime would

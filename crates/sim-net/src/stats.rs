@@ -1,13 +1,11 @@
 //! Online statistics used to summarise simulated measurements.
 //!
-//! Three tools, matched to what the paper's evaluation reports:
+//! Two tools, matched to what the paper's evaluation reports:
 //!
 //! * [`RunningStats`] — Welford's online mean/variance, for mean-latency and
 //!   mean-reward rows (Tables 2, 3).
 //! * [`QuantileSketch`] — exact quantiles from retained samples, for
 //!   percentile error bars (Fig 3, 5th/95th) and p99 latency.
-//! * [`Histogram`] — log-bucketed latency histogram for cheap distribution
-//!   summaries in long simulations.
 
 use serde::Serialize;
 
@@ -197,93 +195,6 @@ impl QuantileSketch {
     }
 }
 
-/// A log-bucketed histogram for positive measurements (e.g. latencies).
-///
-/// Buckets are powers of `growth` starting at `first_bound`; values below
-/// the first bound land in bucket 0, values above the last in the overflow
-/// bucket. Quantile queries return the upper bound of the containing bucket
-/// (a conservative estimate).
-#[derive(Debug, Clone, Serialize)]
-pub struct Histogram {
-    first_bound: f64,
-    growth: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` log-spaced buckets: the first
-    /// bucket ends at `first_bound`, each subsequent at `growth ×` the
-    /// previous, plus one overflow bucket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `first_bound ≤ 0`, `growth ≤ 1`, or `buckets == 0`.
-    pub fn new(first_bound: f64, growth: f64, buckets: usize) -> Self {
-        assert!(first_bound > 0.0, "first bucket bound must be positive");
-        assert!(growth > 1.0, "bucket growth factor must exceed 1");
-        assert!(buckets > 0, "need at least one bucket");
-        Histogram {
-            first_bound,
-            growth,
-            counts: vec![0; buckets + 1],
-            total: 0,
-        }
-    }
-
-    /// A reasonable default for request latencies in seconds: 64 buckets
-    /// from 100 µs, growing 25% per bucket (covers ~100 µs to ~150 s).
-    pub fn for_latency_secs() -> Self {
-        Histogram::new(1e-4, 1.25, 64)
-    }
-
-    fn bucket_for(&self, x: f64) -> usize {
-        if x <= self.first_bound {
-            return 0;
-        }
-        let idx = ((x / self.first_bound).ln() / self.growth.ln()).ceil() as usize;
-        idx.min(self.counts.len() - 1)
-    }
-
-    /// Records one measurement. Non-finite or negative values are ignored.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() || x < 0.0 {
-            return;
-        }
-        let b = self.bucket_for(x);
-        self.counts[b] += 1;
-        self.total += 1;
-    }
-
-    /// Total recorded measurements.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile, or `None` if
-    /// empty.
-    ///
-    /// The rank convention matches [`QuantileSketch::quantile`]'s linear
-    /// interpolation at position `q·(N−1)`: the bound covers the higher of
-    /// the two order statistics the sketch would interpolate between, so it
-    /// is a true upper bound of the exact quantile.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * (self.total - 1) as f64).ceil() as u64 + 1).min(self.total);
-        let mut cum = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Some(self.first_bound * self.growth.powi(i as i32));
-            }
-        }
-        Some(self.first_bound * self.growth.powi((self.counts.len() - 1) as i32))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,41 +282,5 @@ mod tests {
         assert_eq!(q.median(), Some(10.0));
         q.push(0.0);
         assert_eq!(q.median(), Some(5.0));
-    }
-
-    #[test]
-    fn histogram_quantiles_bound_true_values() {
-        let mut h = Histogram::for_latency_secs();
-        for i in 1..=1000 {
-            h.record(i as f64 / 1000.0); // 1ms..1s uniform
-        }
-        let p50 = h.quantile_upper_bound(0.5).unwrap();
-        assert!((0.5..=0.8).contains(&p50), "p50 bound {p50}");
-        let p99 = h.quantile_upper_bound(0.99).unwrap();
-        assert!((0.99..=1.6).contains(&p99), "p99 bound {p99}");
-    }
-
-    #[test]
-    fn histogram_ignores_garbage() {
-        let mut h = Histogram::for_latency_secs();
-        h.record(-1.0);
-        h.record(f64::NAN);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile_upper_bound(0.5), None);
-    }
-
-    #[test]
-    fn histogram_overflow_bucket() {
-        let mut h = Histogram::new(1.0, 2.0, 4);
-        h.record(1e12);
-        assert_eq!(h.count(), 1);
-        // Overflow bucket upper bound is first_bound * growth^buckets.
-        assert_eq!(h.quantile_upper_bound(1.0), Some(16.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "growth factor")]
-    fn histogram_rejects_bad_growth() {
-        let _ = Histogram::new(1.0, 1.0, 4);
     }
 }

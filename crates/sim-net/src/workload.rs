@@ -8,7 +8,6 @@
 //! differences are attributable to the policy alone.
 
 use rand::Rng;
-use rand_distr::{Distribution, Exp};
 use serde::Serialize;
 
 use crate::rng::DetRng;
@@ -32,10 +31,16 @@ pub trait ArrivalProcess {
     fn next_gap(&mut self, rng: &mut DetRng) -> SimDuration;
 }
 
+/// One draw from the exponential distribution at rate `lambda`, by
+/// inverse CDF on `u ∈ (0, 1]` (`1 − gen()` avoids `ln(0)`).
+fn exp_sample(rng: &mut DetRng, lambda: f64) -> f64 {
+    -(1.0 - rng.gen::<f64>()).ln() / lambda
+}
+
 /// Poisson arrivals: exponential interarrival gaps at `rate` requests/second.
 #[derive(Debug, Clone)]
 pub struct PoissonArrivals {
-    exp: Exp<f64>,
+    rate: f64,
 }
 
 impl PoissonArrivals {
@@ -49,15 +54,13 @@ impl PoissonArrivals {
             rate.is_finite() && rate > 0.0,
             "arrival rate must be positive, got {rate}"
         );
-        PoissonArrivals {
-            exp: Exp::new(rate).expect("validated rate"),
-        }
+        PoissonArrivals { rate }
     }
 }
 
 impl ArrivalProcess for PoissonArrivals {
     fn next_gap(&mut self, rng: &mut DetRng) -> SimDuration {
-        SimDuration::from_secs_f64(self.exp.sample(rng))
+        SimDuration::from_secs_f64(exp_sample(rng, self.rate))
     }
 }
 
@@ -97,7 +100,8 @@ impl ArrivalProcess for UniformArrivals {
 pub struct BurstyArrivals {
     on: PoissonArrivals,
     off: PoissonArrivals,
-    dwell: Exp<f64>,
+    /// Phase changes per second: `1 / mean dwell`.
+    dwell_rate: f64,
     in_on_phase: bool,
     phase_left: SimDuration,
 }
@@ -107,10 +111,15 @@ impl BurstyArrivals {
     /// requests/second with mean phase length `mean_dwell`.
     pub fn new(on_rate: f64, off_rate: f64, mean_dwell: SimDuration) -> Self {
         assert!(mean_dwell > SimDuration::ZERO, "dwell must be positive");
+        let dwell_rate = 1.0 / mean_dwell.as_secs_f64();
+        assert!(
+            dwell_rate.is_finite() && dwell_rate > 0.0,
+            "dwell rate must be positive and finite, got {dwell_rate}"
+        );
         BurstyArrivals {
             on: PoissonArrivals::new(on_rate),
             off: PoissonArrivals::new(off_rate),
-            dwell: Exp::new(1.0 / mean_dwell.as_secs_f64()).expect("positive dwell"),
+            dwell_rate,
             in_on_phase: true,
             phase_left: mean_dwell,
         }
@@ -126,7 +135,7 @@ impl ArrivalProcess for BurstyArrivals {
         };
         if gap >= self.phase_left {
             self.in_on_phase = !self.in_on_phase;
-            self.phase_left = SimDuration::from_secs_f64(self.dwell.sample(rng));
+            self.phase_left = SimDuration::from_secs_f64(exp_sample(rng, self.dwell_rate));
         } else {
             self.phase_left = self.phase_left - gap;
         }

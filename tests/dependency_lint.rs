@@ -15,14 +15,20 @@
 //! intra-doc link (`[name::...]`) counts for `[dependencies]`, because
 //! rustdoc resolves it against them; a doctest builds with the
 //! dev-dependencies too, so a use there counts for `[dev-dependencies]`.
+//!
+//! The same holds one level up: every root `[workspace.dependencies]`
+//! entry must be declared by some member manifest, and every vendored
+//! crate under `third_party/` must be such an entry or a dependency of a
+//! vendored crate that is kept. So a vendored stub goes with its last user.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 const LIB_DIRS: &[&str] = &["src"];
 const DEV_DIRS: &[&str] = &["src", "tests", "benches", "examples"];
 
-/// The `(section, name)` pairs of a manifest's `[dependencies]` and
-/// `[dev-dependencies]` tables, in file order.
+/// The `(section, name)` pairs of a manifest's `[dependencies]`,
+/// `[dev-dependencies]` and `[workspace.dependencies]` tables, in file
+/// order.
 fn declared(manifest: &str) -> Vec<(&'static str, String)> {
     let mut section = None;
     let mut out = Vec::new();
@@ -31,6 +37,7 @@ fn declared(manifest: &str) -> Vec<(&'static str, String)> {
             section = match line {
                 "[dependencies]" => Some("dependencies"),
                 "[dev-dependencies]" => Some("dev-dependencies"),
+                "[workspace.dependencies]" => Some("workspace.dependencies"),
                 _ => None,
             };
         } else if let Some(section) = section {
@@ -83,21 +90,50 @@ fn used_in(dir: &Path, ident: &str, doctests: bool) -> bool {
     })
 }
 
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn manifest(dir: &Path) -> String {
+    std::fs::read_to_string(dir.join("Cargo.toml")).unwrap()
+}
+
+/// The directories under `parent` that hold a `Cargo.toml`, sorted.
+fn packages_in(parent: &Path) -> Vec<PathBuf> {
+    let mut packages: Vec<PathBuf> = std::fs::read_dir(parent)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.join("Cargo.toml").is_file())
+        .collect();
+    packages.sort();
+    packages
+}
+
+/// The root package and every `crates/*` member.
+fn members() -> Vec<PathBuf> {
+    let mut packages = vec![root().to_path_buf()];
+    packages.extend(packages_in(&root().join("crates")));
+    packages
+}
+
+/// The names in the root manifest's `[workspace.dependencies]`.
+fn workspace_dependencies() -> Vec<String> {
+    declared(&manifest(root()))
+        .into_iter()
+        .filter(|(section, _)| *section == "workspace.dependencies")
+        .map(|(_, name)| name)
+        .collect()
+}
+
 #[test]
 fn every_declared_dependency_is_named_in_its_package() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut packages = vec![root.to_path_buf()];
-    for entry in std::fs::read_dir(root.join("crates")).unwrap() {
-        let path = entry.unwrap().path();
-        if path.join("Cargo.toml").is_file() {
-            packages.push(path);
-        }
-    }
-    packages.sort();
+    let packages = members();
     let mut unused = Vec::new();
     for package in &packages {
-        let manifest = std::fs::read_to_string(package.join("Cargo.toml")).unwrap();
-        for (section, name) in declared(&manifest) {
+        for (section, name) in declared(&manifest(package)) {
+            if section == "workspace.dependencies" {
+                continue;
+            }
             let ident = name.replace('-', "_");
             let dev = section == "dev-dependencies";
             let dirs = if dev { DEV_DIRS } else { LIB_DIRS };
@@ -115,6 +151,54 @@ fn every_declared_dependency_is_named_in_its_package() {
         unused.is_empty(),
         "dependencies that no code uses (delete them from the manifest):\n{}",
         unused.join("\n")
+    );
+}
+
+#[test]
+fn every_workspace_dependency_is_declared_by_a_member() {
+    let used: Vec<String> = members()
+        .iter()
+        .flat_map(|package| declared(&manifest(package)))
+        .filter(|(section, _)| *section != "workspace.dependencies")
+        .map(|(_, name)| name)
+        .collect();
+    let entries = workspace_dependencies();
+    assert!(entries.iter().any(|name| name == "rand"), "{entries:?}");
+    let orphans: Vec<&String> = entries.iter().filter(|name| !used.contains(name)).collect();
+    assert!(
+        orphans.is_empty(),
+        "[workspace.dependencies] entries no member declares (delete them): {orphans:?}"
+    );
+}
+
+#[test]
+fn every_vendored_crate_has_a_user() {
+    // Kept: the workspace's entries, then whatever a kept vendored crate
+    // depends on (serde_json → serde → serde_derive).
+    let third_party = root().join("third_party");
+    let mut kept = workspace_dependencies();
+    let mut next = 0;
+    while next < kept.len() {
+        let dir = third_party.join(&kept[next]);
+        if dir.join("Cargo.toml").is_file() {
+            for (section, name) in declared(&manifest(&dir)) {
+                if section == "dependencies" && !kept.contains(&name) {
+                    kept.push(name);
+                }
+            }
+        }
+        next += 1;
+    }
+    let vendored = packages_in(&third_party);
+    assert!(!vendored.is_empty(), "no crates found under third_party/");
+    let unused: Vec<String> = vendored
+        .iter()
+        .map(|dir| dir.file_name().unwrap().to_string_lossy().into_owned())
+        .filter(|name| !kept.contains(name))
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "vendored crates nothing depends on (delete them from third_party/): {unused:?}"
     );
 }
 
@@ -153,13 +237,15 @@ fn the_lint_recognizes_paths_and_imports_only() {
     assert!(!names("/// use alpha::Rng;", "alpha", false));
     let manifest = "[package]\nname = \"x\"\n\n[dependencies]\nalpha-beta.workspace = true\n\
                     alpha = { path = \"a\" }\n\n[dev-dependencies]\ngamma.workspace = true\n\
-                    \n[[bench]]\nname = \"b\"\n";
+                    \n[[bench]]\nname = \"b\"\n\n[workspace.dependencies]\n\
+                    # A comment.\ndelta = { path = \"third_party/delta\" }\n";
     assert_eq!(
         declared(manifest),
         vec![
             ("dependencies", "alpha-beta".to_string()),
             ("dependencies", "alpha".to_string()),
             ("dev-dependencies", "gamma".to_string()),
+            ("workspace.dependencies", "delta".to_string()),
         ]
     );
 }
