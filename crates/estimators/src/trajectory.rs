@@ -267,7 +267,8 @@ where
                 weights.observe(w);
                 nonzero += usize::from(w > 0.0);
             }
-            let n = episodes.len() as f64;
+            // With no episodes every field reads 0, not 0/0.
+            let n = episodes.len().max(1) as f64;
             WeightProfile {
                 horizon: h,
                 mean_weight: weights.sum() / n,
@@ -510,5 +511,23 @@ mod tests {
         let e = weighted_per_decision_is(&eps, &target);
         assert_eq!(e.n, 0);
         assert_eq!(e.value, 0.0);
+    }
+
+    #[test]
+    fn variance_profile_of_no_episodes_reads_zero() {
+        let eps: Vec<Episode<SimpleContext>> = Vec::new();
+        let target = PointMassPolicy::new(ConstantPolicy::new(0));
+        for (h, p) in variance_profile(&eps, &target, 3).into_iter().enumerate() {
+            assert_eq!(
+                p,
+                WeightProfile {
+                    horizon: h + 1,
+                    mean_weight: 0.0,
+                    max_weight: 0.0,
+                    effective_sample_size: 0.0,
+                    match_fraction: 0.0,
+                }
+            );
+        }
     }
 }

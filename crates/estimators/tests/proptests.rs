@@ -430,10 +430,11 @@ proptest! {
             let sum: f64 = weights.iter().sum();
             let sum_sq: f64 = weights.iter().map(|w| w * w).sum();
             let ess = if sum_sq > 0.0 { sum * sum / sum_sq } else { 0.0 };
-            let mean = sum / weights.len() as f64;
-            prop_assert!(
-                p.mean_weight.to_bits() == mean.to_bits() || (mean.is_nan() && p.mean_weight.is_nan())
-            );
+            let n = weights.len().max(1) as f64;
+            let matched = weights.iter().filter(|&&w| w > 0.0).count();
+            // Value equality: NaN fails it, and an empty `sum` here is -0.0.
+            prop_assert_eq!(p.mean_weight, sum / n);
+            prop_assert_eq!(p.match_fraction, matched as f64 / n);
             prop_assert_eq!(p.effective_sample_size.to_bits(), ess.to_bits());
             prop_assert_eq!(p.max_weight, weights.iter().cloned().fold(0.0, f64::max));
         }

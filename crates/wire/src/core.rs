@@ -6,16 +6,18 @@
 //! request's life:
 //!
 //! ```text
-//! decode ──▶ admit (reader side)             ──▶ process (worker side)
+//! decode ──▶ admit                           ──▶ process
 //!            │ advance logical clock             │ deadline re-check:
 //!            │ rate limit (per-conn bucket)      │   lapsed in queue → Shed
 //!            │ pending budget (QueueBudget)      │ serve / join
 //!            │ full → Shed, never queued         │ release budget
 //! ```
 //!
-//! Admission runs on the reader side so refused work costs one response
-//! frame — never a queue slot, a worker dispatch, or a shard-cell acquire.
-//! The deadline is checked a second time at the worker because that is the
+//! Over TCP the connection's reader runs both steps, waiting between them
+//! for a permit of the server's in-service limit; the duplex transport
+//! queues admitted jobs until the caller pumps them. Refused work costs
+//! one response frame — never a queue slot, a permit, or a shard lock.
+//! The deadline is checked a second time in `process` because that is the
 //! check that matters: time queued *is* the overload signal.
 //!
 //! # Determinism
@@ -31,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use harvest_log::segment::SegmentSink;
-use harvest_serve::{DecisionBatch, DecisionService, QueueBudget, ServeMetrics, SEQ_BITS};
+use harvest_serve::{DecisionBatch, DecisionService, QueueBudget, ServeMetrics};
 
 use crate::admission::TokenBucket;
 use crate::metrics::WireMetrics;
@@ -150,7 +152,8 @@ pub struct Job {
 /// What the door decided.
 #[derive(Debug)]
 pub enum Admission {
-    /// Admitted: hand the job to a worker, then [`WireCore::process`] it.
+    /// Admitted: [`WireCore::process`] the job (the duplex transport
+    /// queues it first).
     Enqueue(Job),
     /// Answered at the door (a pong, or a shed): write the response, done.
     Reply(u64, Response),
@@ -260,7 +263,7 @@ impl<S: SegmentSink + Send + 'static> WireCore<S> {
         })
     }
 
-    /// Worker-side processing: re-checks the deadline (work that expired
+    /// Serves an admitted job: re-checks the deadline (work that expired
     /// while queued is shed without touching a shard), serves the request,
     /// releases the pending-budget reservation, and returns the response
     /// to write. Every path through here releases exactly `job.weight`.
@@ -388,24 +391,6 @@ impl<S: SegmentSink + Send + 'static> WireCore<S> {
         self.metrics.record_ops_served();
         self.metrics.record_response();
         OpsResponse::Report { body }
-    }
-
-    /// Routes a request to a worker by shard, so one shard's traffic —
-    /// decisions *and* the rewards joining back to them — lands on one
-    /// worker. This is the worker-pool half of the engine's shard-affinity
-    /// contract: with each shard owned by one worker, the shard lock stays
-    /// uncontended and the shard's log frame return list stays private to
-    /// that worker. Cross-worker traffic would still be *correct* (it
-    /// waits on the shard lock), but it pays cache-line
-    /// handoffs the affine path never sees — so routing here is a
-    /// performance invariant, not a safety one.
-    /// Pings and unroutable requests go to worker 0.
-    pub fn route_worker(request: &Request, workers: usize) -> usize {
-        debug_assert!(workers > 0);
-        request
-            .route_shard(SEQ_BITS)
-            .map(|shard| (shard % workers.max(1) as u64) as usize)
-            .unwrap_or(0)
     }
 
     /// Ledgers a shed: wire counters by reason, and the service's
@@ -662,17 +647,5 @@ mod tests {
         // Scrape sheds must not leak into the service's admission_shed —
         // that counter feeds the SLO burn-rate watchdog.
         assert_eq!(c.service().metrics().admission_shed, 0);
-    }
-
-    #[test]
-    fn rewards_route_to_their_decision_shard() {
-        let req = Request::Reward {
-            request_id: (5u64 << SEQ_BITS) | 42,
-            now_ns: 0,
-            reward: 1.0,
-        };
-        assert_eq!(WireCore::<MemorySegments>::route_worker(&req, 4), 1); // 5 % 4
-        let ping = Request::Ping { nonce: 0 };
-        assert_eq!(WireCore::<MemorySegments>::route_worker(&ping, 4), 0);
     }
 }

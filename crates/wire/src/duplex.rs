@@ -181,7 +181,7 @@ impl<S: SegmentSink + Send + 'static> Duplex<S> {
     }
 
     /// Processes every queued job in arrival order — the deterministic
-    /// analogue of the TCP worker pool draining.
+    /// analogue of the TCP readers serving what they admitted.
     pub fn pump(&self) -> usize {
         let mut n = 0;
         while self.pump_one() {

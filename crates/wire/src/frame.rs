@@ -26,9 +26,11 @@
 //! a corrupt byte on a TCP stream leaves no resynchronization point — the
 //! connection is counted and closed.
 //!
-//! `seq` lives in the header rather than the payload because the TCP
-//! transport's shard-affine workers may complete one connection's requests
-//! out of order; the client matches responses to requests by echoed `seq`.
+//! `seq` lives in the header rather than the payload so a client can match
+//! a response to its request without decoding the body. The TCP transport
+//! answers one connection's requests in order, but the duplex transport
+//! answers pings and sheds at the door while earlier admitted jobs still
+//! wait in its queue; a client that pipelines matches by echoed `seq`.
 //!
 //! Request and response bodies use the binary layout of
 //! [`harvest_log::codec`], the same primitives the log segments use

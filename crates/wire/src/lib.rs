@@ -9,14 +9,15 @@
 //! shard:
 //!
 //! ```text
-//!  clients ──▶ frame codec ──▶ admission door ──────▶ shard-affine workers
-//!              (CRC per        │ per-conn token bucket │ deadline re-check
-//!               frame;         │ pending QueueBudget   │ decide / join
-//!               corrupt ⇒      │ full ⇒ Shed, with     ▼
-//!               close+count)   │ an explicit reason   DecisionService
-//!                              ▼                       (breaker open ⇒
-//!                           Shed response               degraded Decision,
-//!                           (never an Error)            exact propensities)
+//!  clients ──▶ frame codec ──▶ admission door ──────▶ process (same reader,
+//!              (CRC per        │ per-conn token bucket │ after an in-service
+//!               frame;         │ pending QueueBudget   │ permit): deadline
+//!               corrupt ⇒      │ full ⇒ Shed, with     │ re-check, decide / join
+//!               close+count)   │ an explicit reason    ▼
+//!                              ▼                      DecisionService
+//!                           Shed response              (breaker open ⇒
+//!                           (never an Error)            degraded Decision,
+//!                                                       exact propensities)
 //! ```
 //!
 //! Three rules carry over from the rest of the workspace:
@@ -39,10 +40,10 @@
 //!    reconcile.
 //!
 //! Two transports implement [`Transport`] with identical semantics:
-//! [`tcp::TcpServer`] (threaded sockets, shard-affine worker pool) for
-//! production, and [`duplex::Duplex`] (in-memory, caller-pumped, logical
-//! clock) for the deterministic test path. See `examples/harvest_server.rs`
-//! for the full loop served over loopback TCP.
+//! [`tcp::TcpServer`] (one reader thread per connection, serving its own
+//! requests in order) for production, and [`duplex::Duplex`] (in-memory,
+//! caller-pumped, logical clock) for the deterministic test path. See
+//! `examples/harvest_server.rs` for the full loop served over loopback TCP.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -114,19 +114,6 @@ impl Request {
             Request::Ping { .. } | Request::Reward { .. } => &[],
         }
     }
-
-    /// The shard this request routes to, for shard-affine dispatch.
-    /// Rewards route by the shard encoded in their request id, so a
-    /// reward contends only with the shard that made its decision.
-    pub fn route_shard(&self, seq_bits: u32) -> Option<u64> {
-        match self {
-            Request::Ping { .. } => None,
-            Request::Decide { shard, .. } | Request::DecideBatch { shard, .. } => {
-                Some(u64::from(*shard))
-            }
-            Request::Reward { request_id, .. } => Some(request_id >> seq_bits),
-        }
-    }
 }
 
 /// A served decision, as it crosses the wire.
@@ -715,10 +702,9 @@ mod tests {
     }
 
     #[test]
-    fn weights_and_routing_follow_the_request_shape() {
+    fn weights_follow_the_request_shape() {
         let ping = Request::Ping { nonce: 0 };
         assert_eq!(ping.weight(), 0);
-        assert_eq!(ping.route_shard(40), None);
         let batch = Request::DecideBatch {
             shard: 3,
             now_ns: 0,
@@ -726,14 +712,11 @@ mod tests {
             contexts: vec![SimpleContext::contextless(2); 5],
         };
         assert_eq!(batch.weight(), 5);
-        assert_eq!(batch.route_shard(40), Some(3));
         let reward = Request::Reward {
             request_id: (2 << 40) | 123,
             now_ns: 0,
             reward: 1.0,
         };
         assert_eq!(reward.weight(), 1);
-        // Rewards route to the shard baked into their request id.
-        assert_eq!(reward.route_shard(40), Some(2));
     }
 }

@@ -1,17 +1,18 @@
 //! The production TCP transport.
 //!
-//! One listener thread accepts connections; each connection gets a reader
-//! thread that decodes frames and runs door-side admission inline (pings
-//! and sheds answer without ever touching a worker). Admitted jobs are
-//! dispatched to a fixed pool of *shard-affine* workers: a request routes
-//! to the worker owning its shard ([`WireCore::route_worker`]), so one
-//! shard's decisions — and the rewards joining back to them — serialize on
-//! one worker and the batched serve path stays uncontended across shards.
+//! One listener thread accepts connections; each connection gets one
+//! reader thread that decodes its frames, runs door-side admission, serves
+//! every admitted job itself ([`WireCore::process`]) and writes the reply
+//! on its own socket. So a connection's responses come back in request
+//! order, and no request changes threads between its frame and its reply.
 //!
-//! Responses are written back under a per-connection write lock (reader
-//! and workers share the socket's write half); clients correlate them by
-//! the echoed header `seq`, since shard-affinity may reorder completions
-//! within a connection.
+//! The `workers` count given to [`TcpServer::bind`] bounds how many
+//! requests are being served at once across all connections: a reader
+//! holds one permit of a shared [`QueueBudget`] around `process`, and a
+//! reader waiting for a permit stops reading, so its client sees TCP flow
+//! control. Shard affinity is the client's choice: a connection that sends
+//! only one shard's traffic keeps that shard's lock uncontended, and
+//! traffic that crosses shards stays correct under the shard lock.
 //!
 //! A corrupt frame kills its connection — a byte stream has no resync
 //! point after a failed CRC — and is counted in `frames_corrupt`.
@@ -25,12 +26,13 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 use harvest_log::segment::SegmentSink;
+use harvest_serve::QueueBudget;
 
-use crate::core::{Admission, Job, WireCore};
+use crate::core::{Admission, WireCore};
 use crate::frame::{FrameDecoder, FrameKind};
 use crate::ops::{
     decode_ops_query_payload, decode_ops_response_payload, encode_ops_query, encode_ops_response,
@@ -42,32 +44,29 @@ use crate::proto::{
 };
 use crate::transport::{Connection, Transport};
 
-struct WorkItem {
-    job: Job,
-    reply: Arc<Mutex<TcpStream>>,
-}
+/// Bytes one `read` call may take off a socket.
+const READ_CHUNK: usize = 16 * 1024;
 
 struct Registry {
     readers: Mutex<Vec<thread::JoinHandle<()>>>,
     conns: Mutex<Vec<TcpStream>>,
 }
 
-/// A running TCP front-end: listener, per-connection readers, shard-affine
-/// worker pool. Dropping it without [`TcpServer::shutdown`] leaks threads;
-/// call shutdown for an orderly stop.
+/// A running TCP front-end: the listener and one reader per connection.
+/// Dropping it without [`TcpServer::shutdown`] leaks threads; call
+/// shutdown for an orderly stop.
 pub struct TcpServer<S: SegmentSink + Send + 'static> {
     core: Arc<WireCore<S>>,
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<thread::JoinHandle<()>>,
     registry: Arc<Registry>,
-    worker_txs: Vec<mpsc::Sender<WorkItem>>,
-    workers: Vec<thread::JoinHandle<()>>,
 }
 
 impl<S: SegmentSink + Send + 'static> TcpServer<S> {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// listener plus `workers` shard-affine workers.
+    /// listener. At most `workers` admitted requests are served at once,
+    /// across all connections.
     pub fn bind(
         core: Arc<WireCore<S>>,
         addr: impl ToSocketAddrs,
@@ -80,37 +79,12 @@ impl<S: SegmentSink + Send + 'static> TcpServer<S> {
             readers: Mutex::new(Vec::new()),
             conns: Mutex::new(Vec::new()),
         });
-
-        let workers = workers.max(1);
-        let mut worker_txs = Vec::with_capacity(workers);
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let (tx, rx) = mpsc::channel::<WorkItem>();
-            let core = Arc::clone(&core);
-            worker_txs.push(tx);
-            worker_handles.push(
-                thread::Builder::new()
-                    .name(format!("wire-worker-{i}"))
-                    .spawn(move || {
-                        while let Ok(item) = rx.recv() {
-                            let (seq, resp) = core.process(item.job);
-                            let frame = encode_response(seq, &resp);
-                            let mut stream = item.reply.lock().unwrap_or_else(|p| p.into_inner());
-                            // A client that hung up mid-flight is not an
-                            // error worth more than the counter bump the
-                            // reader already took.
-                            let _ = stream.write_all(&frame);
-                        }
-                    })
-                    .expect("spawn wire worker"),
-            );
-        }
+        let permits = Arc::new(QueueBudget::new(workers.max(1) as u64));
 
         let accept = {
             let core = Arc::clone(&core);
             let stop = Arc::clone(&stop);
             let registry = Arc::clone(&registry);
-            let worker_txs = worker_txs.clone();
             thread::Builder::new()
                 .name("wire-accept".to_string())
                 .spawn(move || {
@@ -123,8 +97,7 @@ impl<S: SegmentSink + Send + 'static> TcpServer<S> {
                         // this, back-to-back frames on one connection can
                         // wait behind Nagle plus the peer's delayed ACK.
                         let _ = stream.set_nodelay(true);
-                        let (Ok(writer), Ok(registered)) = (stream.try_clone(), stream.try_clone())
-                        else {
+                        let Ok(registered) = stream.try_clone() else {
                             continue;
                         };
                         registry
@@ -133,12 +106,10 @@ impl<S: SegmentSink + Send + 'static> TcpServer<S> {
                             .unwrap_or_else(|p| p.into_inner())
                             .push(registered);
                         let core = Arc::clone(&core);
-                        let worker_txs = worker_txs.clone();
+                        let permits = Arc::clone(&permits);
                         let handle = thread::Builder::new()
                             .name("wire-reader".to_string())
-                            .spawn(move || {
-                                reader_loop(core, stream, Arc::new(Mutex::new(writer)), worker_txs)
-                            })
+                            .spawn(move || reader_loop(&core, stream, &permits))
                             .expect("spawn wire reader");
                         registry
                             .readers
@@ -156,8 +127,6 @@ impl<S: SegmentSink + Send + 'static> TcpServer<S> {
             stop,
             accept: Some(accept),
             registry,
-            worker_txs,
-            workers: worker_handles,
         })
     }
 
@@ -171,8 +140,7 @@ impl<S: SegmentSink + Send + 'static> TcpServer<S> {
         &self.core
     }
 
-    /// Stops accepting, closes every connection, drains the workers, and
-    /// joins all threads.
+    /// Stops accepting, closes every connection, and joins all threads.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
@@ -200,24 +168,34 @@ impl<S: SegmentSink + Send + 'static> TcpServer<S> {
         for handle in readers {
             let _ = handle.join();
         }
-        // With every reader gone, dropping the senders disconnects the
-        // worker channels and the pool drains out.
-        self.worker_txs.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+    }
+}
+
+/// One permit of the server's in-service limit, returned on drop so every
+/// path out of [`WireCore::process`], a panic included, gives it back.
+struct Permit<'a>(&'a QueueBudget);
+
+impl<'a> Permit<'a> {
+    fn acquire(permits: &'a QueueBudget) -> Self {
+        permits.acquire_blocking(1);
+        Permit(permits)
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.release(1);
     }
 }
 
 fn reader_loop<S: SegmentSink + Send + 'static>(
-    core: Arc<WireCore<S>>,
+    core: &WireCore<S>,
     mut stream: TcpStream,
-    writer: Arc<Mutex<TcpStream>>,
-    worker_txs: Vec<mpsc::Sender<WorkItem>>,
+    permits: &QueueBudget,
 ) {
     let mut conn = core.connect();
     let mut decoder = FrameDecoder::new();
-    let mut buf = [0u8; 16 * 1024];
+    let mut buf = [0u8; READ_CHUNK];
     'conn: loop {
         let n = match stream.read(&mut buf) {
             Ok(0) | Err(_) => break,
@@ -225,52 +203,29 @@ fn reader_loop<S: SegmentSink + Send + 'static>(
         };
         decoder.extend(&buf[..n]);
         loop {
-            match decoder.next_frame() {
+            let reply = match decoder.next_frame() {
                 Ok(Some((FrameKind::Request, seq, payload))) => {
-                    let request = match decode_request_payload(&payload) {
-                        Ok(r) => r,
-                        Err(_) => {
-                            core.metrics().record_corrupt_frame();
-                            break 'conn;
+                    let Ok(request) = decode_request_payload(&payload) else {
+                        core.metrics().record_corrupt_frame();
+                        break 'conn;
+                    };
+                    let (seq, resp) = match core.admit(&mut conn, seq, request) {
+                        Admission::Reply(seq, resp) => (seq, resp),
+                        Admission::Enqueue(job) => {
+                            let _permit = Permit::acquire(permits);
+                            core.process(job)
                         }
                     };
-                    let route = WireCore::<S>::route_worker(&request, worker_txs.len());
-                    match core.admit(&mut conn, seq, request) {
-                        Admission::Reply(seq, resp) => {
-                            let frame = encode_response(seq, &resp);
-                            let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
-                            if w.write_all(&frame).is_err() {
-                                break 'conn;
-                            }
-                        }
-                        Admission::Enqueue(job) => {
-                            let item = WorkItem {
-                                job,
-                                reply: Arc::clone(&writer),
-                            };
-                            if worker_txs[route].send(item).is_err() {
-                                // Workers only disappear at shutdown.
-                                break 'conn;
-                            }
-                        }
-                    }
+                    encode_response(seq, &resp)
                 }
                 Ok(Some((FrameKind::Ops, seq, payload))) => {
-                    // Scrapes answer inline at the door like pings — no
-                    // worker dispatch — but core.ops() charges admission.
-                    let query = match decode_ops_query_payload(&payload) {
-                        Ok(q) => q,
-                        Err(_) => {
-                            core.metrics().record_corrupt_frame();
-                            break 'conn;
-                        }
-                    };
-                    let resp = core.ops(&mut conn, query);
-                    let frame = encode_ops_response(seq, &resp);
-                    let mut w = writer.lock().unwrap_or_else(|p| p.into_inner());
-                    if w.write_all(&frame).is_err() {
+                    // Scrapes skip the permit like pings, but core.ops()
+                    // charges admission.
+                    let Ok(query) = decode_ops_query_payload(&payload) else {
+                        core.metrics().record_corrupt_frame();
                         break 'conn;
-                    }
+                    };
+                    encode_ops_response(seq, &core.ops(&mut conn, query))
                 }
                 Ok(Some((FrameKind::Response, _, _))) => {
                     core.metrics().record_protocol_error();
@@ -281,6 +236,9 @@ fn reader_loop<S: SegmentSink + Send + 'static>(
                     core.metrics().record_corrupt_frame();
                     break 'conn;
                 }
+            };
+            if stream.write_all(&reply).is_err() {
+                break 'conn;
             }
         }
     }
@@ -291,6 +249,7 @@ fn reader_loop<S: SegmentSink + Send + 'static>(
 pub struct TcpClient {
     stream: TcpStream,
     decoder: FrameDecoder,
+    buf: Box<[u8]>,
     next_seq: u64,
 }
 
@@ -302,6 +261,7 @@ impl TcpClient {
         Ok(TcpClient {
             stream,
             decoder: FrameDecoder::new(),
+            buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
             next_seq: 0,
         })
     }
@@ -315,7 +275,6 @@ impl TcpClient {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stream.write_all(&encode_ops_query(seq, query))?;
-        let mut buf = [0u8; 16 * 1024];
         loop {
             match self.decoder.next_frame() {
                 Ok(Some((FrameKind::Ops, got_seq, payload))) => {
@@ -335,25 +294,31 @@ impl TcpClient {
                         "non-ops frame while awaiting a scrape answer",
                     ));
                 }
-                Ok(None) => {
-                    let n = self.stream.read(&mut buf)?;
-                    if n == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server closed the connection",
-                        ));
-                    }
-                    self.decoder.extend(&buf[..n]);
-                }
-                Err(kind) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt frame from server: {kind}"),
-                    ));
-                }
+                Ok(None) => self.fill()?,
+                Err(kind) => return Err(corrupt_from_server(kind)),
             }
         }
     }
+
+    /// Reads what the socket has into the frame decoder.
+    fn fill(&mut self) -> io::Result<()> {
+        let n = self.stream.read(&mut self.buf)?;
+        if n == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ));
+        }
+        self.decoder.extend(&self.buf[..n]);
+        Ok(())
+    }
+}
+
+fn corrupt_from_server(kind: impl std::fmt::Display) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("corrupt frame from server: {kind}"),
+    )
 }
 
 impl Connection for TcpClient {
@@ -365,7 +330,6 @@ impl Connection for TcpClient {
     }
 
     fn recv(&mut self) -> io::Result<(u64, Response)> {
-        let mut buf = [0u8; 16 * 1024];
         loop {
             match self.decoder.next_frame() {
                 Ok(Some((FrameKind::Response, seq, payload))) => {
@@ -383,22 +347,8 @@ impl Connection for TcpClient {
                         "unexpected frame kind while awaiting a response",
                     ));
                 }
-                Ok(None) => {
-                    let n = self.stream.read(&mut buf)?;
-                    if n == 0 {
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "server closed the connection",
-                        ));
-                    }
-                    self.decoder.extend(&buf[..n]);
-                }
-                Err(kind) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt frame from server: {kind}"),
-                    ));
-                }
+                Ok(None) => self.fill()?,
+                Err(kind) => return Err(corrupt_from_server(kind)),
             }
         }
     }
@@ -467,16 +417,21 @@ mod tests {
     }
 
     /// Four closed-loop connections, one per shard, each making `calls`
-    /// calls of `batch` decisions (`batch == 1` sends single `Decide`s).
-    /// Every decision must be served and the wire ledger must balance.
-    fn serve_from_four_connections(calls: u64, batch: usize) {
+    /// calls of `batch` decisions (`batch == 1` sends single `Decide`s)
+    /// against a server serving `workers` requests at once. Every decision
+    /// must be served and the wire ledger must balance.
+    fn serve_from_four_connections(workers: usize, calls: u64, batch: usize) {
         const CONNS: u32 = 4;
-        let server = server(3);
+        let server = server(workers);
+        // Every connection is open before any sends, so all four contend.
+        let start = Arc::new(std::sync::Barrier::new(CONNS as usize));
         let mut handles = Vec::new();
         for c in 0..CONNS {
             let addr = server.local_addr();
+            let start = Arc::clone(&start);
             handles.push(thread::spawn(move || {
                 let mut client = TcpClient::connect(addr).expect("connect");
+                start.wait();
                 let mut served = 0;
                 for i in 0..calls {
                     let (shard, now_ns) = (c % 4, 1_000 + i);
@@ -518,13 +473,63 @@ mod tests {
     }
 
     #[test]
-    fn many_connections_share_the_worker_pool() {
-        serve_from_four_connections(25, 1);
+    fn four_connections_serve_single_decisions() {
+        serve_from_four_connections(3, 25, 1);
     }
 
     #[test]
-    fn many_connections_serve_batches_over_the_worker_pool() {
-        serve_from_four_connections(10, 16);
+    fn four_connections_serve_batches() {
+        serve_from_four_connections(3, 10, 16);
+    }
+
+    #[test]
+    fn four_connections_contend_for_one_permit() {
+        serve_from_four_connections(1, 25, 1);
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_request_order() {
+        const DECIDES: u32 = 64;
+        let server = server(2);
+        let mut client = server.connect().expect("connect");
+        // Every request goes out before any response is read: decisions
+        // rotate over the four shards, with a ping after every fourth.
+        let mut sent = Vec::new();
+        for i in 0..DECIDES {
+            sent.push(
+                client
+                    .send(&Request::Decide {
+                        shard: i % 4,
+                        now_ns: 1_000 + u64::from(i),
+                        budget_ns: 0,
+                        context: SimpleContext::contextless(2),
+                    })
+                    .expect("send decide"),
+            );
+            if i % 4 == 3 {
+                let nonce = u64::from(i);
+                sent.push(client.send(&Request::Ping { nonce }).expect("send ping"));
+            }
+        }
+        assert_eq!(sent, (0..sent.len() as u64).collect::<Vec<_>>());
+        let mut decisions = 0;
+        for (i, &seq) in sent.iter().enumerate() {
+            let (got, resp) = client.recv().expect("recv");
+            assert_eq!(got, seq, "response {i} is out of request order");
+            match resp {
+                Response::Decision(d) => {
+                    assert_eq!(d.shard, decisions % 4);
+                    decisions += 1;
+                }
+                Response::Pong { nonce } => assert_eq!(nonce, u64::from(decisions - 1)),
+                other => panic!("every request must be served, got {other:?}"),
+            }
+        }
+        assert_eq!(decisions, DECIDES);
+        let snap = server.core().metrics().snapshot();
+        assert_eq!(snap.decisions_served, u64::from(DECIDES));
+        assert!(snap.ledger_ok, "{snap:?}");
+        server.shutdown();
     }
 
     #[test]

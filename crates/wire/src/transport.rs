@@ -4,9 +4,9 @@
 //! requests and receives typed responses. Two implementations exist with
 //! identical semantics:
 //!
-//! - [`TcpServer`](crate::tcp::TcpServer): real sockets, a thread-per-
-//!   connection reader, and a shard-affine worker pool — the production
-//!   path.
+//! - [`TcpServer`](crate::tcp::TcpServer): real sockets and one reader
+//!   thread per connection that serves its own requests in order — the
+//!   production path.
 //! - [`Duplex`](crate::duplex::Duplex): in-memory byte queues pumped on the
 //!   caller's thread under the logical clock — the deterministic seeded
 //!   test path.
@@ -30,9 +30,9 @@ pub trait Transport {
 /// One client connection: framed, CRC-guarded, sequence-correlated.
 pub trait Connection {
     /// Encodes and sends one request, returning the sequence number the
-    /// response will echo. Responses may arrive out of order (the TCP
-    /// transport's workers are shard-affine, not connection-affine);
-    /// callers match on the echoed sequence.
+    /// response will echo. The TCP transport answers in request order; the
+    /// duplex transport answers pings and sheds before jobs it still
+    /// queues, so callers that pipeline match on the echoed sequence.
     fn send(&mut self, request: &Request) -> io::Result<u64>;
 
     /// Receives the next response frame.
